@@ -121,39 +121,43 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 class Channel:
     """Completely positive map given by Kraus operators.
 
-    ``mode="tp"`` enforces trace preservation (sum K^dag K = id) and
-    ``mode="tni"`` only trace non-increase (sum K^dag K <= id), both
-    within ``atol``.
+    ``kraus`` is a sequence of equally shaped operators or one
+    ``(k, dim_out, dim_in)`` array.  ``mode="tp"`` enforces trace
+    preservation (sum K^dag K = id) and ``mode="tni"`` only trace
+    non-increase (sum K^dag K <= id), both within ``atol``.
     """
 
     def __init__(self, kraus, mode: str = "tp", atol: float = DEFAULT_ATOL):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+        try:
+            # a complex (k, m, n) array is kept as is, without a copy
+            self.kraus = np.asarray(kraus, dtype=complex)
+        except ValueError as exc:
+            raise ValueError("all Kraus operators must share one 2-d shape") from exc
+        if self.kraus.shape[:1] == (0,):
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
+        if self.kraus.ndim != 3:
             raise ValueError("all Kraus operators must share one 2-d shape")
         if mode not in ("tp", "tni"):
             raise ValueError(f"mode must be 'tp' or 'tni', got {mode!r}")
-        self.kraus = np.stack(ops)
         self.mode = mode
-        self.dim_out, self.dim_in = shape
+        _, self.dim_out, self.dim_in = self.kraus.shape
 
-        s = np.einsum("kij,kil->jl", self.kraus.conj(), self.kraus)
-        eye = np.eye(self.dim_in)
+        flat = self.kraus.reshape(-1, self.dim_in)
+        s = dagger(flat) @ flat
         if mode == "tp":
-            err = float(np.linalg.norm(s - eye, 2))
+            err = float(np.linalg.norm(s - np.eye(self.dim_in), 2))
             if err > atol:
                 raise ValueError(
                     f"Kraus completeness violated: ||sum K^dag K - id|| = {err:.3e}"
                 )
         else:
-            top = float(np.max(np.linalg.eigvalsh(s)))
+            # sum K^dag K is PSD, so its top eigenvalue is its spectral norm
+            top = float(np.linalg.eigvalsh(s)[-1])
             if top > 1.0 + atol:
                 raise ValueError(
                     f"trace non-increasing violated: max eig of sum K^dag K = {top}"
                 )
-            if float(np.linalg.norm(s, 2)) <= atol:
+            if top <= atol:
                 raise ValueError("sum K^dag K vanishes; not a channel")
 
     @property
@@ -170,7 +174,13 @@ class Channel:
             raise ValueError(
                 f"input of shape {x.shape} does not match dim_in {self.dim_in}"
             )
-        return np.einsum("kij,jl,kml->im", self.kraus, x, self.kraus.conj())
+        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
+        # batches of at most 2**14 Kraus entries keep the temporaries small
+        size = max(1, 2**14 // (self.dim_out * self.dim_in))
+        for start in range(0, self.num_kraus, size):
+            block = self.kraus[start : start + size]
+            out += (block @ x @ block.conj().swapaxes(1, 2)).sum(axis=0)
+        return out
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
         """Adjoint map ``sum_k K^dag y K`` (unital when ``mode='tp'``)."""
@@ -179,7 +189,7 @@ class Channel:
             raise ValueError(
                 f"input of shape {y.shape} does not match dim_out {self.dim_out}"
             )
-        return np.einsum("kji,jl,klm->im", self.kraus.conj(), y, self.kraus)
+        return (self.kraus.conj().swapaxes(1, 2) @ y @ self.kraus).sum(axis=0)
 
     def stinespring_isometry(self) -> np.ndarray:
         """Isometric extension ``U = sum_k K_k (x) |k>_E``.
@@ -194,9 +204,6 @@ class Channel:
         for k in range(env):
             view[:, k, :] = self.kraus[k]
         return u
-
-    def env_dim(self) -> int:
-        return self.num_kraus
 
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_ij E_ij (x) N(E_ij)`` (input factor first)."""

@@ -30,6 +30,7 @@ from .entropy import LN2
 from .recovery import beta_quadrature
 from .verify import (
     SweepConfig,
+    _random_dpi_instance,
     concavity_remainder,
     dpi_remainder,
     joint_convexity_remainder,
@@ -165,17 +166,12 @@ def _dpi_instances(args):
         yield "file", _load_state_arg(args.rho), _load_state_arg(args.sigma), \
             _load_channel_arg(args.channel)
         return
-    lo, hi = _parse_dims(args.dims)
+    dims = _parse_dims(args.dims)
     children = np.random.SeedSequence(args.seed).spawn(args.random)
     for i in range(args.random):
-        rng = np.random.default_rng(children[i])
-        din = int(rng.integers(lo, hi + 1))
-        dout = int(rng.integers(lo, hi + 1))
-        env_lo = max(1, -(-din // dout))
-        env = int(rng.integers(env_lo, max(env_lo, args.env_max) + 1))
-        sigma = random_density(din, rng)
-        rho = random_density(din, rng)
-        chan = random_channel(din, dout, env, rng)
+        rho, sigma, chan, _ = _random_dpi_instance(
+            children[i], dims, args.env_max, SweepConfig.max_condition
+        )
         yield f"random-{i}", rho, sigma, chan
 
 

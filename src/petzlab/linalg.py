@@ -96,16 +96,22 @@ def eig_hermitian(
 
 
 def _psd_eigensystem(h, rank_tol):
-    """Eigensystem of a PSD matrix with sub-cutoff eigenvalues clamped to 0."""
+    """Eigensystem of a PSD matrix with sub-cutoff eigenvalues clamped to 0.
+
+    Raises when an eigenvalue lies below ``-max(cutoff, 1e-12 * max|lambda|)``.
+    Negativity above that is rounding, which in a computed PSD operator such
+    as a CP-map output can exceed the cutoff; it is clamped too.
+    """
     dec = eig_hermitian(h, rank_tol=rank_tol)
     vals = dec.eigenvalues.copy()
     cut = dec.rank_tolerance
-    neg = vals < -cut
+    floor = max(cut, 1e-12 * max(vals[0], -vals[-1]))  # vals descend
+    neg = vals < -floor
     if np.any(neg):
         worst = float(vals[neg].min())
         raise ValueError(
             f"matrix is not positive semidefinite: eigenvalue {worst:.3e} "
-            f"below -{cut:.3e}"
+            f"below -{floor:.3e}"
         )
     vals[vals <= cut] = 0.0
     return vals, dec.eigenvectors

@@ -125,15 +125,17 @@ def beta0_quadrature(n_nodes: int) -> QuadratureRule:
 # recovery maps
 # ---------------------------------------------------------------------------
 
-class RecoveryMap:
+class RecoveryMap(Channel):
     """Completely positive, trace non-increasing reversal of a channel.
 
-    A recovery map is realized by an explicit Kraus list mapping the
-    channel output space back to its input space.  It is trace preserving
-    on the support of ``channel(sigma)`` and annihilates the orthogonal
-    complement of that support.  ``kind`` is one of ``"petz"``,
-    ``"rotated"``, ``"phase-rotated"`` or ``"mixture"``; mixtures also
-    retain their components and weights for per-node diagnostics.
+    A trace non-increasing ``Channel`` mapping the channel output space
+    back to its input space, carrying the recovery metadata ``kind``,
+    ``sigma``, ``channel``, ``t``, ``nodes``, ``weights`` and ``phases``.
+    It is trace preserving on the support of ``channel(sigma)`` and
+    annihilates the orthogonal complement of that support.  ``kind`` is
+    one of ``"petz"``, ``"rotated"``, ``"phase-rotated"`` or ``"mixture"``;
+    a mixture's Kraus stack holds each component's operators scaled by the
+    square root of its weight.
     """
 
     def __init__(
@@ -148,62 +150,44 @@ class RecoveryMap:
         components=None,
         phases=None,
     ):
+        super().__init__(kraus, mode="tni", atol=_TNI_TOL)
         self.kind = kind
-        self.kraus = np.stack([np.asarray(k, dtype=complex) for k in kraus])
         self.sigma = np.asarray(sigma, dtype=complex)
         self.channel = channel
         self.t = t
         self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        self.components = None if components is None else tuple(components)
+        self._components = None if components is None else tuple(components)
         self.phases = phases
 
-        s = np.einsum("kij,kil->jl", self.kraus.conj(), self.kraus)
-        top = float(np.max(np.linalg.eigvalsh(s)))
-        if top > 1.0 + _TNI_TOL:
-            raise ValueError(
-                f"recovery map is not trace non-increasing: max eig {top - 1.0:.3e} above 1"
-            )
+    # an entry of its own, so that tracing can wrap it apart from Channel.apply
+    apply = Channel.apply
 
     @property
-    def dim_in(self) -> int:
-        return self.kraus.shape[2]
+    def components(self):
+        """Weighted parts of a mixture, or ``None`` for a single map.
 
-    @property
-    def dim_out(self) -> int:
-        return self.kraus.shape[1]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the flattened Kraus realization to ``x``."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim_in, self.dim_in):
-            raise ValueError(
-                f"input of shape {x.shape} does not match dim_in {self.dim_in}"
-            )
-        return np.einsum("kij,jl,kml->im", self.kraus, x, self.kraus.conj())
+        A universal map stores no components: its rotated maps, one per
+        node, are rebuilt from the Kraus stack on each access.
+        """
+        if self._components is not None or self.kind != "mixture" or self.nodes is None:
+            return self._components
+        per_node = self.kraus.reshape(len(self.nodes), -1, self.dim_out, self.dim_in)
+        return tuple(
+            RecoveryMap("rotated", ops / np.sqrt(w), self.sigma, self.channel, t=t)
+            for t, w, ops in zip(self.nodes, self.weights, per_node)
+        )
 
     def apply_components(self, x: np.ndarray) -> np.ndarray:
         """Apply a mixture through its weighted components (for cross-checks)."""
-        if self.components is None:
+        components = self.components
+        if components is None:
             return self.apply(x)
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for w, comp in zip(self.weights, self.components):
-            out += w * comp.apply(x)
-        return out
-
-    def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=complex)
-        return np.einsum("kji,jl,klm->im", self.kraus.conj(), y, self.kraus)
+        return sum(w * comp.apply(x) for w, comp in zip(self.weights, components))
 
     def as_channel(self) -> Channel:
-        """View as a trace non-increasing channel object."""
-        return Channel(list(self.kraus), mode="tni")
-
-    def choi(self) -> np.ndarray:
-        return self.as_channel().choi()
+        """The map itself, which already is a trace non-increasing channel."""
+        return self
 
 
 class _PetzFactory:
@@ -216,30 +200,35 @@ class _PetzFactory:
                 f"sigma of shape {sigma.shape} does not match channel input "
                 f"dimension {channel.dim_in}"
             )
-        self.sigma = sigma
-        self.channel = channel
         self.n_sigma = channel.apply(sigma)
         if float(np.trace(self.n_sigma).real) <= channel.dim_out * 1e-14:
             raise ValueError("channel output on sigma is numerically zero")
-        self.s_vals, self.s_vecs = _psd_eigensystem(sigma, rank_tol)
-        self.m_vals, self.m_vecs = _psd_eigensystem(self.n_sigma, rank_tol)
+        self.s_spec = self._log_spectrum(sigma, rank_tol)
+        self.m_spec = self._log_spectrum(self.n_sigma, rank_tol)
         self.kraus_dg = [dagger(k) for k in channel.kraus]
 
-    def _power(self, vals, vecs, exponent: complex) -> np.ndarray:
-        f = np.zeros(len(vals), dtype=complex)
+    @staticmethod
+    def _log_spectrum(h, rank_tol):
+        # everything _power needs that does not depend on the exponent
+        vals, vecs = _psd_eigensystem(h, rank_tol)
         pos = vals > 0.0
-        f[pos] = np.exp(exponent * np.log(vals[pos]))
-        return (vecs * f) @ dagger(vecs)
+        return pos, np.log(vals[pos]), vecs, dagger(vecs)
+
+    def _power(self, spec, exponent: complex) -> np.ndarray:
+        pos, logs, vecs, vecs_dg = spec
+        f = np.zeros(len(pos), dtype=complex)
+        f[pos] = np.exp(exponent * logs)
+        return (vecs * f) @ vecs_dg
 
     def rotated_kraus(self, t: float):
-        """Kraus list of the rotated Petz map at parameter ``t``."""
+        """Kraus stack of the rotated Petz map at parameter ``t``."""
         if t == 0.0:
-            left = self._power(self.s_vals, self.s_vecs, 0.5)
-            right = self._power(self.m_vals, self.m_vecs, -0.5)
+            left = self._power(self.s_spec, 0.5)
+            right = self._power(self.m_spec, -0.5)
         else:
-            left = self._power(self.s_vals, self.s_vecs, 0.5 - 1j * t)
-            right = self._power(self.m_vals, self.m_vecs, -0.5 + 1j * t)
-        return [left @ kd @ right for kd in self.kraus_dg]
+            left = self._power(self.s_spec, 0.5 - 1j * t)
+            right = self._power(self.m_spec, -0.5 + 1j * t)
+        return np.array([left @ kd @ right for kd in self.kraus_dg])
 
 
 def petz(sigma: np.ndarray, channel: Channel, rank_tol: float | None = None) -> RecoveryMap:
@@ -283,28 +272,38 @@ def universal_recovery(
     """Universal recovery map: the ``beta0``-weighted mixture of rotated
     Petz maps at half the node parameter.
 
-    Depends only on ``sigma`` and the channel.  The flattened Kraus list
-    scales each component by the square root of its weight; components and
-    weights are retained for per-node diagnostics.
+    Depends only on ``sigma`` and the channel.  The one Kraus stack holds
+    every node's operators scaled by the square root of its weight, node
+    by node; ``components`` rebuilds the per-node maps from it on demand.
     """
     factory = _PetzFactory(sigma, channel, rank_tol)
-    components = []
-    flat = []
-    for t, w in zip(rule.nodes, rule.weights):
-        ops = factory.rotated_kraus(t / 2.0)
-        components.append(
-            RecoveryMap("rotated", ops, sigma, channel, t=t / 2.0)
-        )
-        flat.extend(np.sqrt(w) * k for k in ops)
+    nodes = rule.nodes / 2.0
+    flat = np.empty(
+        (len(rule), channel.num_kraus, channel.dim_in, channel.dim_out), dtype=complex
+    )
+    for i, (t, w) in enumerate(zip(nodes, rule.weights)):
+        flat[i] = np.sqrt(w) * factory.rotated_kraus(t)
     return RecoveryMap(
         "mixture",
-        flat,
+        flat.reshape(-1, channel.dim_in, channel.dim_out),
         sigma,
         channel,
-        nodes=rule.nodes / 2.0,
+        nodes=nodes,
         weights=rule.weights,
-        components=components,
     )
+
+
+def _eigenspaces(h: np.ndarray, cluster_tol: float):
+    """Eigenvectors of PSD ``h`` and the index arrays of its eigenspaces.
+
+    Neighbouring eigenvalues (descending) share an eigenspace when they
+    differ by at most ``cluster_tol`` times the largest; the kernel
+    (everything below the rank cutoff) is one eigenspace.
+    """
+    vals, vecs = _psd_eigensystem(h, None)
+    scale = float(vals[0]) if vals[0] > 0 else 1.0
+    breaks = np.flatnonzero(np.abs(np.diff(vals)) > cluster_tol * scale) + 1
+    return vecs, np.split(np.arange(len(vals)), breaks)
 
 
 def eigenspace_phase_unitary(h: np.ndarray, phases, cluster_tol: float = 1e-8) -> np.ndarray:
@@ -314,36 +313,20 @@ def eigenspace_phase_unitary(h: np.ndarray, phases, cluster_tol: float = 1e-8) -
     kernel (everything below the rank cutoff) counts as one eigenspace.
     The phase vector length must match the number of eigenspaces.
     """
-    vals, vecs = _psd_eigensystem(h, None)
-    scale = float(vals[0]) if vals[0] > 0 else 1.0
-    clusters = []
-    for idx, v in enumerate(vals):
-        if clusters and abs(clusters[-1][-1][1] - v) <= cluster_tol * scale:
-            clusters[-1].append((idx, v))
-        else:
-            clusters.append([(idx, v)])
+    vecs, spaces = _eigenspaces(h, cluster_tol)
     phases = np.asarray(phases, dtype=float)
-    if len(phases) != len(clusters):
+    if len(phases) != len(spaces):
         raise ValueError(
             f"phase vector of length {len(phases)} does not match "
-            f"{len(clusters)} eigenspaces"
+            f"{len(spaces)} eigenspaces"
         )
-    diag = np.ones(len(vals), dtype=complex)
-    for phi, cluster in zip(phases, clusters):
-        for idx, _ in cluster:
-            diag[idx] = np.exp(1j * phi)
+    diag = np.repeat(np.exp(1j * phases), [len(idx) for idx in spaces])
     return (vecs * diag) @ dagger(vecs)
 
 
 def count_eigenspaces(h: np.ndarray, cluster_tol: float = 1e-8) -> int:
     """Number of distinct eigenspaces of PSD ``h`` (kernel counts once)."""
-    vals, _ = _psd_eigensystem(h, None)
-    scale = float(vals[0]) if vals[0] > 0 else 1.0
-    count = 1
-    for prev, cur in zip(vals[:-1], vals[1:]):
-        if abs(prev - cur) > cluster_tol * scale:
-            count += 1
-    return count
+    return len(_eigenspaces(h, cluster_tol)[1])
 
 
 def phase_rotated_petz(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .channels import (
     Channel,
+    identity_channel,
     partial_trace_channel,
     random_channel,
     random_density,
@@ -30,7 +31,7 @@ from .entropy import (
     support_violation,
     von_neumann_entropy,
 )
-from .linalg import eig_hermitian, dagger, partial_trace, tensor_product
+from .linalg import eig_hermitian, dagger, partial_trace
 from .recovery import (
     QuadratureRule,
     RecoveryMap,
@@ -97,9 +98,11 @@ def dpi_remainder(
     recovery = universal_recovery(sigma, channel, rule)
     out_rho = channel.apply(rho)
 
-    recs = [comp.apply(out_rho) for comp in recovery.components]
-    fids = np.array([fidelity(rho, rec) for rec in recs])
-    mixture_rec = np.tensordot(recovery.weights, np.array(recs), axes=1)
+    # w_t R_t(N(rho)) for every node t, from the one Kraus stack
+    kraus = recovery.kraus.reshape(len(rule), -1, recovery.dim_out, recovery.dim_in)
+    weighted = (kraus @ out_rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
+    fids = np.array([fidelity(rho, rec / w) for rec, w in zip(weighted, rule.weights)])
+    mixture_rec = weighted.sum(axis=0)
 
     if np.all(fids > 0.0):
         rhs_strong = float(-2.0 * np.dot(recovery.weights, np.log(fids)))
@@ -202,9 +205,7 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
 
     trace_c = partial_trace_channel((db, dc), keep=(0,))
     recovery = universal_recovery(rho_bc, trace_c, rule)
-    eye_a = np.eye(da, dtype=complex)
-    lifted = [tensor_product(eye_a, k) for k in recovery.kraus]
-    rec = np.einsum("kij,jl,kml->im", np.stack(lifted), rho_ab, np.stack(lifted).conj())
+    rec = identity_channel(da).tensor(recovery).apply(rho_ab)
 
     cmi = conditional_mutual_information(rho_abc, (da, db, dc))
     f = fidelity(rho_abc, rec)
@@ -614,23 +615,33 @@ class SweepResult:
     ok: bool
 
 
-def _condition_number(rho: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(rho)
-    lo = float(vals[0])
-    if lo <= 0.0:
-        return float(np.inf)
-    return float(vals[-1]) / lo
-
-
 def _well_conditioned_density(dim: int, rng, max_condition: float):
     """Full-rank random state below the condition cap; counts regenerations."""
     for regen in range(1000):
         rho = random_density(dim, rng)
-        if _condition_number(rho) <= max_condition:
+        vals = np.linalg.eigvalsh(rho)
+        if vals[0] > 0.0 and vals[-1] / vals[0] <= max_condition:
             return rho, regen
     raise RuntimeError(
         f"could not draw a dim-{dim} state with condition below {max_condition}"
     )
+
+
+def _random_dpi_instance(rng, dims, env_max: int, max_condition: float):
+    """Seeded ``(rho, sigma, channel, regenerations)`` for the DPI checks.
+
+    ``rng`` is a seed or a generator; dimensions are drawn from the range
+    ``dims = (lo, hi)`` and ``sigma`` is redrawn above ``max_condition``.
+    """
+    rng = np.random.default_rng(rng)
+    lo, hi = dims
+    dim_in = int(rng.integers(lo, hi + 1))
+    dim_out = int(rng.integers(lo, hi + 1))
+    env_lo = max(1, -(-dim_in // dim_out))
+    env = int(rng.integers(env_lo, max(env_lo, env_max) + 1))
+    sigma, regen = _well_conditioned_density(dim_in, rng, max_condition)
+    rho = random_density(dim_in, rng)
+    return rho, sigma, random_channel(dim_in, dim_out, env, rng), regen
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -649,17 +660,13 @@ def sweep(config: SweepConfig) -> SweepResult:
         t0 = time.perf_counter()
         row = {"instance": i, "seed": config.seed}
         if config.kind == "dpi":
-            dim_in = int(rng.integers(lo, hi + 1))
-            dim_out = int(rng.integers(lo, hi + 1))
-            env_lo = max(1, -(-dim_in // dim_out))
-            env = int(rng.integers(env_lo, max(env_lo, config.env_max) + 1))
-            sigma, regen = _well_conditioned_density(dim_in, rng, config.max_condition)
+            rho, sigma, chan, regen = _random_dpi_instance(
+                rng, (lo, hi), config.env_max, config.max_condition
+            )
             regenerated += regen
-            rho = random_density(dim_in, rng)
-            chan = random_channel(dim_in, dim_out, env, rng)
             rep = dpi_remainder(rho, sigma, chan, rule)
             row.update(
-                dim_in=dim_in, dim_out=dim_out, env_dim=env,
+                dim_in=chan.dim_in, dim_out=chan.dim_out, env_dim=chan.num_kraus,
                 lhs=rep.lhs, rhs_strong=rep.rhs_strong, rhs_mixture=rep.rhs_mixture,
                 slack_mixture=rep.slack_mixture, slack_strong=rep.slack_strong,
             )

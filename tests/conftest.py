@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from petzlab import random_channel, random_density
+from petzlab.verify import _random_dpi_instance
 
 
 @pytest.fixture
@@ -11,16 +11,7 @@ def rng():
 
 def random_dpi_instance(seed, dim_lo=2, dim_hi=5, env_max=4, max_condition=1e8):
     """Seeded (rho, sigma, channel) triple with a well-conditioned sigma."""
-    gen = np.random.default_rng(seed)
-    dim_in = int(gen.integers(dim_lo, dim_hi + 1))
-    dim_out = int(gen.integers(dim_lo, dim_hi + 1))
-    env_lo = max(1, -(-dim_in // dim_out))
-    env = int(gen.integers(env_lo, max(env_lo, env_max) + 1))
-    while True:
-        sigma = random_density(dim_in, gen)
-        vals = np.linalg.eigvalsh(sigma)
-        if vals[0] > 0 and vals[-1] / vals[0] <= max_condition:
-            break
-    rho = random_density(dim_in, gen)
-    channel = random_channel(dim_in, dim_out, env, gen)
+    rho, sigma, channel, _ = _random_dpi_instance(
+        seed, (dim_lo, dim_hi), env_max, max_condition
+    )
     return rho, sigma, channel

@@ -7,6 +7,7 @@ import pytest
 from petzlab.channels import random_channel, random_density
 from petzlab.cli import main
 from petzlab.serialize import parse_structured, parse_table, save_channel, save_state
+from petzlab.verify import SweepConfig, sweep
 
 
 def run(args):
@@ -69,6 +70,17 @@ class TestVerifyDpi:
         assert run(["verify-dpi", "--random", "2", "--dims", "2..3",
                     "--nodes", "33", "--seed", "5"]) == 0
 
+    def test_random_instances_match_sweep(self, tmp_path, capsys):
+        report = tmp_path / "dpi.txt"
+        assert run(["verify-dpi", "--random", "5", "--seed", "61", "--dims", "2..5",
+                    "-o", str(report)]) == 0
+        rows = parse_structured((tmp_path / "dpi.txt.summary").read_text())["rows"]
+        expected = sweep(SweepConfig(seed=61, count=5)).rows
+        assert len(rows) == len(expected) == 5
+        for row, ref in zip(rows, expected):
+            for key in ("lhs", "rhs_mixture", "rhs_strong"):
+                assert row[key] == ref[key], key
+
     def test_partial_file_args_usage_error(self, capsys):
         assert run(["verify-dpi", "--rho", "only.txt"]) == 2
 
@@ -117,6 +129,12 @@ class TestQec:
     def test_random_code(self):
         assert run(["qec", "--code", "random", "--dim", "4", "--code-dim", "2",
                     "--samples", "4", "--nodes", "33", "--seed", "8"]) == 0
+
+    def test_rank_deficient_recovered_state(self, capsys):
+        # the recovered pure code state has an eigenvalue of -2.1e-15, below
+        # the rank cutoff -1.8e-15 that fidelity once rejected
+        assert run(["qec", "--code", "bitflip3", "--p", "0.13182888647952362",
+                    "--seed", "1561593255", "--samples", "4"]) == 0
 
 
 class TestSweep:

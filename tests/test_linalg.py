@@ -99,6 +99,20 @@ class TestMatrixFunctions:
         out = power_on_support(h, 0.5)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
+    def test_rounding_negativity_above_rank_cutoff_clamped(self):
+        # -2e-15 lies below the rank cutoff 8 * eps of this 8x8 matrix but is
+        # rounding, as in the output of a CP map with many Kraus operators
+        h = np.diag([1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -2e-15]).astype(complex)
+        out = power_on_support(h, 0.5)
+        np.testing.assert_allclose(out, np.diag(np.sqrt(np.clip(np.diag(h).real, 0, None))),
+                                   atol=1e-14)
+
+    def test_relative_negativity_rejected(self):
+        for scale in (1.0, 1e-3, 1e3):
+            h = scale * np.diag([1.0, 0.5, -1e-6]).astype(complex)
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                power_on_support(h, 0.5)
+
 
 class TestSchattenNorm:
     def test_trace_norm_diagonal(self):
