@@ -168,18 +168,25 @@ class Channel:
         return self.apply(x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Channel action ``sum_k K x K^dag``."""
+        """Channel action ``sum_k K x K^dag``.
+
+        ``x`` may also be a stack ``(..., dim_in, dim_in)`` of inputs; the
+        map acts on each.
+        """
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim_in, self.dim_in):
+        if x.shape[-2:] != (self.dim_in, self.dim_in):
             raise ValueError(
                 f"input of shape {x.shape} does not match dim_in {self.dim_in}"
             )
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        # batches of at most 2**14 Kraus entries keep the temporaries small
-        size = max(1, 2**14 // (self.dim_out * self.dim_in))
+        lead = x.shape[:-2]
+        out = np.zeros(lead + (self.dim_out, self.dim_out), dtype=complex)
+        # batches whose products with all inputs hold at most 2**14 Kraus
+        # entries keep the temporaries small
+        size = max(1, 2**14 // (self.dim_out * self.dim_in * int(np.prod(lead))))
         for start in range(0, self.num_kraus, size):
             block = self.kraus[start : start + size]
-            out += (block @ x @ block.conj().swapaxes(1, 2)).sum(axis=0)
+            block = block.reshape(block.shape[:1] + (1,) * len(lead) + block.shape[1:])
+            out += (block @ x @ block.conj().swapaxes(-1, -2)).sum(axis=0)
         return out
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:

@@ -11,13 +11,16 @@ import numpy as np
 
 from .channels import Channel
 from .linalg import (
+    _built_power,
+    _checked,
+    _clamp_psd,
+    _on_support,
+    _psd_eigensystem,
     dagger,
     eig_hermitian,
     partial_trace,
-    power_on_support,
+    rank_cutoff,
     schatten_norm,
-    sqrtm_psd,
-    support_projector,
     trace_norm_hermitian,
 )
 
@@ -34,28 +37,55 @@ def bits_to_nats(x: float) -> float:
     return x * LN2
 
 
-def _positive_spectrum(rho, rank_tol=None):
-    dec = eig_hermitian(np.asarray(rho, dtype=complex), rank_tol=rank_tol)
-    vals = dec.eigenvalues
-    return vals[vals > dec.rank_tolerance]
-
-
-def von_neumann_entropy(rho: np.ndarray, rank_tol: float | None = None) -> float:
-    """``-tr(rho log rho)`` in nats, computed on the support."""
-    lam = _positive_spectrum(rho, rank_tol)
+def _von_neumann(rho, rank_tol=None, herm_tol: float = 1e-10) -> float:
+    dec = eig_hermitian(rho, rank_tol=rank_tol, herm_tol=herm_tol)
+    lam = dec.eigenvalues[dec.eigenvalues > dec.rank_tolerance]
     if lam.size == 0:
         return 0.0
     return float(-np.sum(lam * np.log(lam)))
 
 
-def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Relative mass of ``rho`` outside the support of ``sigma``."""
-    rho = np.asarray(rho, dtype=complex)
-    pi_perp = np.eye(rho.shape[0]) - support_projector(sigma)
+def von_neumann_entropy(rho: np.ndarray, rank_tol: float | None = None) -> float:
+    """``-tr(rho log rho)`` in nats, computed on the support."""
+    return _von_neumann(rho, rank_tol)
+
+
+def _outside_mass(rho: np.ndarray, support: np.ndarray) -> float:
+    """Relative mass of ``rho`` outside the span of the orthonormal columns
+    ``support``."""
+    pi_perp = np.eye(rho.shape[0]) - support @ dagger(support)
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
         return 0.0
     return max(0.0, float(np.trace(pi_perp @ rho).real) / tr)
+
+
+def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Relative mass of ``rho`` outside the support of ``sigma``."""
+    vals, vecs = _psd_eigensystem(sigma, None)
+    return _outside_mass(np.asarray(rho, dtype=complex), vecs[:, vals > 0.0])
+
+
+def _relative_entropy(rho, sigma, support_tol, rank_tol=None, herm_tol=np.inf) -> float:
+    """``relative_entropy`` of complex arrays; the hermiticity residual is
+    checked only for a finite ``herm_tol``."""
+    dec_s = eig_hermitian(sigma, rank_tol=rank_tol, herm_tol=herm_tol)
+    mu = dec_s.eigenvalues
+    # the support test takes the default cutoff, whatever rank_tol is
+    support = _clamp_psd(mu, rank_cutoff(mu)) > 0.0
+    if _outside_mass(rho, dec_s.eigenvectors[:, support]) > support_tol:
+        return float(np.inf)
+    dec_r = eig_hermitian(rho, rank_tol=rank_tol, herm_tol=herm_tol)
+    lam = dec_r.eigenvalues
+    keep = lam > dec_r.rank_tolerance
+    term1 = float(np.sum(lam[keep] * np.log(lam[keep]))) if np.any(keep) else 0.0
+
+    pos = mu > dec_s.rank_tolerance
+    log_sigma = (dec_s.eigenvectors[:, pos] * np.log(mu[pos])) @ dagger(
+        dec_s.eigenvectors[:, pos]
+    )
+    term2 = float(np.trace(rho @ log_sigma).real)
+    return term1 - term2
 
 
 def relative_entropy(
@@ -71,30 +101,35 @@ def relative_entropy(
     logarithms are taken on the respective supports.  Inputs need not be
     normalized.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if support_violation(rho, sigma) > support_tol:
-        return float(np.inf)
-    dec_r = eig_hermitian(rho, rank_tol=rank_tol)
-    lam = dec_r.eigenvalues
-    keep = lam > dec_r.rank_tolerance
-    term1 = float(np.sum(lam[keep] * np.log(lam[keep]))) if np.any(keep) else 0.0
-
-    dec_s = eig_hermitian(sigma, rank_tol=rank_tol)
-    mu = dec_s.eigenvalues
-    pos = mu > dec_s.rank_tolerance
-    log_sigma = (dec_s.eigenvectors[:, pos] * np.log(mu[pos])) @ dagger(
-        dec_s.eigenvectors[:, pos]
+    return _relative_entropy(
+        np.asarray(rho, dtype=complex),
+        np.asarray(sigma, dtype=complex),
+        support_tol,
+        rank_tol,
+        herm_tol=1e-10,
     )
-    term2 = float(np.trace(rho @ log_sigma).real)
-    return term1 - term2
+
+
+def _root_fidelities(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Root fidelities ``|| sqrt(rho) sqrt(x) ||_1`` for every ``x`` of a
+    ``(T, d, d)`` stack.
+
+    ``sqrt(rho)`` is taken once; the stack goes through one batched ``eigh``
+    and one batched singular-value call, each member held to the rank
+    cutoff, clamp and PSD rule of ``_psd_eigensystem``.  No hermiticity
+    residual is computed: callers pass matrices they have checked or built.
+    """
+    vals, vecs = _psd_eigensystem(rho, None, np.inf)
+    root = (vecs * np.sqrt(vals)) @ dagger(vecs)
+    lam, v = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))
+    lam = _clamp_psd(lam, rank_cutoff(lam))
+    roots = (v * np.sqrt(lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.linalg.svd(root @ roots, compute_uv=False).sum(axis=-1)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Root fidelity ``|| sqrt(rho) sqrt(sigma) ||_1`` of two PSD operators."""
-    a = sqrtm_psd(rho)
-    b = sqrtm_psd(sigma)
-    return schatten_norm(a @ b, 1.0)
+    return float(_root_fidelities(_checked(rho), _checked(sigma)[None])[0])
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -111,10 +146,12 @@ def conditional_mutual_information(rho_abc: np.ndarray, dims) -> float:
         raise ValueError(
             f"dims {dims} do not match state dimension {rho_abc.shape[0]}"
         )
-    h_ab = von_neumann_entropy(partial_trace(rho_abc, (da, db, dc), keep=(0, 1)))
-    h_bc = von_neumann_entropy(partial_trace(rho_abc, (da, db, dc), keep=(1, 2)))
-    h_b = von_neumann_entropy(partial_trace(rho_abc, (da, db, dc), keep=(1,)))
-    h_abc = von_neumann_entropy(rho_abc)
+    h_abc = _von_neumann(rho_abc)
+    # the marginals of a checked state need no hermiticity check of their own
+    h_ab, h_bc, h_b = (
+        _von_neumann(partial_trace(rho_abc, (da, db, dc), keep=keep), herm_tol=np.inf)
+        for keep in ((0, 1), (1, 2), (1,))
+    )
     return h_ab + h_bc - h_abc - h_b
 
 
@@ -194,16 +231,16 @@ def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
     classical fidelity of the two outcome distributions equals the quantum
     fidelity of the pair.
     """
-    omega = np.asarray(omega, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    root = sqrtm_psd(omega)
-    inv_root = power_on_support(omega, -0.5)
-    middle = sqrtm_psd(root @ rho @ root)
+    rho = _checked(rho)
+    vals, vecs = _psd_eigensystem(omega, None)
+    root = _on_support(vals, vecs, lambda v: v**0.5)
+    inv_root = _on_support(vals, vecs, lambda v: v**-0.5)
+    middle = _built_power(root @ rho @ root, 0.5)
     geometric = inv_root @ middle @ inv_root
     # Hermitian by construction; rounding noise from the triple product can
     # be large for badly conditioned omega, so symmetrize before decomposing.
     geometric = 0.5 * (geometric + dagger(geometric))
-    dec = eig_hermitian(geometric)
+    dec = eig_hermitian(geometric, herm_tol=np.inf)
     vecs = dec.eigenvectors
     return [np.outer(vecs[:, j], vecs[:, j].conj()) for j in range(vecs.shape[1])]
 
@@ -233,17 +270,20 @@ def renyi_delta(
         raise ValueError(f"alpha must be positive, got {alpha}")
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if support_violation(rho, sigma) > support_tol:
+    s_vals, s_vecs = _psd_eigensystem(sigma, None)
+    if _outside_mass(rho, s_vecs[:, s_vals > 0.0]) > support_tol:
         return float(np.inf)
 
     p = (1.0 - alpha) / (2.0 * alpha)
     n_rho = channel.apply(rho)
     n_sigma = channel.apply(sigma)
-    left = power_on_support(n_rho, p) @ power_on_support(n_sigma, -p)
+    left = _built_power(n_rho, p) @ _built_power(n_sigma, -p)
     u = channel.stinespring_isometry()
     env = channel.num_kraus
     block = np.kron(left, np.eye(env))
-    mat = block @ u @ power_on_support(sigma, p) @ sqrtm_psd(rho)
+    sigma_p = _on_support(s_vals, s_vecs, lambda v: v**p)
+    root_rho = _on_support(*_psd_eigensystem(rho, None), lambda v: v**0.5)
+    mat = block @ u @ sigma_p @ root_rho
     norm = schatten_norm(mat, 2.0 * alpha)
     coeff = 2.0 * alpha / (alpha - 1.0)
     if norm <= 0.0:

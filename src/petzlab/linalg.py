@@ -31,13 +31,16 @@ def rank_cutoff(eigenvalues: np.ndarray, rank_tol: float | None = None) -> float
     """Absolute cutoff below which eigenvalues count as zero.
 
     Defaults to ``d * eps * max(|lambda|)``; pass ``rank_tol`` to override.
+    For a stack of spectra (eigenvalues along the last axis) the default
+    gives one cutoff per spectrum.
     """
     if rank_tol is not None:
         if rank_tol < 0:
             raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
         return float(rank_tol)
-    lam_max = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return len(eigenvalues) * _EPS * lam_max
+    lam_max = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+    cut = eigenvalues.shape[-1] * _EPS * lam_max
+    return float(cut) if np.ndim(cut) == 0 else cut
 
 
 @dataclass(frozen=True)
@@ -69,25 +72,40 @@ def hermiticity_residual(h: np.ndarray) -> float:
     return float(np.linalg.norm(h - dagger(h), 2) / scale)
 
 
-def eig_hermitian(
-    h: np.ndarray, *, rank_tol: float | None = None, herm_tol: float = 1e-10
-) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+def _checked(h: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+    """``h`` as a complex array, checked to be square, finite and Hermitian.
 
-    Raises ``ValueError`` naming the symmetry residual when the input is
-    not Hermitian within ``herm_tol`` (relative spectral norm).
+    Raises ``ValueError`` naming the symmetry residual when ``h`` is not
+    Hermitian within ``herm_tol`` (relative spectral norm).  ``herm_tol=inf``
+    skips that check and its two SVDs, for matrices the library built
+    itself and so are Hermitian by construction.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix has non-finite entries")
-    res = hermiticity_residual(h)
-    if res > herm_tol:
-        raise ValueError(
-            f"matrix is not Hermitian: relative symmetry residual {res:.3e} "
-            f"exceeds {herm_tol:.1e}"
-        )
+    if herm_tol < np.inf:
+        res = hermiticity_residual(h)
+        if res > herm_tol:
+            raise ValueError(
+                f"matrix is not Hermitian: relative symmetry residual {res:.3e} "
+                f"exceeds {herm_tol:.1e}"
+            )
+    return h
+
+
+def eig_hermitian(
+    h: np.ndarray, *, rank_tol: float | None = None, herm_tol: float = 1e-10
+) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Raises ``ValueError`` naming the symmetry residual when the input is
+    not Hermitian within ``herm_tol`` (relative spectral norm);
+    ``herm_tol=np.inf`` skips the check for a matrix Hermitian by
+    construction.
+    """
+    h = _checked(h, herm_tol)
     vals, vecs = np.linalg.eigh(0.5 * (h + dagger(h)))
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -95,26 +113,40 @@ def eig_hermitian(
     return SpectralDecomposition(vals, vecs, rank_cutoff(vals, rank_tol))
 
 
-def _psd_eigensystem(h, rank_tol):
-    """Eigensystem of a PSD matrix with sub-cutoff eigenvalues clamped to 0.
+def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
+    """Eigenvalues (last axis; a stack allowed) with those at or below the
+    cutoff ``cut`` (one per row) set to 0.
 
     Raises when an eigenvalue lies below ``-max(cutoff, 1e-12 * max|lambda|)``.
     Negativity above that is rounding, which in a computed PSD operator such
     as a CP-map output can exceed the cutoff; it is clamped too.
     """
-    dec = eig_hermitian(h, rank_tol=rank_tol)
-    vals = dec.eigenvalues.copy()
-    cut = dec.rank_tolerance
-    floor = max(cut, 1e-12 * max(vals[0], -vals[-1]))  # vals descend
+    cut = np.asarray(cut, dtype=float)[..., None]
+    top = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))[..., None]
+    floor = np.maximum(cut, 1e-12 * top)
     neg = vals < -floor
     if np.any(neg):
-        worst = float(vals[neg].min())
+        rows = neg.reshape(-1, neg.shape[-1]).any(axis=1)
+        row = int(np.argmax(rows))
+        worst = float(vals.reshape(rows.size, -1)[row].min())
         raise ValueError(
             f"matrix is not positive semidefinite: eigenvalue {worst:.3e} "
-            f"below -{floor:.3e}"
+            f"below -{float(floor.reshape(-1)[row]):.3e}"
         )
-    vals[vals <= cut] = 0.0
-    return vals, dec.eigenvectors
+    return np.where(vals <= cut, 0.0, vals)
+
+
+def _psd_eigensystem(h, rank_tol, herm_tol: float = 1e-10):
+    """Eigensystem of a PSD matrix with sub-cutoff eigenvalues clamped to 0
+    (rule of ``_clamp_psd``), eigenvalues descending."""
+    dec = eig_hermitian(h, rank_tol=rank_tol, herm_tol=herm_tol)
+    return _clamp_psd(dec.eigenvalues, dec.rank_tolerance), dec.eigenvectors
+
+
+def _on_support(vals, vecs, f) -> np.ndarray:
+    """Scalar ``f`` on the positive part of a clamped eigensystem, 0 elsewhere."""
+    fvals = np.array([f(v) if v > 0.0 else 0.0 for v in vals], dtype=complex)
+    return (vecs * fvals) @ dagger(vecs)
 
 
 def fun_on_support(h, f, rank_tol: float | None = None) -> np.ndarray:
@@ -123,9 +155,7 @@ def fun_on_support(h, f, rank_tol: float | None = None) -> np.ndarray:
     Eigenvalues at or below the rank cutoff are mapped to zero regardless
     of ``f``, which realizes pseudo-inverses and support-restricted logs.
     """
-    vals, vecs = _psd_eigensystem(h, rank_tol)
-    fvals = np.array([f(v) if v > 0.0 else 0.0 for v in vals], dtype=complex)
-    return (vecs * fvals) @ dagger(vecs)
+    return _on_support(*_psd_eigensystem(h, rank_tol), f)
 
 
 def power_on_support(h, p: float, rank_tol: float | None = None) -> np.ndarray:
@@ -134,6 +164,12 @@ def power_on_support(h, p: float, rank_tol: float | None = None) -> np.ndarray:
     Negative ``p`` gives the pseudo-inverse power.
     """
     return fun_on_support(h, lambda v: v**p, rank_tol=rank_tol)
+
+
+def _built_power(h, p: float) -> np.ndarray:
+    """``power_on_support(h, p)`` for a PSD ``h`` the library built itself
+    (no hermiticity residual)."""
+    return _on_support(*_psd_eigensystem(h, None, np.inf), lambda v: v**p)
 
 
 def imaginary_power(h, t: float, rank_tol: float | None = None) -> np.ndarray:

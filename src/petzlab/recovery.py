@@ -191,7 +191,8 @@ class RecoveryMap(Channel):
 
 
 class _PetzFactory:
-    """Shared eigendecompositions for building rotated Petz maps per node."""
+    """Eigensystems of ``sigma`` and ``N(sigma)`` shared by every rotated
+    Petz map of the pair, and the builder of their Kraus stacks."""
 
     def __init__(self, sigma, channel: Channel, rank_tol=None):
         sigma = np.asarray(sigma, dtype=complex)
@@ -203,32 +204,49 @@ class _PetzFactory:
         self.n_sigma = channel.apply(sigma)
         if float(np.trace(self.n_sigma).real) <= channel.dim_out * 1e-14:
             raise ValueError("channel output on sigma is numerically zero")
-        self.s_spec = self._log_spectrum(sigma, rank_tol)
-        self.m_spec = self._log_spectrum(self.n_sigma, rank_tol)
-        self.kraus_dg = [dagger(k) for k in channel.kraus]
+        # sigma comes from the caller and is checked; N(sigma) is built here
+        self.s_spec = self._log_spectrum(sigma, rank_tol, 1e-10)
+        self.m_spec = self._log_spectrum(self.n_sigma, rank_tol, np.inf)
+        self.kraus_dg = channel.kraus.conj().swapaxes(1, 2)
 
     @staticmethod
-    def _log_spectrum(h, rank_tol):
-        # everything _power needs that does not depend on the exponent
-        vals, vecs = _psd_eigensystem(h, rank_tol)
+    def _log_spectrum(h, rank_tol, herm_tol):
+        # everything _powers needs that does not depend on the exponent
+        vals, vecs = _psd_eigensystem(h, rank_tol, herm_tol)
         pos = vals > 0.0
         return pos, np.log(vals[pos]), vecs, dagger(vecs)
 
-    def _power(self, spec, exponent: complex) -> np.ndarray:
+    @staticmethod
+    def _powers(spec, exponents) -> np.ndarray:
+        """``h**z`` on the support of ``h`` for every ``z``: a ``(T, d, d)`` stack."""
         pos, logs, vecs, vecs_dg = spec
-        f = np.zeros(len(pos), dtype=complex)
-        f[pos] = np.exp(exponent * logs)
-        return (vecs * f) @ vecs_dg
+        f = np.zeros((len(exponents), len(pos)), dtype=complex)
+        f[:, pos] = np.exp(np.multiply.outer(exponents, logs))
+        # a real exponent (t = 0) takes the real exp, which may differ in
+        # the last bit from the complex one
+        real = exponents.imag == 0.0
+        f[np.ix_(real, pos)] = np.exp(np.multiply.outer(exponents.real[real], logs))
+        return (vecs * f[:, None, :]) @ vecs_dg
 
-    def rotated_kraus(self, t: float):
-        """Kraus stack of the rotated Petz map at parameter ``t``."""
-        if t == 0.0:
-            left = self._power(self.s_spec, 0.5)
-            right = self._power(self.m_spec, -0.5)
-        else:
-            left = self._power(self.s_spec, 0.5 - 1j * t)
-            right = self._power(self.m_spec, -0.5 + 1j * t)
-        return np.array([left @ kd @ right for kd in self.kraus_dg])
+    def kraus_stack(self, ts, weights=None) -> np.ndarray:
+        """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
+
+        A ``(T, k, d_in, d_out)`` stack of ``sigma^{1/2 - it} K^dag
+        N(sigma)^{-1/2 + it}``; with ``weights``, node ``t``'s operators are
+        scaled by ``sqrt(w_t)`` in place.
+        """
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((len(ts),) + self.kraus_dg.shape, dtype=complex)
+        # blocks of at most 2**14 Kraus entries keep the temporaries small
+        size = max(1, 2**14 // self.kraus_dg.size)
+        for start in range(0, len(ts), size):
+            block = slice(start, start + size)
+            left = self._powers(self.s_spec, 0.5 - 1j * ts[block])
+            right = self._powers(self.m_spec, -0.5 + 1j * ts[block])
+            np.matmul(left[:, None] @ self.kraus_dg, right[:, None], out=out[block])
+            if weights is not None:
+                out[block] *= np.sqrt(weights[block])[:, None, None, None]
+        return out
 
 
 def petz(sigma: np.ndarray, channel: Channel, rank_tol: float | None = None) -> RecoveryMap:
@@ -239,7 +257,7 @@ def petz(sigma: np.ndarray, channel: Channel, rank_tol: float | None = None) -> 
     recovers ``sigma`` from ``channel(sigma)``.
     """
     factory = _PetzFactory(sigma, channel, rank_tol)
-    return RecoveryMap("petz", factory.rotated_kraus(0.0), sigma, channel, t=0.0)
+    return RecoveryMap("petz", factory.kraus_stack([0.0])[0], sigma, channel, t=0.0)
 
 
 def rotated_petz(
@@ -248,7 +266,7 @@ def rotated_petz(
     """Rotated Petz map: the Petz map conjugated by the commuting unitaries
     ``sigma^{-it}`` and ``N(sigma)^{it}`` (support-restricted)."""
     factory = _PetzFactory(sigma, channel, rank_tol)
-    return RecoveryMap("rotated", factory.rotated_kraus(t), sigma, channel, t=t)
+    return RecoveryMap("rotated", factory.kraus_stack([t])[0], sigma, channel, t=t)
 
 
 def rotated_petz_family(
@@ -256,10 +274,10 @@ def rotated_petz_family(
 ):
     """Rotated Petz maps at each parameter in ``ts``, sharing one
     eigendecomposition of ``sigma`` and ``channel(sigma)``."""
-    factory = _PetzFactory(sigma, channel, rank_tol)
+    ts = np.asarray(ts, dtype=float)
+    stack = _PetzFactory(sigma, channel, rank_tol).kraus_stack(ts)
     return [
-        RecoveryMap("rotated", factory.rotated_kraus(float(t)), sigma, channel, t=float(t))
-        for t in np.asarray(ts, dtype=float)
+        RecoveryMap("rotated", ops, sigma, channel, t=float(t)) for t, ops in zip(ts, stack)
     ]
 
 
@@ -276,16 +294,11 @@ def universal_recovery(
     every node's operators scaled by the square root of its weight, node
     by node; ``components`` rebuilds the per-node maps from it on demand.
     """
-    factory = _PetzFactory(sigma, channel, rank_tol)
     nodes = rule.nodes / 2.0
-    flat = np.empty(
-        (len(rule), channel.num_kraus, channel.dim_in, channel.dim_out), dtype=complex
-    )
-    for i, (t, w) in enumerate(zip(nodes, rule.weights)):
-        flat[i] = np.sqrt(w) * factory.rotated_kraus(t)
+    stack = _PetzFactory(sigma, channel, rank_tol).kraus_stack(nodes, rule.weights)
     return RecoveryMap(
         "mixture",
-        flat.reshape(-1, channel.dim_in, channel.dim_out),
+        stack.reshape(-1, channel.dim_in, channel.dim_out),
         sigma,
         channel,
         nodes=nodes,
@@ -343,7 +356,7 @@ def phase_rotated_petz(
     factory = _PetzFactory(sigma, channel, rank_tol)
     u_out = eigenspace_phase_unitary(factory.n_sigma, phi)
     u_in = eigenspace_phase_unitary(sigma, theta)
-    ops = [u_in @ k @ u_out for k in factory.rotated_kraus(0.0)]
+    ops = u_in @ factory.kraus_stack([0.0])[0] @ u_out
     return RecoveryMap(
         "phase-rotated", ops, sigma, channel, phases=(np.asarray(phi), np.asarray(theta))
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -263,13 +264,43 @@ def parse_table(text: str):
     return rows
 
 
+_NON_FINITE = {"inf": float("inf"), "-inf": float("-inf"), "nan": float("nan")}
+
+
+def _encode_non_finite(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if x != x else ("inf" if x > 0 else "-inf")
+    if isinstance(x, dict):
+        return {k: _encode_non_finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_encode_non_finite(v) for v in x]
+    return x
+
+
+def _decode_non_finite(x):
+    if isinstance(x, str):
+        return _NON_FINITE.get(x, x)
+    if isinstance(x, dict):
+        return {k: _decode_non_finite(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_decode_non_finite(v) for v in x]
+    return x
+
+
 def emit_structured(payload: dict) -> str:
-    """Deterministic JSON document (sorted keys, exact float round-trip)."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    """Deterministic strict JSON document (sorted keys, exact float round-trip).
+
+    Non-finite floats, which JSON cannot hold, are written as the strings
+    ``"inf"``, ``"-inf"`` and ``"nan"``.
+    """
+    doc = _encode_non_finite(payload)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def parse_structured(text: str) -> dict:
-    return json.loads(text)
+    """Inverse of ``emit_structured``: the strings ``"inf"``, ``"-inf"`` and
+    ``"nan"`` come back as floats."""
+    return _decode_non_finite(json.loads(text))
 
 
 def emit_report(rows, fmt: str = "table", columns=None, summary=None) -> str:

@@ -15,12 +15,13 @@ import numpy as np
 
 from .channels import (
     Channel,
-    identity_channel,
     partial_trace_channel,
     random_channel,
     random_density,
 )
 from .entropy import (
+    _relative_entropy,
+    _root_fidelities,
     binary_entropy,
     conditional_mutual_information,
     fidelity,
@@ -31,14 +32,14 @@ from .entropy import (
     support_violation,
     von_neumann_entropy,
 )
-from .linalg import eig_hermitian, dagger, partial_trace
+from .linalg import _checked, eig_hermitian, dagger, partial_trace
 from .recovery import (
     QuadratureRule,
     RecoveryMap,
+    _PetzFactory,
     beta0_density,
     beta_quadrature,
     convex_mixture,
-    petz,
     rotated_petz_family,
     universal_recovery,
 )
@@ -50,6 +51,23 @@ def _neg2log(x: float) -> float:
     if x <= 0.0:
         return float(np.inf)
     return -2.0 * float(np.log(x))
+
+
+def _neg2log_mean(weights, fids) -> float:
+    """``-2 sum_t w_t log F_t``, or ``inf`` when some fidelity vanishes."""
+    if np.all(fids > 0.0):
+        return float(-2.0 * np.dot(weights, np.log(fids)))
+    return float(np.inf)
+
+
+def _apply_each(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every map of a ``(T, k, m, n)`` Kraus stack applied to ``x``.
+
+    ``x`` is one ``(n, n)`` input, giving a ``(T, m, m)`` stack, or a
+    ``(S, n, n)`` stack of inputs, giving ``(S, T, m, m)``.
+    """
+    x = x.reshape(x.shape[:-2] + (1, 1) + x.shape[-2:])
+    return (kraus @ x @ kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def _slack(lhs: float, rhs: float) -> float:
@@ -93,31 +111,30 @@ def dpi_remainder(
     support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> DpiReport:
     """Evaluate the universal-recovery remainder bound on one instance."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _checked(rho)
     sigma = np.asarray(sigma, dtype=complex)
-    recovery = universal_recovery(sigma, channel, rule)
+    factory = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
 
-    # w_t R_t(N(rho)) for every node t, from the one Kraus stack
-    kraus = recovery.kraus.reshape(len(rule), -1, recovery.dim_out, recovery.dim_in)
-    weighted = (kraus @ out_rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
-    fids = np.array([fidelity(rho, rec / w) for rec, w in zip(weighted, rule.weights)])
+    # w_t R_t(N(rho)) for every node t, from the universal map's Kraus stack
+    weighted = _apply_each(factory.kraus_stack(rule.nodes / 2.0, rule.weights), out_rho)
     mixture_rec = weighted.sum(axis=0)
+    # the per-node fidelities and the mixture's, from one stacked call
+    fids = _root_fidelities(
+        rho, np.concatenate([weighted / rule.weights[:, None, None], mixture_rec[None]])
+    )
+    fids, mixture_fid = fids[:-1], float(fids[-1])
+    rhs_strong = _neg2log_mean(rule.weights, fids)
+    rhs_mixture = _neg2log(mixture_fid)
 
-    if np.all(fids > 0.0):
-        rhs_strong = float(-2.0 * np.dot(recovery.weights, np.log(fids)))
-    else:
-        rhs_strong = float(np.inf)
-    rhs_mixture = _neg2log(fidelity(rho, mixture_rec))
-
-    violated = support_violation(rho, sigma) > support_tol
+    # the relative entropy is infinite exactly when the support check fails
+    d_in = _relative_entropy(rho, sigma, support_tol)
+    violated = d_in == np.inf
     if violated:
         lhs = float(np.inf)
     else:
-        lhs = relative_entropy(rho, sigma, support_tol) - relative_entropy(
-            channel.apply(rho), channel.apply(sigma), support_tol
-        )
-    exploratory = relative_entropy(rho, mixture_rec, support_tol)
+        lhs = d_in - _relative_entropy(out_rho, factory.n_sigma, support_tol)
+    exploratory = _relative_entropy(rho, mixture_rec, support_tol)
     return DpiReport(
         lhs=lhs,
         rhs_mixture=rhs_mixture,
@@ -155,25 +172,22 @@ def alpha_bound_check(
     ``beta_theta`` rules use a denser grid than ``rule`` because that
     density has poles closer to the real axis.
     """
-    results = []
+    rho = _checked(rho)
+    factory = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
+    results = []
     for alpha in alphas:
         alpha = float(alpha)
         lhs = renyi_delta(rho, sigma, channel, alpha)
         if alpha == 0.5:
-            rec = petz(sigma, channel).apply(out_rho)
-            rhs = _neg2log(fidelity(rho, rec))
+            ts, weights = np.zeros(1), np.ones(1)
         elif 0.5 < alpha < 1.0:
-            theta = (1.0 - alpha) / alpha
-            theta_rule = beta_quadrature(2 * len(rule) - 1, theta)
-            family = rotated_petz_family(sigma, channel, theta_rule.nodes / 2.0)
-            fids = np.array([fidelity(rho, m.apply(out_rho)) for m in family])
-            if np.all(fids > 0.0):
-                rhs = float(-2.0 * np.dot(theta_rule.weights, np.log(fids)))
-            else:
-                rhs = float(np.inf)
+            theta_rule = beta_quadrature(2 * len(rule) - 1, (1.0 - alpha) / alpha)
+            ts, weights = theta_rule.nodes / 2.0, theta_rule.weights
         else:
             raise ValueError(f"alpha must lie in [1/2, 1), got {alpha}")
+        recs = _apply_each(factory.kraus_stack(ts), out_rho)
+        rhs = _neg2log_mean(weights, _root_fidelities(rho, recs))
         results.append(AlphaBoundResult(alpha=alpha, lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs)))
     return results
 
@@ -205,10 +219,12 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
 
     trace_c = partial_trace_channel((db, dc), keep=(0,))
     recovery = universal_recovery(rho_bc, trace_c, rule)
-    rec = identity_channel(da).tensor(recovery).apply(rho_ab)
+    # id_A (x) R acts on each B block (a, a') of rho_AB
+    blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
+    rec = recovery.apply(blocks).swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
 
-    cmi = conditional_mutual_information(rho_abc, (da, db, dc))
-    f = fidelity(rho_abc, rec)
+    cmi = conditional_mutual_information(rho_abc, (da, db, dc))  # checks rho_abc
+    f = float(_root_fidelities(rho_abc, rec[None])[0])
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
                      recovered_state=rec)
@@ -374,10 +390,12 @@ def qec_analyze(
         else:
             small = random_density(dim_code, seeds[i])
         rho = isometry @ small @ dagger(isometry)
+        out_rho = channel.apply(rho)
         gaps.append(
-            relative_entropy(rho, pi) - relative_entropy(channel.apply(rho), out_pi)
+            _relative_entropy(rho, pi, DEFAULT_SUPPORT_TOL)
+            - _relative_entropy(out_rho, out_pi, DEFAULT_SUPPORT_TOL)
         )
-        fids.append(fidelity(rho, recovery.apply(channel.apply(rho))))
+        fids.append(float(_root_fidelities(rho, recovery.apply(out_rho)[None])[0]))
     gaps = np.array(gaps) if gaps else np.zeros(0)
     fids = np.array(fids) if fids else np.ones(0)
 
@@ -452,14 +470,16 @@ def finite_set_recovery_search(
 
     family = rotated_petz_family(sigma, channel, t_grid)
     out_sigma = channel.apply(sigma)
+    outs = channel.apply(np.array(states))
     gaps = np.array(
         [
             relative_entropy(s, sigma, support_tol)
-            - relative_entropy(channel.apply(s), out_sigma, support_tol)
-            for s in states
+            - _relative_entropy(out, out_sigma, support_tol)
+            for s, out in zip(states, outs)
         ]
     )
-    recs = np.array([[m.apply(channel.apply(s)) for m in family] for s in states])
+    # recs[x, j] = R_j(N(state_x)), from one contraction over the family's stack
+    recs = _apply_each(np.array([m.kraus for m in family]), outs)
 
     def slack_of(x: int, w: np.ndarray) -> float:
         rec = np.tensordot(w, recs[x], axes=1)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from petzlab.channels import random_channel, random_density
+from petzlab.channels import identity_channel, random_channel, random_density
 from petzlab.cli import main
 from petzlab.serialize import parse_structured, parse_table, save_channel, save_state
 from petzlab.verify import SweepConfig, sweep
@@ -98,6 +98,32 @@ class TestVerifyDpi:
         run(base + ["--dump-recovered", str(tmp_path / "renorm.txt"), "--renormalize"])
         second = capsys.readouterr().out
         assert first == second  # proven-bound output unchanged
+
+    def test_infinite_slack_summary_is_strict_json(self, tmp_path, capsys):
+        # rho outside the support of sigma: the left side and the slack are +inf
+        save_state(str(tmp_path / "rho.txt"), np.diag([1.0, 0.0]).astype(complex))
+        save_state(str(tmp_path / "sigma.txt"), np.diag([0.0, 1.0]).astype(complex))
+        save_channel(str(tmp_path / "chan.txt"), identity_channel(2))
+        args = [
+            "verify-dpi",
+            "--rho", str(tmp_path / "rho.txt"),
+            "--sigma", str(tmp_path / "sigma.txt"),
+            "--channel", str(tmp_path / "chan.txt"),
+            "--nodes", "17",
+        ]
+        assert run(args + ["-o", str(tmp_path / "a.txt")]) == 0
+        assert run(args + ["-o", str(tmp_path / "b.txt")]) == 0
+        text = (tmp_path / "a.txt.summary").read_text()
+
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["rows"][0]["slack"] == "inf"
+        assert parse_structured(text)["rows"][0]["slack"] == math.inf
+        assert (tmp_path / "a.txt.summary").read_bytes() == (
+            tmp_path / "b.txt.summary"
+        ).read_bytes()
 
 
 class TestVerifySsa:

@@ -151,3 +151,19 @@ class TestReports:
         rows = [{"b": 2.0, "a": 1.0}]
         assert emit_structured({"rows": rows}) == emit_structured({"rows": rows})
         assert emit_table(rows) == emit_table(rows)
+
+
+class TestStrictJson:
+    def test_non_finite_floats_round_trip(self):
+        payload = {
+            "rows": [{"slack": float("inf"), "lhs": 0.5}, {"slack": float("-inf")}],
+            "summary": {"min_slack": 0.1 + 0.2, "count": 2, "unit": "nats"},
+        }
+        text = emit_structured(payload)
+        assert "Infinity" not in text
+        assert parse_structured(text) == payload
+
+    def test_nan_is_a_string(self):
+        text = emit_structured({"x": float("nan")})
+        assert '"nan"' in text
+        assert np.isnan(parse_structured(text)["x"])
