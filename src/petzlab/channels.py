@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    _checked,
     dagger,
     eig_hermitian,
-    partial_trace,
-    support_projector,
     tensor_product,
     trace_norm_hermitian,
 )
@@ -366,12 +365,7 @@ def channels_close(a: Channel, b: Channel, tol: float = 1e-9) -> bool:
 # truncation
 # ---------------------------------------------------------------------------
 
-def truncate_project(
-    rho: np.ndarray,
-    k: int,
-    reference: np.ndarray | None = None,
-    rank_tol: float | None = None,
-) -> np.ndarray:
+def truncate_project(rho: np.ndarray, k: int, reference: np.ndarray | None = None) -> np.ndarray:
     """Compress ``rho`` onto the ``k`` leading eigenvectors of ``reference``.
 
     The default reference is ``rho`` itself, which retains the most mass;
@@ -383,18 +377,11 @@ def truncate_project(
     dim = rho.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
-    ref = rho if reference is None else np.asarray(reference, dtype=complex)
-    dec = eig_hermitian(ref, rank_tol=rank_tol)
-    cols = dec.eigenvectors[:, :k]
+    rho = _checked(rho)
+    ref = rho if reference is None else _checked(reference)
+    cols = eig_hermitian(ref, herm_tol=np.inf).eigenvectors[:, :k]
     pi = cols @ dagger(cols)
     return pi @ rho @ pi
-
-
-def leading_eigenspace_projector(h: np.ndarray, k: int) -> np.ndarray:
-    """Projector onto the ``k`` leading eigenvectors of Hermitian ``h``."""
-    dec = eig_hermitian(h)
-    cols = dec.eigenvectors[:, :k]
-    return cols @ dagger(cols)
 
 
 __all__ = [
@@ -409,16 +396,13 @@ __all__ = [
     "depolarizing_channel",
     "ghz_state",
     "identity_channel",
-    "leading_eigenspace_projector",
     "maximally_mixed",
-    "partial_trace",
     "partial_trace_channel",
     "pure_state",
     "random_channel",
     "random_density",
     "random_unitary",
     "single_bit_flip_channel",
-    "support_projector",
     "three_qubit_bit_flip_code",
     "truncate_project",
     "unitary_channel",

@@ -11,22 +11,19 @@ import numpy as np
 
 from .channels import Channel
 from .linalg import (
-    _built_power,
+    SUPPORT_TOL,
     _checked,
-    _clamp_psd,
     _on_support,
+    _power,
     _psd_eigensystem,
     dagger,
     eig_hermitian,
     partial_trace,
-    rank_cutoff,
     schatten_norm,
     trace_norm_hermitian,
 )
 
 LN2 = float(np.log(2.0))
-
-DEFAULT_SUPPORT_TOL = 1e-10
 
 
 def nats_to_bits(x: float) -> float:
@@ -37,17 +34,19 @@ def bits_to_nats(x: float) -> float:
     return x * LN2
 
 
-def _von_neumann(rho, rank_tol=None, herm_tol: float = 1e-10) -> float:
-    dec = eig_hermitian(rho, rank_tol=rank_tol, herm_tol=herm_tol)
-    lam = dec.eigenvalues[dec.eigenvalues > dec.rank_tolerance]
+def _von_neumann(rho) -> float:
+    """Entropy of a checked or built state from its eigenvalues above the
+    rank cutoff; sub-cutoff negativity is dropped, never raised."""
+    dec = eig_hermitian(rho, herm_tol=np.inf)
+    lam = dec.eigenvalues[dec.eigenvalues > dec.cutoff]
     if lam.size == 0:
         return 0.0
     return float(-np.sum(lam * np.log(lam)))
 
 
-def von_neumann_entropy(rho: np.ndarray, rank_tol: float | None = None) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """``-tr(rho log rho)`` in nats, computed on the support."""
-    return _von_neumann(rho, rank_tol)
+    return _von_neumann(_checked(rho))
 
 
 def _outside_mass(rho: np.ndarray, support: np.ndarray) -> float:
@@ -62,52 +61,29 @@ def _outside_mass(rho: np.ndarray, support: np.ndarray) -> float:
 
 def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Relative mass of ``rho`` outside the support of ``sigma``."""
-    vals, vecs = _psd_eigensystem(sigma, None)
+    vals, vecs = _psd_eigensystem(_checked(sigma))
     return _outside_mass(np.asarray(rho, dtype=complex), vecs[:, vals > 0.0])
 
 
-def _relative_entropy(rho, sigma, support_tol, rank_tol=None, herm_tol=np.inf) -> float:
-    """``relative_entropy`` of complex arrays; the hermiticity residual is
-    checked only for a finite ``herm_tol``."""
-    dec_s = eig_hermitian(sigma, rank_tol=rank_tol, herm_tol=herm_tol)
-    mu = dec_s.eigenvalues
-    # the support test takes the default cutoff, whatever rank_tol is
-    support = _clamp_psd(mu, rank_cutoff(mu)) > 0.0
-    if _outside_mass(rho, dec_s.eigenvectors[:, support]) > support_tol:
+def _relative_entropy(rho, sigma) -> float:
+    """``relative_entropy`` of complex arrays the caller checked or built."""
+    mu, vecs = _psd_eigensystem(sigma)
+    if _outside_mass(rho, vecs[:, mu > 0.0]) > SUPPORT_TOL:
         return float(np.inf)
-    dec_r = eig_hermitian(rho, rank_tol=rank_tol, herm_tol=herm_tol)
-    lam = dec_r.eigenvalues
-    keep = lam > dec_r.rank_tolerance
-    term1 = float(np.sum(lam[keep] * np.log(lam[keep]))) if np.any(keep) else 0.0
-
-    pos = mu > dec_s.rank_tolerance
-    log_sigma = (dec_s.eigenvectors[:, pos] * np.log(mu[pos])) @ dagger(
-        dec_s.eigenvectors[:, pos]
-    )
-    term2 = float(np.trace(rho @ log_sigma).real)
-    return term1 - term2
+    log_sigma = _on_support(mu, vecs, np.log)
+    # tr(rho log rho) = -S(rho)
+    return -_von_neumann(rho) - float(np.trace(rho @ log_sigma).real)
 
 
-def relative_entropy(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-    rank_tol: float | None = None,
-) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy ``tr(rho (log rho - log sigma))`` in nats.
 
-    Returns ``inf`` when more than ``support_tol`` of the mass of ``rho``
+    Returns ``inf`` when more than ``SUPPORT_TOL`` of the mass of ``rho``
     (relative to its trace) lies outside the support of ``sigma``; both
     logarithms are taken on the respective supports.  Inputs need not be
     normalized.
     """
-    return _relative_entropy(
-        np.asarray(rho, dtype=complex),
-        np.asarray(sigma, dtype=complex),
-        support_tol,
-        rank_tol,
-        herm_tol=1e-10,
-    )
+    return _relative_entropy(_checked(rho), _checked(sigma))
 
 
 def _root_fidelities(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -119,11 +95,8 @@ def _root_fidelities(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
     cutoff, clamp and PSD rule of ``_psd_eigensystem``.  No hermiticity
     residual is computed: callers pass matrices they have checked or built.
     """
-    vals, vecs = _psd_eigensystem(rho, None, np.inf)
-    root = (vecs * np.sqrt(vals)) @ dagger(vecs)
-    lam, v = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))
-    lam = _clamp_psd(lam, rank_cutoff(lam))
-    roots = (v * np.sqrt(lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    root = _on_support(*_psd_eigensystem(rho), np.sqrt)
+    roots = _on_support(*_psd_eigensystem(stack), np.sqrt)
     return np.linalg.svd(root @ roots, compute_uv=False).sum(axis=-1)
 
 
@@ -146,10 +119,9 @@ def conditional_mutual_information(rho_abc: np.ndarray, dims) -> float:
         raise ValueError(
             f"dims {dims} do not match state dimension {rho_abc.shape[0]}"
         )
-    h_abc = _von_neumann(rho_abc)
-    # the marginals of a checked state need no hermiticity check of their own
+    h_abc = _von_neumann(_checked(rho_abc))
     h_ab, h_bc, h_b = (
-        _von_neumann(partial_trace(rho_abc, (da, db, dc), keep=keep), herm_tol=np.inf)
+        _von_neumann(partial_trace(rho_abc, (da, db, dc), keep=keep))
         for keep in ((0, 1), (1, 2), (1,))
     )
     return h_ab + h_bc - h_abc - h_b
@@ -200,25 +172,39 @@ def measurement_distribution(rho: np.ndarray, effects) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def measured_relative_entropy_lb(
-    rho: np.ndarray,
-    omega: np.ndarray,
-    effects,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> float:
+def _measured_lb(rho, omega, effects) -> float:
+    """``measured_relative_entropy_lb`` for effects known to form a POVM."""
+    p = measurement_distribution(rho, effects)
+    q = measurement_distribution(omega, effects)
+    if np.any((p > SUPPORT_TOL) & (q < 1e-300)):
+        return float(np.inf)
+    mask = p > 0.0
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+def measured_relative_entropy_lb(rho: np.ndarray, omega: np.ndarray, effects) -> float:
     """Classical relative entropy of the outcome distributions of one POVM.
 
     Any single POVM gives a certified lower bound on the measured relative
     entropy; by data processing it also never exceeds the quantum relative
     entropy.  Returns ``inf`` on a classical support violation.
     """
-    effects = validate_povm(effects, np.asarray(rho).shape[0])
-    p = measurement_distribution(rho, effects)
-    q = measurement_distribution(omega, effects)
-    if np.any((p > support_tol) & (q < 1e-300)):
-        return float(np.inf)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    return _measured_lb(rho, omega, validate_povm(effects, np.asarray(rho).shape[0]))
+
+
+def _fidelity_measurement(rho, omega):
+    """``fidelity_measurement`` of complex arrays the caller checked or built."""
+    vals, vecs = _psd_eigensystem(omega)
+    root = _power(vals, vecs, 0.5)
+    inv_root = _power(vals, vecs, -0.5)
+    middle = _power(*_psd_eigensystem(root @ rho @ root), 0.5)
+    geometric = inv_root @ middle @ inv_root
+    # Hermitian by construction; rounding noise from the triple product can
+    # be large for badly conditioned omega, so symmetrize before decomposing.
+    geometric = 0.5 * (geometric + dagger(geometric))
+    dec = eig_hermitian(geometric, herm_tol=np.inf)
+    vecs = dec.eigenvectors
+    return [np.outer(vecs[:, j], vecs[:, j].conj()) for j in range(vecs.shape[1])]
 
 
 def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
@@ -231,31 +217,39 @@ def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
     classical fidelity of the two outcome distributions equals the quantum
     fidelity of the pair.
     """
-    rho = _checked(rho)
-    vals, vecs = _psd_eigensystem(omega, None)
-    root = _on_support(vals, vecs, lambda v: v**0.5)
-    inv_root = _on_support(vals, vecs, lambda v: v**-0.5)
-    middle = _built_power(root @ rho @ root, 0.5)
-    geometric = inv_root @ middle @ inv_root
-    # Hermitian by construction; rounding noise from the triple product can
-    # be large for badly conditioned omega, so symmetrize before decomposing.
-    geometric = 0.5 * (geometric + dagger(geometric))
-    dec = eig_hermitian(geometric, herm_tol=np.inf)
-    vecs = dec.eigenvectors
-    return [np.outer(vecs[:, j], vecs[:, j].conj()) for j in range(vecs.shape[1])]
+    return _fidelity_measurement(_checked(rho), _checked(omega))
 
 
 # ---------------------------------------------------------------------------
 # Renyi difference
 # ---------------------------------------------------------------------------
 
-def renyi_delta(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    channel: Channel,
-    alpha: float,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> float:
+def _renyi_delta(rho, sigma, channel: Channel, alpha: float) -> float:
+    """``renyi_delta`` of complex arrays the caller checked or built."""
+    if alpha == 1.0:
+        raise ValueError("alpha = 1 is excluded; use the entropy difference")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    s_vals, s_vecs = _psd_eigensystem(sigma)
+    if _outside_mass(rho, s_vecs[:, s_vals > 0.0]) > SUPPORT_TOL:
+        return float(np.inf)
+
+    p = (1.0 - alpha) / (2.0 * alpha)
+    n_rho_p = _power(*_psd_eigensystem(channel.apply(rho)), p)
+    n_sigma_p = _power(*_psd_eigensystem(channel.apply(sigma)), -p)
+    u = channel.stinespring_isometry()
+    block = np.kron(n_rho_p @ n_sigma_p, np.eye(channel.num_kraus))
+    sigma_p = _power(s_vals, s_vecs, p)
+    root_rho = _power(*_psd_eigensystem(rho), 0.5)
+    mat = block @ u @ sigma_p @ root_rho
+    norm = schatten_norm(mat, 2.0 * alpha)
+    coeff = 2.0 * alpha / (alpha - 1.0)
+    if norm <= 0.0:
+        return float(np.inf) if coeff < 0 else float(-np.inf)
+    return coeff * float(np.log(norm))
+
+
+def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: float) -> float:
     """Renyi-type generalization of the relative entropy difference.
 
     Evaluates ``(2a/(a-1)) log || (N(rho)^{(1-a)/2a} N(sigma)^{(a-1)/2a}
@@ -264,31 +258,7 @@ def renyi_delta(
     the support.  As ``alpha -> 1`` this approaches
     ``D(rho||sigma) - D(N(rho)||N(sigma))``.
     """
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is excluded; use the entropy difference")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    s_vals, s_vecs = _psd_eigensystem(sigma, None)
-    if _outside_mass(rho, s_vecs[:, s_vals > 0.0]) > support_tol:
-        return float(np.inf)
-
-    p = (1.0 - alpha) / (2.0 * alpha)
-    n_rho = channel.apply(rho)
-    n_sigma = channel.apply(sigma)
-    left = _built_power(n_rho, p) @ _built_power(n_sigma, -p)
-    u = channel.stinespring_isometry()
-    env = channel.num_kraus
-    block = np.kron(left, np.eye(env))
-    sigma_p = _on_support(s_vals, s_vecs, lambda v: v**p)
-    root_rho = _on_support(*_psd_eigensystem(rho, None), lambda v: v**0.5)
-    mat = block @ u @ sigma_p @ root_rho
-    norm = schatten_norm(mat, 2.0 * alpha)
-    coeff = 2.0 * alpha / (alpha - 1.0)
-    if norm <= 0.0:
-        return float(np.inf) if coeff < 0 else float(-np.inf)
-    return coeff * float(np.log(norm))
+    return _renyi_delta(_checked(rho), _checked(sigma), channel, alpha)
 
 
 __all__ = [

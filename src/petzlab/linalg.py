@@ -4,7 +4,9 @@ Everything here works on plain complex numpy arrays.  Operators that are
 only positive semidefinite up to rounding are handled through a relative
 rank cutoff: eigenvalues below ``dim * eps * lambda_max`` are treated as
 exactly zero, so negative powers and logarithms are always taken on the
-support only (pseudo-inverse convention).
+support only (pseudo-inverse convention).  This module holds the whole
+numerical policy of the package: the rank cutoff (``rank_cutoff``), the
+PSD clamp (``_clamp_psd``) and the tolerances below.
 
 Subsystem ordering is big-endian throughout: in ``kron(A, B)`` the first
 factor carries the most significant index.
@@ -18,6 +20,13 @@ import numpy as np
 
 # Hard ceiling for composite dimensions; everything is dense.
 MAX_TENSOR_DIM = 4096
+# Relative spectral-norm hermiticity residual allowed in caller input.
+HERM_TOL = 1e-10
+# Relative mass of a state outside a support that still counts as inside.
+SUPPORT_TOL = 1e-10
+# Neighbouring eigenvalues within this fraction of the largest share an
+# eigenspace.
+CLUSTER_TOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -27,20 +36,24 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def rank_cutoff(eigenvalues: np.ndarray, rank_tol: float | None = None) -> float:
-    """Absolute cutoff below which eigenvalues count as zero.
-
-    Defaults to ``d * eps * max(|lambda|)``; pass ``rank_tol`` to override.
-    For a stack of spectra (eigenvalues along the last axis) the default
-    gives one cutoff per spectrum.
-    """
-    if rank_tol is not None:
-        if rank_tol < 0:
-            raise ValueError(f"rank tolerance must be nonnegative, got {rank_tol}")
-        return float(rank_tol)
+def rank_cutoff(eigenvalues: np.ndarray):
+    """Absolute cutoff ``d * eps * max(|lambda|)`` below which eigenvalues
+    count as zero; a stack of spectra (eigenvalues along the last axis)
+    gives one cutoff per spectrum."""
     lam_max = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
     cut = eigenvalues.shape[-1] * _EPS * lam_max
     return float(cut) if np.ndim(cut) == 0 else cut
+
+
+def _reconstruct(vecs: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """``V diag(f) V^dag`` from eigenvector columns ``vecs`` and the values
+    ``fvals`` of ``f`` along the last axis.
+
+    Either may carry leading stack axes, which broadcast: a ``(T, d)`` set
+    of values on one eigenbasis, or a stack of eigensystems, gives a
+    ``(T, d, d)`` stack.
+    """
+    return (vecs * fvals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,7 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
-    rank_tolerance: float
+    cutoff: float  # rank_cutoff of the eigenvalues
 
     @property
     def dim(self) -> int:
@@ -57,11 +70,10 @@ class SpectralDecomposition:
 
     @property
     def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > self.rank_tolerance))
+        return int(np.count_nonzero(self.eigenvalues > self.cutoff))
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return _reconstruct(self.eigenvectors, self.eigenvalues)
 
 
 def hermiticity_residual(h: np.ndarray) -> float:
@@ -72,13 +84,13 @@ def hermiticity_residual(h: np.ndarray) -> float:
     return float(np.linalg.norm(h - dagger(h), 2) / scale)
 
 
-def _checked(h: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+def _checked(h: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
     """``h`` as a complex array, checked to be square, finite and Hermitian.
 
     Raises ``ValueError`` naming the symmetry residual when ``h`` is not
-    Hermitian within ``herm_tol`` (relative spectral norm).  ``herm_tol=inf``
-    skips that check and its two SVDs, for matrices the library built
-    itself and so are Hermitian by construction.
+    Hermitian within ``herm_tol`` (relative spectral norm).  Public
+    functions run it once on each matrix their caller passes; ``herm_tol=inf``
+    skips the residual and its two SVDs.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -95,9 +107,7 @@ def _checked(h: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
     return h
 
 
-def eig_hermitian(
-    h: np.ndarray, *, rank_tol: float | None = None, herm_tol: float = 1e-10
-) -> SpectralDecomposition:
+def eig_hermitian(h: np.ndarray, *, herm_tol: float = HERM_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises ``ValueError`` naming the symmetry residual when the input is
@@ -110,12 +120,12 @@ def eig_hermitian(
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    return SpectralDecomposition(vals, vecs, rank_cutoff(vals, rank_tol))
+    return SpectralDecomposition(vals, vecs, rank_cutoff(vals))
 
 
 def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
     """Eigenvalues (last axis; a stack allowed) with those at or below the
-    cutoff ``cut`` (one per row) set to 0.
+    rank cutoff ``cut`` (one per row) set to 0.
 
     Raises when an eigenvalue lies below ``-max(cutoff, 1e-12 * max|lambda|)``.
     Negativity above that is rounding, which in a computed PSD operator such
@@ -136,70 +146,99 @@ def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
     return np.where(vals <= cut, 0.0, vals)
 
 
-def _psd_eigensystem(h, rank_tol, herm_tol: float = 1e-10):
-    """Eigensystem of a PSD matrix with sub-cutoff eigenvalues clamped to 0
-    (rule of ``_clamp_psd``), eigenvalues descending."""
-    dec = eig_hermitian(h, rank_tol=rank_tol, herm_tol=herm_tol)
-    return _clamp_psd(dec.eigenvalues, dec.rank_tolerance), dec.eigenvectors
+def _psd_eigensystem(h: np.ndarray):
+    """Eigenvalues (descending) and eigenvectors of a PSD matrix or a
+    ``(T, d, d)`` stack, eigenvalues clamped by the rule of ``_clamp_psd``.
+
+    Computes no hermiticity residual: callers pass matrices they checked
+    or built.  A single matrix goes through ``eig_hermitian``.
+    """
+    if h.ndim == 2:
+        dec = eig_hermitian(h, herm_tol=np.inf)
+        return _clamp_psd(dec.eigenvalues, dec.cutoff), dec.eigenvectors
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    return _clamp_psd(vals, rank_cutoff(vals)), vecs
 
 
 def _on_support(vals, vecs, f) -> np.ndarray:
-    """Scalar ``f`` on the positive part of a clamped eigensystem, 0 elsewhere."""
-    fvals = np.array([f(v) if v > 0.0 else 0.0 for v in vals], dtype=complex)
-    return (vecs * fvals) @ dagger(vecs)
+    """``f`` on the positive part of a clamped eigensystem (one matrix or a
+    stack), 0 on the kernel; ``f`` maps an array of positive eigenvalues
+    to values."""
+    pos = vals > 0.0
+    fvals = np.zeros(vals.shape, dtype=complex)
+    fvals[pos] = f(vals[pos])
+    return _reconstruct(vecs, fvals)
 
 
-def fun_on_support(h, f, rank_tol: float | None = None) -> np.ndarray:
-    """Apply scalar ``f`` to the spectrum of PSD ``h`` restricted to its support.
+def _power(vals, vecs, p: float) -> np.ndarray:
+    """``h**p`` on the support of ``h`` from its clamped eigensystem.
 
+    ``float_power`` rounds almost every element correctly, as a scalar
+    power does; ``**`` on a float array may take a SIMD ``pow`` that is one
+    ulp off on about 5% of inputs, and the finite-set search's
+    finite-difference gradient amplifies such last-bit changes.
+    """
+    return _on_support(vals, vecs, lambda v: np.float_power(v, p))
+
+
+def _eigenspaces(h: np.ndarray):
+    """Eigenvectors of PSD ``h`` and the index arrays of its eigenspaces.
+
+    Neighbouring eigenvalues (descending) share an eigenspace when they
+    differ by at most ``CLUSTER_TOL`` times the largest; the kernel
+    (everything below the rank cutoff) is one eigenspace.
+    """
+    vals, vecs = _psd_eigensystem(h)
+    scale = float(vals[0]) if vals[0] > 0 else 1.0
+    breaks = np.flatnonzero(np.abs(np.diff(vals)) > CLUSTER_TOL * scale) + 1
+    return vecs, np.split(np.arange(len(vals)), breaks)
+
+
+def fun_on_support(h, f) -> np.ndarray:
+    """Apply ``f`` to the spectrum of PSD ``h`` restricted to its support.
+
+    ``f`` is evaluated once on the array of positive eigenvalues.
     Eigenvalues at or below the rank cutoff are mapped to zero regardless
     of ``f``, which realizes pseudo-inverses and support-restricted logs.
     """
-    return _on_support(*_psd_eigensystem(h, rank_tol), f)
+    return _on_support(*_psd_eigensystem(_checked(h)), f)
 
 
-def power_on_support(h, p: float, rank_tol: float | None = None) -> np.ndarray:
+def power_on_support(h, p: float) -> np.ndarray:
     """``h**p`` on the support of PSD ``h``; zero on the kernel.
 
     Negative ``p`` gives the pseudo-inverse power.
     """
-    return fun_on_support(h, lambda v: v**p, rank_tol=rank_tol)
+    return _power(*_psd_eigensystem(_checked(h)), p)
 
 
-def _built_power(h, p: float) -> np.ndarray:
-    """``power_on_support(h, p)`` for a PSD ``h`` the library built itself
-    (no hermiticity residual)."""
-    return _on_support(*_psd_eigensystem(h, None, np.inf), lambda v: v**p)
-
-
-def imaginary_power(h, t: float, rank_tol: float | None = None) -> np.ndarray:
+def imaginary_power(h, t: float) -> np.ndarray:
     """``h**(i t)`` on the support of PSD ``h``; zero on the kernel.
 
     The result is unitary on the support.
     """
-    return fun_on_support(h, lambda v: np.exp(1j * t * np.log(v)), rank_tol=rank_tol)
+    return fun_on_support(h, lambda v: np.exp(1j * t * np.log(v)))
 
 
-def complex_power_on_support(h, z: complex, rank_tol: float | None = None) -> np.ndarray:
+def complex_power_on_support(h, z: complex) -> np.ndarray:
     """``h**z`` on the support of PSD ``h`` for complex exponent ``z``."""
-    return fun_on_support(h, lambda v: np.exp(z * np.log(v)), rank_tol=rank_tol)
+    return fun_on_support(h, lambda v: np.exp(z * np.log(v)))
 
 
-def log_on_support(h, rank_tol: float | None = None) -> np.ndarray:
+def log_on_support(h) -> np.ndarray:
     """Natural log of PSD ``h`` on its support; zero on the kernel."""
-    return fun_on_support(h, np.log, rank_tol=rank_tol)
+    return fun_on_support(h, np.log)
 
 
-def sqrtm_psd(h, rank_tol: float | None = None) -> np.ndarray:
+def sqrtm_psd(h) -> np.ndarray:
     """Principal square root of a PSD matrix."""
-    return power_on_support(h, 0.5, rank_tol=rank_tol)
+    return power_on_support(h, 0.5)
 
 
-def support_projector(h, rank_tol: float | None = None) -> np.ndarray:
+def support_projector(h) -> np.ndarray:
     """Orthogonal projector onto the support of PSD ``h``."""
-    vals, vecs = _psd_eigensystem(h, rank_tol)
-    cols = vecs[:, vals > 0.0]
-    return cols @ dagger(cols)
+    return fun_on_support(h, np.ones_like)
 
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
@@ -217,29 +256,25 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    return schatten_norm(m, 1.0)
-
-
 def trace_norm_hermitian(m: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix via its eigenvalues (faster than SVD)."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def tensor_product(*factors: np.ndarray, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
+def tensor_product(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of the factors, first factor most significant.
 
-    Guards against composite dimensions above ``max_dim``.
+    Guards against composite dimensions above ``MAX_TENSOR_DIM``.
     """
     if not factors:
         raise ValueError("tensor_product needs at least one factor")
     factors = [np.asarray(f, dtype=complex) for f in factors]
     rows = int(np.prod([f.shape[0] for f in factors]))
     cols = int(np.prod([f.shape[1] for f in factors]))
-    if rows > max_dim or cols > max_dim:
+    if rows > MAX_TENSOR_DIM or cols > MAX_TENSOR_DIM:
         raise ValueError(
             f"tensor product dimension {rows}x{cols} exceeds the configured "
-            f"maximum {max_dim}"
+            f"maximum {MAX_TENSOR_DIM}"
         )
     out = factors[0]
     for f in factors[1:]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .linalg import _psd_eigensystem, dagger
+from .linalg import _checked, _eigenspaces, _psd_eigensystem, _reconstruct
 
 _TNI_TOL = 1e-9
 
@@ -192,10 +192,12 @@ class RecoveryMap(Channel):
 
 class _PetzFactory:
     """Eigensystems of ``sigma`` and ``N(sigma)`` shared by every rotated
-    Petz map of the pair, and the builder of their Kraus stacks."""
+    Petz map of the pair; builds their Kraus stacks.
 
-    def __init__(self, sigma, channel: Channel, rank_tol=None):
-        sigma = np.asarray(sigma, dtype=complex)
+    ``sigma`` is a complex matrix the caller has checked.
+    """
+
+    def __init__(self, sigma: np.ndarray, channel: Channel):
         if sigma.shape != (channel.dim_in, channel.dim_in):
             raise ValueError(
                 f"sigma of shape {sigma.shape} does not match channel input "
@@ -204,29 +206,28 @@ class _PetzFactory:
         self.n_sigma = channel.apply(sigma)
         if float(np.trace(self.n_sigma).real) <= channel.dim_out * 1e-14:
             raise ValueError("channel output on sigma is numerically zero")
-        # sigma comes from the caller and is checked; N(sigma) is built here
-        self.s_spec = self._log_spectrum(sigma, rank_tol, 1e-10)
-        self.m_spec = self._log_spectrum(self.n_sigma, rank_tol, np.inf)
+        self.s_spec = self._log_spectrum(sigma)
+        self.m_spec = self._log_spectrum(self.n_sigma)
         self.kraus_dg = channel.kraus.conj().swapaxes(1, 2)
 
     @staticmethod
-    def _log_spectrum(h, rank_tol, herm_tol):
+    def _log_spectrum(h):
         # everything _powers needs that does not depend on the exponent
-        vals, vecs = _psd_eigensystem(h, rank_tol, herm_tol)
+        vals, vecs = _psd_eigensystem(h)
         pos = vals > 0.0
-        return pos, np.log(vals[pos]), vecs, dagger(vecs)
+        return pos, np.log(vals[pos]), vecs
 
     @staticmethod
     def _powers(spec, exponents) -> np.ndarray:
         """``h**z`` on the support of ``h`` for every ``z``: a ``(T, d, d)`` stack."""
-        pos, logs, vecs, vecs_dg = spec
+        pos, logs, vecs = spec
         f = np.zeros((len(exponents), len(pos)), dtype=complex)
         f[:, pos] = np.exp(np.multiply.outer(exponents, logs))
         # a real exponent (t = 0) takes the real exp, which may differ in
         # the last bit from the complex one
         real = exponents.imag == 0.0
         f[np.ix_(real, pos)] = np.exp(np.multiply.outer(exponents.real[real], logs))
-        return (vecs * f[:, None, :]) @ vecs_dg
+        return _reconstruct(vecs, f)
 
     def kraus_stack(self, ts, weights=None) -> np.ndarray:
         """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
@@ -249,53 +250,38 @@ class _PetzFactory:
         return out
 
 
-def petz(sigma: np.ndarray, channel: Channel, rank_tol: float | None = None) -> RecoveryMap:
+def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
     """Petz recovery map of ``(sigma, channel)``.
 
     Kraus operators ``sigma^{1/2} K_i^dag N(sigma)^{-1/2}`` with the
     negative power taken on the support of ``N(sigma)``.  Perfectly
     recovers ``sigma`` from ``channel(sigma)``.
     """
-    factory = _PetzFactory(sigma, channel, rank_tol)
+    factory = _PetzFactory(_checked(sigma), channel)
     return RecoveryMap("petz", factory.kraus_stack([0.0])[0], sigma, channel, t=0.0)
 
 
-def rotated_petz(
-    sigma: np.ndarray, channel: Channel, t: float, rank_tol: float | None = None
-) -> RecoveryMap:
+def rotated_petz(sigma: np.ndarray, channel: Channel, t: float) -> RecoveryMap:
     """Rotated Petz map: the Petz map conjugated by the commuting unitaries
     ``sigma^{-it}`` and ``N(sigma)^{it}`` (support-restricted)."""
-    factory = _PetzFactory(sigma, channel, rank_tol)
+    factory = _PetzFactory(_checked(sigma), channel)
     return RecoveryMap("rotated", factory.kraus_stack([t])[0], sigma, channel, t=t)
 
 
-def rotated_petz_family(
-    sigma: np.ndarray, channel: Channel, ts, rank_tol: float | None = None
-):
+def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
     """Rotated Petz maps at each parameter in ``ts``, sharing one
     eigendecomposition of ``sigma`` and ``channel(sigma)``."""
     ts = np.asarray(ts, dtype=float)
-    stack = _PetzFactory(sigma, channel, rank_tol).kraus_stack(ts)
+    stack = _PetzFactory(_checked(sigma), channel).kraus_stack(ts)
     return [
         RecoveryMap("rotated", ops, sigma, channel, t=float(t)) for t, ops in zip(ts, stack)
     ]
 
 
-def universal_recovery(
-    sigma: np.ndarray,
-    channel: Channel,
-    rule: QuadratureRule,
-    rank_tol: float | None = None,
-) -> RecoveryMap:
-    """Universal recovery map: the ``beta0``-weighted mixture of rotated
-    Petz maps at half the node parameter.
-
-    Depends only on ``sigma`` and the channel.  The one Kraus stack holds
-    every node's operators scaled by the square root of its weight, node
-    by node; ``components`` rebuilds the per-node maps from it on demand.
-    """
+def _universal(sigma: np.ndarray, channel: Channel, rule: QuadratureRule) -> RecoveryMap:
+    """``universal_recovery`` of a matrix the caller checked or built."""
     nodes = rule.nodes / 2.0
-    stack = _PetzFactory(sigma, channel, rank_tol).kraus_stack(nodes, rule.weights)
+    stack = _PetzFactory(sigma, channel).kraus_stack(nodes, rule.weights)
     return RecoveryMap(
         "mixture",
         stack.reshape(-1, channel.dim_in, channel.dim_out),
@@ -306,56 +292,53 @@ def universal_recovery(
     )
 
 
-def _eigenspaces(h: np.ndarray, cluster_tol: float):
-    """Eigenvectors of PSD ``h`` and the index arrays of its eigenspaces.
+def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule) -> RecoveryMap:
+    """Universal recovery map: the ``beta0``-weighted mixture of rotated
+    Petz maps at half the node parameter.
 
-    Neighbouring eigenvalues (descending) share an eigenspace when they
-    differ by at most ``cluster_tol`` times the largest; the kernel
-    (everything below the rank cutoff) is one eigenspace.
+    Depends only on ``sigma`` and the channel.  The one Kraus stack holds
+    every node's operators scaled by the square root of its weight, node
+    by node; ``components`` rebuilds the per-node maps from it on demand.
     """
-    vals, vecs = _psd_eigensystem(h, None)
-    scale = float(vals[0]) if vals[0] > 0 else 1.0
-    breaks = np.flatnonzero(np.abs(np.diff(vals)) > cluster_tol * scale) + 1
-    return vecs, np.split(np.arange(len(vals)), breaks)
+    return _universal(_checked(sigma), channel, rule)
 
 
-def eigenspace_phase_unitary(h: np.ndarray, phases, cluster_tol: float = 1e-8) -> np.ndarray:
-    """Unitary ``sum_k exp(i phi_k) P_k`` over the eigenspaces of PSD ``h``.
-
-    Eigenvalues are clustered with relative tolerance ``cluster_tol``; the
-    kernel (everything below the rank cutoff) counts as one eigenspace.
-    The phase vector length must match the number of eigenspaces.
-    """
-    vecs, spaces = _eigenspaces(h, cluster_tol)
+def _phase_unitary(h: np.ndarray, phases) -> np.ndarray:
+    """``eigenspace_phase_unitary`` of a matrix the caller checked or built."""
+    vecs, spaces = _eigenspaces(h)
     phases = np.asarray(phases, dtype=float)
     if len(phases) != len(spaces):
         raise ValueError(
             f"phase vector of length {len(phases)} does not match "
             f"{len(spaces)} eigenspaces"
         )
-    diag = np.repeat(np.exp(1j * phases), [len(idx) for idx in spaces])
-    return (vecs * diag) @ dagger(vecs)
+    return _reconstruct(vecs, np.repeat(np.exp(1j * phases), [len(idx) for idx in spaces]))
 
 
-def count_eigenspaces(h: np.ndarray, cluster_tol: float = 1e-8) -> int:
+def eigenspace_phase_unitary(h: np.ndarray, phases) -> np.ndarray:
+    """Unitary ``sum_k exp(i phi_k) P_k`` over the eigenspaces of PSD ``h``.
+
+    Eigenvalues are clustered with relative tolerance ``CLUSTER_TOL``; the
+    kernel (everything below the rank cutoff) counts as one eigenspace.
+    The phase vector length must match the number of eigenspaces.
+    """
+    return _phase_unitary(_checked(h), phases)
+
+
+def count_eigenspaces(h: np.ndarray) -> int:
     """Number of distinct eigenspaces of PSD ``h`` (kernel counts once)."""
-    return len(_eigenspaces(h, cluster_tol)[1])
+    return len(_eigenspaces(_checked(h))[1])
 
 
-def phase_rotated_petz(
-    sigma: np.ndarray,
-    channel: Channel,
-    phi,
-    theta,
-    rank_tol: float | None = None,
-) -> RecoveryMap:
+def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> RecoveryMap:
     """Petz map conjugated by eigenspace-phase unitaries of ``N(sigma)``
     (phases ``phi``, applied before) and of ``sigma`` (phases ``theta``,
     applied after).  Both unitaries commute with their operators by
     construction."""
-    factory = _PetzFactory(sigma, channel, rank_tol)
-    u_out = eigenspace_phase_unitary(factory.n_sigma, phi)
-    u_in = eigenspace_phase_unitary(sigma, theta)
+    sigma = _checked(sigma)
+    factory = _PetzFactory(sigma, channel)
+    u_out = _phase_unitary(factory.n_sigma, phi)
+    u_in = _phase_unitary(sigma, theta)
     ops = u_in @ factory.kraus_stack([0.0])[0] @ u_out
     return RecoveryMap(
         "phase-rotated", ops, sigma, channel, phases=(np.asarray(phi), np.asarray(theta))

@@ -20,31 +20,27 @@ from .channels import (
     random_density,
 )
 from .entropy import (
+    _fidelity_measurement,
+    _measured_lb,
     _relative_entropy,
+    _renyi_delta,
     _root_fidelities,
+    _von_neumann,
     binary_entropy,
     conditional_mutual_information,
-    fidelity,
-    fidelity_measurement,
-    measured_relative_entropy_lb,
-    relative_entropy,
-    renyi_delta,
-    support_violation,
-    von_neumann_entropy,
+    fidelity,  # noqa: F401  bench/selftest.py checks that tracing restores verify.fidelity
 )
 from .linalg import _checked, eig_hermitian, dagger, partial_trace
 from .recovery import (
     QuadratureRule,
     RecoveryMap,
     _PetzFactory,
+    _universal,
     beta0_density,
     beta_quadrature,
     convex_mixture,
     rotated_petz_family,
-    universal_recovery,
 )
-
-DEFAULT_SUPPORT_TOL = 1e-10
 
 
 def _neg2log(x: float) -> float:
@@ -108,11 +104,10 @@ def dpi_remainder(
     sigma: np.ndarray,
     channel: Channel,
     rule: QuadratureRule,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> DpiReport:
     """Evaluate the universal-recovery remainder bound on one instance."""
     rho = _checked(rho)
-    sigma = np.asarray(sigma, dtype=complex)
+    sigma = _checked(sigma)
     factory = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
 
@@ -128,13 +123,13 @@ def dpi_remainder(
     rhs_mixture = _neg2log(mixture_fid)
 
     # the relative entropy is infinite exactly when the support check fails
-    d_in = _relative_entropy(rho, sigma, support_tol)
+    d_in = _relative_entropy(rho, sigma)
     violated = d_in == np.inf
     if violated:
         lhs = float(np.inf)
     else:
-        lhs = d_in - _relative_entropy(out_rho, factory.n_sigma, support_tol)
-    exploratory = _relative_entropy(rho, mixture_rec, support_tol)
+        lhs = d_in - _relative_entropy(out_rho, factory.n_sigma)
+    exploratory = _relative_entropy(rho, mixture_rec)
     return DpiReport(
         lhs=lhs,
         rhs_mixture=rhs_mixture,
@@ -173,12 +168,13 @@ def alpha_bound_check(
     density has poles closer to the real axis.
     """
     rho = _checked(rho)
+    sigma = _checked(sigma)
     factory = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
     results = []
     for alpha in alphas:
         alpha = float(alpha)
-        lhs = renyi_delta(rho, sigma, channel, alpha)
+        lhs = _renyi_delta(rho, sigma, channel, alpha)
         if alpha == 0.5:
             ts, weights = np.zeros(1), np.ones(1)
         elif 0.5 < alpha < 1.0:
@@ -216,14 +212,13 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     rho_abc = np.asarray(rho_abc, dtype=complex)
     rho_ab = partial_trace(rho_abc, (da, db, dc), keep=(0, 1))
     rho_bc = partial_trace(rho_abc, (da, db, dc), keep=(1, 2))
+    cmi = conditional_mutual_information(rho_abc, (da, db, dc))  # checks rho_abc
 
     trace_c = partial_trace_channel((db, dc), keep=(0,))
-    recovery = universal_recovery(rho_bc, trace_c, rule)
+    recovery = _universal(rho_bc, trace_c, rule)
     # id_A (x) R acts on each B block (a, a') of rho_AB
     blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
     rec = recovery.apply(blocks).swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
-
-    cmi = conditional_mutual_information(rho_abc, (da, db, dc))  # checks rho_abc
     f = float(_root_fidelities(rho_abc, rec[None])[0])
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
@@ -256,23 +251,21 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     """
     da, db = (int(d) for d in dims)
     weights = _check_simplex([w for w, _ in ensemble])
-    states = [np.asarray(s, dtype=complex) for _, s in ensemble]
+    states = [_checked(s) for _, s in ensemble]
     avg = np.tensordot(weights, np.array(states), axes=1)
 
     def cond_ent(rho_ab):
-        return von_neumann_entropy(rho_ab) - von_neumann_entropy(
-            partial_trace(rho_ab, (da, db), keep=(1,))
-        )
+        return _von_neumann(rho_ab) - _von_neumann(partial_trace(rho_ab, (da, db), keep=(1,)))
 
     lhs = cond_ent(avg) - float(
         np.dot(weights, [cond_ent(s) for s in states])
     )
 
     trace_a = partial_trace_channel((da, db), keep=(1,))
-    recovery = universal_recovery(avg, trace_a, rule)
+    recovery = _universal(avg, trace_a, rule)
     fids = np.array(
         [
-            fidelity(s, recovery.apply(partial_trace(s, (da, db), keep=(1,))))
+            _root_fidelities(s, recovery.apply(partial_trace(s, (da, db), keep=(1,)))[None])[0]
             for s in states
         ]
     )
@@ -280,9 +273,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     return EnsembleReport(lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs), member_fidelities=fids)
 
 
-def joint_convexity_remainder(
-    ensemble, rule: QuadratureRule, support_tol: float = DEFAULT_SUPPORT_TOL
-) -> EnsembleReport:
+def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     """Joint convexity of the relative entropy with a recovery remainder.
 
     ``ensemble`` is a sequence of ``(weight, rho_x, sigma_x)`` triples on a
@@ -291,18 +282,18 @@ def joint_convexity_remainder(
     and the remainder compares against the fidelity with the labeled state.
     """
     weights = _check_simplex([w for w, _, _ in ensemble])
-    rhos = [np.asarray(r, dtype=complex) for _, r, _ in ensemble]
-    sigmas = [np.asarray(s, dtype=complex) for _, _, s in ensemble]
+    rhos = [_checked(r) for _, r, _ in ensemble]
+    sigmas = [_checked(s) for _, _, s in ensemble]
     dim = rhos[0].shape[0]
     nx = len(ensemble)
 
-    flags = tuple(support_violation(r, s) > support_tol for r, s in zip(rhos, sigmas))
+    # a member's relative entropy is infinite exactly when its support check fails
+    member_d = [_relative_entropy(r, s) for r, s in zip(rhos, sigmas)]
+    flags = tuple(d == np.inf for d in member_d)
     rho_avg = np.tensordot(weights, np.array(rhos), axes=1)
     sigma_avg = np.tensordot(weights, np.array(sigmas), axes=1)
 
-    lhs = float(
-        np.dot(weights, [relative_entropy(r, s, support_tol) for r, s in zip(rhos, sigmas)])
-    ) - relative_entropy(rho_avg, sigma_avg, support_tol)
+    lhs = float(np.dot(weights, member_d)) - _relative_entropy(rho_avg, sigma_avg)
 
     rho_xa = np.zeros((nx * dim, nx * dim), dtype=complex)
     sigma_xa = np.zeros_like(rho_xa)
@@ -312,9 +303,9 @@ def joint_convexity_remainder(
         sigma_xa[sl, sl] = w * s
 
     trace_x = partial_trace_channel((nx, dim), keep=(1,))
-    recovery = universal_recovery(sigma_xa, trace_x, rule)
+    recovery = _universal(sigma_xa, trace_x, rule)
     rec = recovery.apply(rho_avg)
-    rhs = _neg2log(fidelity(rho_xa, rec))
+    rhs = _neg2log(float(_root_fidelities(rho_xa, rec[None])[0]))
 
     member_fids = []
     for x, (w, r) in enumerate(zip(weights, rhos)):
@@ -322,7 +313,7 @@ def joint_convexity_remainder(
             member_fids.append(np.nan)
             continue
         block = rec[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] / w
-        member_fids.append(fidelity(r, block))
+        member_fids.append(float(_root_fidelities(r, block[None])[0]))
     return EnsembleReport(
         lhs=lhs,
         rhs=rhs,
@@ -376,7 +367,7 @@ def qec_analyze(
     dec = eig_hermitian(pi)
     isometry = dec.eigenvectors[:, :dim_code]
 
-    recovery = universal_recovery(pi, channel, rule)
+    recovery = _universal(pi, channel, rule)
     out_pi = channel.apply(pi)
 
     seeds = np.random.SeedSequence(seed).spawn(max(samples, 1))
@@ -391,10 +382,7 @@ def qec_analyze(
             small = random_density(dim_code, seeds[i])
         rho = isometry @ small @ dagger(isometry)
         out_rho = channel.apply(rho)
-        gaps.append(
-            _relative_entropy(rho, pi, DEFAULT_SUPPORT_TOL)
-            - _relative_entropy(out_rho, out_pi, DEFAULT_SUPPORT_TOL)
-        )
+        gaps.append(_relative_entropy(rho, pi) - _relative_entropy(out_rho, out_pi))
         fids.append(float(_root_fidelities(rho, recovery.apply(out_rho)[None])[0]))
     gaps = np.array(gaps) if gaps else np.zeros(0)
     fids = np.array(fids) if fids else np.ones(0)
@@ -449,7 +437,6 @@ def finite_set_recovery_search(
     channel: Channel,
     t_grid,
     iterations: int = 60,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> SearchResult:
     """Best-effort search for a single map protecting a finite set of states.
 
@@ -460,31 +447,29 @@ def finite_set_recovery_search(
     ``(rho, recovered)``.  Deterministic projected supergradient ascent on
     the simplex; no optimality guarantee.
     """
-    states = [np.asarray(s, dtype=complex) for s in states]
+    states = [_checked(s) for s in states]
     if not states:
         raise ValueError("need at least one state")
-    for i, s in enumerate(states):
-        if support_violation(s, sigma) > support_tol:
+    sigma = _checked(sigma)
+    d_in = [_relative_entropy(s, sigma) for s in states]
+    for i, d in enumerate(d_in):
+        # infinite exactly when the support check fails
+        if d == np.inf:
             raise ValueError(f"state {i} is not supported inside sigma")
     t_grid = np.asarray(t_grid, dtype=float)
 
     family = rotated_petz_family(sigma, channel, t_grid)
     out_sigma = channel.apply(sigma)
     outs = channel.apply(np.array(states))
-    gaps = np.array(
-        [
-            relative_entropy(s, sigma, support_tol)
-            - _relative_entropy(out, out_sigma, support_tol)
-            for s, out in zip(states, outs)
-        ]
-    )
+    gaps = np.array([d - _relative_entropy(out, out_sigma) for d, out in zip(d_in, outs)])
     # recs[x, j] = R_j(N(state_x)), from one contraction over the family's stack
     recs = _apply_each(np.array([m.kraus for m in family]), outs)
 
     def slack_of(x: int, w: np.ndarray) -> float:
+        # the library builds rec and the projective POVM, so neither is checked
         rec = np.tensordot(w, recs[x], axes=1)
-        povm = fidelity_measurement(states[x], rec)
-        return float(gaps[x] - measured_relative_entropy_lb(states[x], rec, povm))
+        povm = _fidelity_measurement(states[x], rec)
+        return float(gaps[x] - _measured_lb(states[x], rec, povm))
 
     def objective(w: np.ndarray):
         slacks = np.array([slack_of(x, w) for x in range(len(states))])
@@ -570,15 +555,16 @@ def truncation_convergence(
     the rank grows but carry no sign guarantee at intermediate ranks.
     """
     rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
     dim = rho.shape[0]
     ks = tuple(int(k) for k in k_list)
     if not ks or any(k < 1 or k > dim for k in ks) or list(ks) != sorted(set(ks)):
         raise ValueError(f"k_list must be strictly increasing within [1, {dim}]")
-    ref = sigma if reference is None else np.asarray(reference, dtype=complex)
-    dec = eig_hermitian(ref)
+    rho = _checked(rho)
+    sigma = _checked(sigma)
+    ref = sigma if reference is None else _checked(reference)
+    dec = eig_hermitian(ref, herm_tol=np.inf)
 
-    d_full = relative_entropy(rho, sigma)
+    d_full = _relative_entropy(rho, sigma)
     d_trunc, gaps, slacks = [], [], []
     for k in ks:
         cols = dec.eigenvectors[:, :k]
@@ -586,7 +572,7 @@ def truncation_convergence(
         rho_k = pi @ rho @ pi
         sigma_k = pi @ sigma @ pi
         rep = dpi_remainder(rho_k, sigma_k, channel, rule)
-        d_trunc.append(relative_entropy(rho_k, sigma_k))
+        d_trunc.append(_relative_entropy(rho_k, sigma_k))
         gaps.append(rep.lhs)
         slacks.append(rep.slack_mixture)
     d_trunc = np.array(d_trunc)

@@ -1,7 +1,18 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from petzlab.verify import _random_dpi_instance
+
+
+def pytest_configure(config):
+    # hypothesis caches constants it mines from the local sources while
+    # collecting; keep that cache out of the working tree
+    home = tempfile.TemporaryDirectory()
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

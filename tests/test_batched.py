@@ -21,7 +21,12 @@ from petzlab.recovery import (
     rotated_petz_family,
     universal_recovery,
 )
-from petzlab.verify import alpha_bound_check, dpi_remainder, ssa_remainder
+from petzlab.verify import (
+    alpha_bound_check,
+    dpi_remainder,
+    finite_set_recovery_search,
+    ssa_remainder,
+)
 
 
 def clipped_sqrt(h):
@@ -144,6 +149,15 @@ class TestWorkPerInstance:
         dpi_remainder(rho, sigma, chan, beta0_quadrature(129))
         assert 0 < len(eigs) <= 20
         assert 0 < len(residuals) <= 4
+
+    def test_finite_set_search_checks_each_input_once(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
+        states = [rho, random_density(sigma.shape[0], 17)]
+        modules = (linalg, entropy, verify, channels, recovery)
+        residuals = counting(monkeypatch, "hermiticity_residual", modules)
+        finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
+        # each state and sigma, plus rotated_petz_family's own check of sigma
+        assert len(residuals) <= len(states) + 2
 
     def test_alpha_chain_builds_no_map_per_node(self, rng, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)

@@ -215,3 +215,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             run(["sweep", "--bogus"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "sweep --dims 5..2 --count 2",
+            "quadrature-info --nodes 2",
+            "qec --p 0.5 --samples 2",
+            "verify-dpi --dims x..3",
+        ],
+    )
+    def test_unusable_values_exit_2(self, args, capsys):
+        assert run(args.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
