@@ -30,10 +30,9 @@ from .entropy import LN2
 from .recovery import beta_quadrature
 from .verify import (
     SweepConfig,
-    _random_dpi_instance,
-    concavity_remainder,
+    _dpi_row,
+    _ssa_row,
     dpi_remainder,
-    joint_convexity_remainder,
     qec_analyze,
     ssa_remainder,
     sweep,
@@ -41,7 +40,7 @@ from .verify import (
 
 _ENTROPY_COLUMNS = {
     "lhs", "rhs", "rhs_mixture", "rhs_strong", "slack", "slack_mixture",
-    "slack_strong", "cmi", "max_gap", "converse_bound",
+    "slack_strong", "max_gap", "converse_bound",
 }
 
 
@@ -153,139 +152,71 @@ def _cmd_quadrature_info(args) -> int:
     return 0
 
 
-def _dpi_instances(args):
-    if args.example == "classical":
-        rho = serialize.load_state(_bundled("classical_rho.txt"))
-        sigma = serialize.load_state(_bundled("classical_sigma.txt"))
-        chan = serialize.load_channel(_bundled("classical_channel.txt"))
-        yield "classical", rho, sigma, chan
-        return
-    if args.rho or args.sigma or args.channel:
-        if not (args.rho and args.sigma and args.channel):
-            raise _CliError("--rho, --sigma and --channel must be given together", 2)
-        yield "file", _load_state_arg(args.rho), _load_state_arg(args.sigma), \
-            _load_channel_arg(args.channel)
-        return
-    dims = _parse_dims(args.dims)
-    children = np.random.SeedSequence(args.seed).spawn(args.random)
-    for i in range(args.random):
-        rho, sigma, chan, _ = _random_dpi_instance(
-            children[i], dims, args.env_max, SweepConfig.max_condition
-        )
-        yield f"random-{i}", rho, sigma, chan
+def _swept(args, kind: str, **config):
+    """``args.random`` rows of a ``kind`` sweep, each with its label."""
+    result = sweep(SweepConfig(seed=args.seed, count=args.random, nodes=args.nodes,
+                               tolerance=args.tolerance, kind=kind, **config))
+    return [(f"{kind}-{row['instance']}", row) for row in result.rows]
+
+
+def _report_checks(args, labelled) -> int:
+    """Print, write and judge the ``(label, row)`` pairs of a ``verify-*`` run."""
+    _print_values(
+        [(f"[{label}] {key}", value, True)
+         for label, row in labelled for key, value in row.items()
+         if key in _ENTROPY_COLUMNS],
+        args.unit,
+    )
+    rows = [row for _, row in labelled]
+    worst = min((row["slack"] for row in rows), default=np.inf)
+    _write_report(args.output, rows, {"checked": len(rows), "min_slack": worst},
+                  args.unit)
+    return 0 if worst >= -args.tolerance else 1
 
 
 def _cmd_verify_dpi(args) -> int:
-    rule = beta_quadrature(args.nodes)
-    rows = []
-    worst = np.inf
-    for name, rho, sigma, chan in _dpi_instances(args):
-        rep = dpi_remainder(rho, sigma, chan, rule)
-        rows.append(
-            {
-                "instance": name,
-                "lhs": rep.lhs,
-                "rhs_mixture": rep.rhs_mixture,
-                "rhs_strong": rep.rhs_strong,
-                "slack": min(rep.slack_mixture, rep.slack_strong),
-            }
-        )
-        worst = min(worst, rows[-1]["slack"])
-        _print_values(
-            [
-                (f"[{name}] lhs", rep.lhs, True),
-                (f"[{name}] rhs_mixture", rep.rhs_mixture, True),
-                (f"[{name}] rhs_strong", rep.rhs_strong, True),
-                (f"[{name}] slack", rows[-1]["slack"], True),
-            ],
-            args.unit,
-        )
-        if args.dump_recovered:
-            state = rep.recovered_state
-            if args.renormalize:
-                state = state / np.trace(state).real
-            serialize.save_state(_resolve_output(args.dump_recovered), state)
-    _write_report(args.output, rows, {"checked": len(rows), "min_slack": worst},
-                  args.unit)
-    return 0 if worst >= -args.tolerance else 1
+    if args.example == "classical":
+        name = "classical"
+        rho = serialize.load_state(_bundled("classical_rho.txt"))
+        sigma = serialize.load_state(_bundled("classical_sigma.txt"))
+        chan = serialize.load_channel(_bundled("classical_channel.txt"))
+    elif args.rho or args.sigma or args.channel:
+        if not (args.rho and args.sigma and args.channel):
+            raise _CliError("--rho, --sigma and --channel must be given together", 2)
+        name = "file"
+        rho, sigma = _load_state_arg(args.rho), _load_state_arg(args.sigma)
+        chan = _load_channel_arg(args.channel)
+    elif args.dump_recovered:
+        raise _CliError("--dump-recovered needs --example or --rho/--sigma/--channel", 2)
+    else:
+        return _report_checks(args, _swept(args, "dpi", dims=_parse_dims(args.dims),
+                                           env_max=args.env_max))
+    rep = dpi_remainder(rho, sigma, chan, beta_quadrature(args.nodes))
+    if args.dump_recovered:
+        state = rep.recovered_state
+        if args.renormalize:
+            state = state / np.trace(state).real
+        serialize.save_state(_resolve_output(args.dump_recovered), state)
+    return _report_checks(args, [(name, {"instance": name, **_dpi_row(rep, chan)})])
 
 
 def _cmd_verify_ssa(args) -> int:
-    rule = beta_quadrature(args.nodes)
-    rows = []
     if args.state:
+        name, rho = "file", _load_state_arg(args.state)
         dims = tuple(int(d) for d in args.state_dims.split(","))
-        instances = [("file", _load_state_arg(args.state), dims)]
     elif args.ghz:
-        instances = [("ghz", ghz_state(3), (2, 2, 2))]
+        name, rho, dims = "ghz", ghz_state(3), (2, 2, 2)
     else:
-        children = np.random.SeedSequence(args.seed).spawn(args.random)
-        instances = [
-            (f"random-{i}", random_density(8, children[i]), (2, 2, 2))
-            for i in range(args.random)
-        ]
-    worst = np.inf
-    for name, rho, dims in instances:
-        rep = ssa_remainder(rho, dims, rule)
-        rows.append(
-            {"instance": name, "cmi": rep.cmi, "rhs": rep.rhs, "slack": rep.slack,
-             "fidelity": rep.recovered_fidelity}
-        )
-        worst = min(worst, rep.slack)
-        _print_values(
-            [
-                (f"[{name}] I(A:C|B)", rep.cmi, True),
-                (f"[{name}] rhs", rep.rhs, True),
-                (f"[{name}] slack", rep.slack, True),
-                (f"[{name}] fidelity", rep.recovered_fidelity, False),
-            ],
-            args.unit,
-        )
-    _write_report(args.output, rows, {"checked": len(rows), "min_slack": worst},
-                  args.unit)
-    return 0 if worst >= -args.tolerance else 1
+        return _report_checks(args, _swept(args, "ssa", dims=(2, 2)))
+    rep = ssa_remainder(rho, dims, beta_quadrature(args.nodes))
+    return _report_checks(args, [(name, {"instance": name, **_ssa_row(rep, dims)})])
 
 
 def _cmd_verify_corollaries(args) -> int:
-    rule = beta_quadrature(args.nodes)
-    lo, hi = _parse_dims(args.dims)
-    children = np.random.SeedSequence(args.seed).spawn(2 * args.random)
-    rows = []
-    worst = np.inf
-    for i in range(args.random):
-        rng = np.random.default_rng(children[2 * i])
-        da = int(rng.integers(lo, hi + 1))
-        db = int(rng.integers(lo, hi + 1))
-        w = rng.dirichlet(np.ones(args.size))
-        members = [(w[x], random_density(da * db, rng)) for x in range(args.size)]
-        rep = concavity_remainder(members, (da, db), rule)
-        rows.append({"instance": f"concavity-{i}", "lhs": rep.lhs, "rhs": rep.rhs,
-                     "slack": rep.slack})
-        worst = min(worst, rep.slack)
-
-        rng = np.random.default_rng(children[2 * i + 1])
-        dim = int(rng.integers(lo, hi + 1))
-        w = rng.dirichlet(np.ones(args.size))
-        members = [
-            (w[x], random_density(dim, rng), random_density(dim, rng))
-            for x in range(args.size)
-        ]
-        rep = joint_convexity_remainder(members, rule)
-        rows.append({"instance": f"joint-convexity-{i}", "lhs": rep.lhs,
-                     "rhs": rep.rhs, "slack": rep.slack})
-        worst = min(worst, rep.slack)
-    for row in rows:
-        _print_values(
-            [
-                (f"[{row['instance']}] lhs", row["lhs"], True),
-                (f"[{row['instance']}] rhs", row["rhs"], True),
-                (f"[{row['instance']}] slack", row["slack"], True),
-            ],
-            args.unit,
-        )
-    _write_report(args.output, rows, {"checked": len(rows), "min_slack": worst},
-                  args.unit)
-    return 0 if worst >= -args.tolerance else 1
+    dims = _parse_dims(args.dims)
+    return _report_checks(
+        args, _swept(args, "concavity", dims=dims) + _swept(args, "joint-convexity", dims=dims)
+    )
 
 
 def _cmd_qec(args) -> int:
@@ -406,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--random", type=int, default=1)
     p.add_argument("--dims", default="2..2")
-    p.add_argument("--size", type=int, default=2, help="ensemble size")
     p.set_defaults(func=_cmd_verify_corollaries)
 
     p = sub.add_parser("qec", help="approximate error correction bounds")

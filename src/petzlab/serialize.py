@@ -45,6 +45,30 @@ def _parse_matrix(lines, dim_rows: int, dim_cols: int) -> np.ndarray:
     return out
 
 
+def _kraus_lines(kraus) -> list:
+    """One ``block k`` header and the matrix rows of each Kraus operator."""
+    lines = []
+    for k, op in enumerate(kraus):
+        lines.append(f"block {k}")
+        lines += _matrix_lines(op)
+    return lines
+
+
+def _parse_kraus(lines, head: dict) -> list:
+    """Inverse of ``_kraus_lines``, sized by the ``kraus``, ``dim_in`` and
+    ``dim_out`` fields of a file's ``head``; ``lines`` start at ``block 0``."""
+    n_kraus, dim_in, dim_out = (int(head[key]) for key in ("kraus", "dim_in", "dim_out"))
+    ops = []
+    cursor = 0
+    for k in range(n_kraus):
+        if lines[cursor] != f"block {k}":
+            raise ValueError(f"missing Kraus block {k}")
+        cursor += 1
+        ops.append(_parse_matrix(lines[cursor : cursor + dim_out], dim_out, dim_in))
+        cursor += dim_out
+    return ops
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -99,10 +123,7 @@ def dumps_channel(channel: Channel) -> str:
         f"dim_out {channel.dim_out}",
         f"kraus {channel.num_kraus}",
     ]
-    for k, op in enumerate(channel.kraus):
-        lines.append(f"block {k}")
-        lines += _matrix_lines(op)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _kraus_lines(channel.kraus)) + "\n"
 
 
 def loads_channel(text: str) -> Channel:
@@ -113,17 +134,7 @@ def loads_channel(text: str) -> Channel:
     for ln in lines[1:5]:
         key, val = ln.split()
         head[key] = val
-    dim_in, dim_out = int(head["dim_in"]), int(head["dim_out"])
-    n_kraus = int(head["kraus"])
-    ops = []
-    cursor = 5
-    for k in range(n_kraus):
-        if lines[cursor] != f"block {k}":
-            raise ValueError(f"missing Kraus block {k}")
-        cursor += 1
-        ops.append(_parse_matrix(lines[cursor : cursor + dim_out], dim_out, dim_in))
-        cursor += dim_out
-    return Channel(ops, mode=head["mode"])
+    return Channel(_parse_kraus(lines[5:], head), mode=head["mode"])
 
 
 def save_channel(path: str, channel: Channel) -> None:
@@ -167,10 +178,7 @@ def dumps_recovery(rec: RecoveryMap) -> str:
         f"dim_out {rec.dim_out}",
         f"kraus {rec.kraus.shape[0]}",
     ]
-    for k, op in enumerate(rec.kraus):
-        lines.append(f"block {k}")
-        lines += _matrix_lines(op)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _kraus_lines(rec.kraus)) + "\n"
 
 
 def loads_recovery(text: str) -> dict:
@@ -190,21 +198,12 @@ def loads_recovery(text: str) -> dict:
         cursor += 1
         if cursor >= len(lines):
             break
-    dim_in, dim_out = int(head["dim_in"]), int(head["dim_out"])
-    n_kraus = int(head["kraus"])
-    ops = []
-    for k in range(n_kraus):
-        if lines[cursor] != f"block {k}":
-            raise ValueError(f"missing Kraus block {k}")
-        cursor += 1
-        ops.append(_parse_matrix(lines[cursor : cursor + dim_out], dim_out, dim_in))
-        cursor += dim_out
     for key in ("tnodes", "weights"):
         if head.get(key, "none") == "none":
             head[key] = None
         else:
             head[key] = np.array([float(v) for v in head[key].split()])
-    head["kraus"] = np.stack(ops)
+    head["kraus"] = np.stack(_parse_kraus(lines[cursor:], head))
     return head
 
 
@@ -228,16 +227,20 @@ def _fmt12(x) -> str:
 
 
 def emit_table(rows, columns=None) -> str:
-    """Whitespace table, one row per instance, 12 significant digits."""
+    """Whitespace table, one row per instance, 12 significant digits.
+
+    ``columns`` defaults to every key of ``rows`` in order of first use; a
+    row without one of them shows ``-`` in its place.
+    """
     lines = ["# petzlab report v1"]
     if not rows:
         lines.append("# empty")
         return "\n".join(lines) + "\n"
     if columns is None:
-        columns = list(rows[0].keys())
+        columns = list(dict.fromkeys(key for row in rows for key in row))
     lines.append(" ".join(columns))
     for row in rows:
-        lines.append(" ".join(_fmt12(row.get(c, "")) for c in columns))
+        lines.append(" ".join(_fmt12(row.get(c, "-")) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -106,8 +106,11 @@ def dpi_remainder(
     rule: QuadratureRule,
 ) -> DpiReport:
     """Evaluate the universal-recovery remainder bound on one instance."""
-    rho = _checked(rho)
-    sigma = _checked(sigma)
+    return _dpi(_checked(rho), _checked(sigma), channel, rule)[0]
+
+
+def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
+    """``dpi_remainder`` on checked input, with ``D(rho || sigma)``."""
     factory = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
 
@@ -140,7 +143,7 @@ def dpi_remainder(
         recovered_state=mixture_rec,
         exploratory_relative_entropy=exploratory,
         support_violated=violated,
-    )
+    ), d_in
 
 
 @dataclass
@@ -496,7 +499,7 @@ def finite_set_recovery_search(
             probe = w.copy()
             probe[j] += delta
             probe /= probe.sum()
-            grad[j] = (slack_of(active, probe) - slack_of(active, w)) / delta
+            grad[j] = (slack_of(active, probe) - f_cur) / delta
         improved = False
         for eta in (step, step / 4.0, step / 16.0):
             cand = _project_simplex(w + eta * grad)
@@ -571,8 +574,8 @@ def truncation_convergence(
         pi = cols @ dagger(cols)
         rho_k = pi @ rho @ pi
         sigma_k = pi @ sigma @ pi
-        rep = dpi_remainder(rho_k, sigma_k, channel, rule)
-        d_trunc.append(_relative_entropy(rho_k, sigma_k))
+        rep, d_k = _dpi(rho_k, sigma_k, channel, rule)
+        d_trunc.append(d_k)
         gaps.append(rep.lhs)
         slacks.append(rep.slack_mixture)
     d_trunc = np.array(d_trunc)
@@ -591,6 +594,9 @@ def truncation_convergence(
 # seeded sweep
 # ---------------------------------------------------------------------------
 
+MAX_CONDITION = 1e8  # sweeps redraw any reference state less well conditioned
+
+
 @dataclass
 class SweepConfig:
     """Configuration of a randomized verification sweep."""
@@ -602,7 +608,6 @@ class SweepConfig:
     nodes: int = 129
     tolerance: float = 1e-8
     kind: str = "dpi"  # dpi | ssa | concavity | joint-convexity
-    max_condition: float = 1e8
     include_timings: bool = False
 
     def __post_init__(self):
@@ -621,23 +626,23 @@ class SweepResult:
     ok: bool
 
 
-def _well_conditioned_density(dim: int, rng, max_condition: float):
-    """Full-rank random state below the condition cap; counts regenerations."""
+def _well_conditioned_density(dim: int, rng):
+    """Full-rank random state below ``MAX_CONDITION``; counts regenerations."""
     for regen in range(1000):
         rho = random_density(dim, rng)
         vals = np.linalg.eigvalsh(rho)
-        if vals[0] > 0.0 and vals[-1] / vals[0] <= max_condition:
+        if vals[0] > 0.0 and vals[-1] / vals[0] <= MAX_CONDITION:
             return rho, regen
     raise RuntimeError(
-        f"could not draw a dim-{dim} state with condition below {max_condition}"
+        f"could not draw a dim-{dim} state with condition below {MAX_CONDITION}"
     )
 
 
-def _random_dpi_instance(rng, dims, env_max: int, max_condition: float):
+def _random_dpi_instance(rng, dims, env_max: int):
     """Seeded ``(rho, sigma, channel, regenerations)`` for the DPI checks.
 
     ``rng`` is a seed or a generator; dimensions are drawn from the range
-    ``dims = (lo, hi)`` and ``sigma`` is redrawn above ``max_condition``.
+    ``dims = (lo, hi)`` and ``sigma`` is redrawn above ``MAX_CONDITION``.
     """
     rng = np.random.default_rng(rng)
     lo, hi = dims
@@ -645,9 +650,25 @@ def _random_dpi_instance(rng, dims, env_max: int, max_condition: float):
     dim_out = int(rng.integers(lo, hi + 1))
     env_lo = max(1, -(-dim_in // dim_out))
     env = int(rng.integers(env_lo, max(env_lo, env_max) + 1))
-    sigma, regen = _well_conditioned_density(dim_in, rng, max_condition)
+    sigma, regen = _well_conditioned_density(dim_in, rng)
     rho = random_density(dim_in, rng)
     return rho, sigma, random_channel(dim_in, dim_out, env, rng), regen
+
+
+def _dpi_row(rep: DpiReport, channel: Channel) -> dict:
+    """The report columns of one DPI instance."""
+    return dict(
+        dim_in=channel.dim_in, dim_out=channel.dim_out, env_dim=channel.num_kraus,
+        lhs=rep.lhs, rhs_strong=rep.rhs_strong, rhs_mixture=rep.rhs_mixture,
+        slack_mixture=rep.slack_mixture, slack_strong=rep.slack_strong,
+        slack=min(rep.slack_mixture, rep.slack_strong),
+    )
+
+
+def _ssa_row(rep: SsaReport, dims) -> dict:
+    """The report columns of one strong subadditivity instance."""
+    da, db, dc = dims
+    return dict(dim_a=da, dim_b=db, dim_c=dc, lhs=rep.cmi, rhs=rep.rhs, slack=rep.slack)
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -666,24 +687,14 @@ def sweep(config: SweepConfig) -> SweepResult:
         t0 = time.perf_counter()
         row = {"instance": i, "seed": config.seed}
         if config.kind == "dpi":
-            rho, sigma, chan, regen = _random_dpi_instance(
-                rng, (lo, hi), config.env_max, config.max_condition
-            )
+            rho, sigma, chan, regen = _random_dpi_instance(rng, (lo, hi), config.env_max)
             regenerated += regen
-            rep = dpi_remainder(rho, sigma, chan, rule)
-            row.update(
-                dim_in=chan.dim_in, dim_out=chan.dim_out, env_dim=chan.num_kraus,
-                lhs=rep.lhs, rhs_strong=rep.rhs_strong, rhs_mixture=rep.rhs_mixture,
-                slack_mixture=rep.slack_mixture, slack_strong=rep.slack_strong,
-            )
-            row["slack"] = min(rep.slack_mixture, rep.slack_strong)
+            row.update(_dpi_row(dpi_remainder(rho, sigma, chan, rule), chan))
         elif config.kind == "ssa":
             hi_f = max(lo, min(hi, 3))
-            da, db, dc = (int(rng.integers(lo, hi_f + 1)) for _ in range(3))
-            rho_abc = random_density(da * db * dc, rng)
-            rep = ssa_remainder(rho_abc, (da, db, dc), rule)
-            row.update(dim_a=da, dim_b=db, dim_c=dc, lhs=rep.cmi, rhs=rep.rhs,
-                       slack=rep.slack)
+            dims = tuple(int(rng.integers(lo, hi_f + 1)) for _ in range(3))
+            rho_abc = random_density(int(np.prod(dims)), rng)
+            row.update(_ssa_row(ssa_remainder(rho_abc, dims, rule), dims))
         elif config.kind == "concavity":
             hi_f = max(lo, min(hi, 3))
             da = int(rng.integers(lo, hi_f + 1))
@@ -700,7 +711,7 @@ def sweep(config: SweepConfig) -> SweepResult:
             w = rng.dirichlet(np.ones(size))
             members = []
             for x in range(size):
-                s, regen = _well_conditioned_density(dim, rng, config.max_condition)
+                s, regen = _well_conditioned_density(dim, rng)
                 regenerated += regen
                 members.append((w[x], random_density(dim, rng), s))
             rep = joint_convexity_remainder(members, rule)

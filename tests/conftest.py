@@ -20,9 +20,7 @@ def rng():
     return np.random.default_rng(20240615)
 
 
-def random_dpi_instance(seed, dim_lo=2, dim_hi=5, env_max=4, max_condition=1e8):
+def random_dpi_instance(seed, dim_lo=2, dim_hi=5, env_max=4):
     """Seeded (rho, sigma, channel) triple with a well-conditioned sigma."""
-    rho, sigma, channel, _ = _random_dpi_instance(
-        seed, (dim_lo, dim_hi), env_max, max_condition
-    )
+    rho, sigma, channel, _ = _random_dpi_instance(seed, (dim_lo, dim_hi), env_max)
     return rho, sigma, channel

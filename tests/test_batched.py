@@ -26,6 +26,7 @@ from petzlab.verify import (
     dpi_remainder,
     finite_set_recovery_search,
     ssa_remainder,
+    truncation_convergence,
 )
 
 
@@ -128,7 +129,7 @@ class TestKrausStack:
 
 def counting(monkeypatch, name, modules):
     calls = []
-    original = getattr(linalg, name)
+    original = getattr(modules[0], name)
 
     def wrapper(*args, **kwargs):
         calls.append(name)
@@ -158,6 +159,26 @@ class TestWorkPerInstance:
         finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
         # each state and sigma, plus rotated_petz_family's own check of sigma
         assert len(residuals) <= len(states) + 2
+
+    def test_finite_set_search_reuses_its_base_slack(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
+        states = [rho, random_density(sigma.shape[0], 5)]
+        calls = counting(monkeypatch, "_fidelity_measurement", (verify,))
+        finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
+        # one evaluation per probe and per candidate; re-evaluating the base
+        # point for each gradient coordinate made 76
+        assert 0 < len(calls) <= 51
+
+    def test_truncation_study_takes_each_entropy_once(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(11, dim_lo=4, dim_hi=4)
+        entropies = counting(monkeypatch, "_relative_entropy", (verify,))
+        residuals = counting(monkeypatch, "hermiticity_residual",
+                             (linalg, entropy, verify, channels, recovery))
+        truncation_convergence(rho, sigma, chan, [1, 2, 3, 4], beta0_quadrature(33))
+        # D(rho||sigma), then D(rho_k||sigma_k), D(N(rho_k)||N(sigma_k)) and
+        # D(rho_k||recovered) per rank; only the caller's rho and sigma are checked
+        assert len(entropies) <= 13
+        assert len(residuals) <= 2
 
     def test_alpha_chain_builds_no_map_per_node(self, rng, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)

@@ -81,6 +81,21 @@ class TestVerifyDpi:
             for key in ("lhs", "rhs_mixture", "rhs_strong"):
                 assert row[key] == ref[key], key
 
+    def test_example_row_uses_sweep_columns(self, tmp_path, capsys):
+        report = tmp_path / "example.txt"
+        assert run(["verify-dpi", "--example", "classical", "--nodes", "33",
+                    "-o", str(report)]) == 0
+        row = parse_structured((tmp_path / "example.txt.summary").read_text())["rows"][0]
+        columns = list(sweep(SweepConfig(count=1, nodes=33)).rows[0])
+        assert list(row) == sorted(["instance"] + columns[2:])
+        assert row["instance"] == "classical"
+        assert row["slack"] == min(row["slack_mixture"], row["slack_strong"])
+
+    def test_dump_recovered_needs_fixed_input(self, tmp_path, capsys):
+        assert run(["verify-dpi", "--random", "1", "--nodes", "33",
+                    "--dump-recovered", str(tmp_path / "rec.txt")]) == 2
+        assert not (tmp_path / "rec.txt").exists()
+
     def test_partial_file_args_usage_error(self, capsys):
         assert run(["verify-dpi", "--rho", "only.txt"]) == 2
 
@@ -136,12 +151,45 @@ class TestVerifySsa:
         assert run(["verify-ssa", "--random", "2", "--nodes", "33", "--seed", "2"]) == 0
 
 
+    def test_random_rows_match_sweep(self, tmp_path, capsys):
+        report = tmp_path / "ssa.txt"
+        assert run(["verify-ssa", "--random", "3", "--seed", "2", "--nodes", "33",
+                    "-o", str(report)]) == 0
+        rows = parse_structured((tmp_path / "ssa.txt.summary").read_text())["rows"]
+        expected = sweep(SweepConfig(kind="ssa", dims=(2, 2), seed=2, count=3, nodes=33))
+        assert rows == expected.rows
+        assert "[ssa-2] lhs:" in capsys.readouterr().out
+
+
 class TestVerifyCorollaries:
     def test_runs_both(self, capsys):
         assert run(["verify-corollaries", "--random", "2", "--nodes", "33"]) == 0
         out = capsys.readouterr().out
         assert "concavity-0" in out
         assert "joint-convexity-0" in out
+
+
+    def test_rows_match_sweeps(self, tmp_path, capsys):
+        report = tmp_path / "cor.txt"
+        assert run(["verify-corollaries", "--random", "2", "--dims", "2..3", "--seed", "4",
+                    "--nodes", "33", "-o", str(report)]) == 0
+        rows = parse_structured((tmp_path / "cor.txt.summary").read_text())["rows"]
+        expected = [
+            row
+            for kind in ("concavity", "joint-convexity")
+            for row in sweep(SweepConfig(kind=kind, dims=(2, 3), seed=4, count=2,
+                                         nodes=33)).rows
+        ]
+        assert rows == expected
+        # one table holds both schemas; a cell a kind lacks reads "-"
+        table = parse_table(report.read_text())
+        assert [row["dim"] for row in table] == ["-", "-"] + [r["dim"] for r in expected[2:]]
+        assert [row["dim_a"] for row in table][2:] == ["-", "-"]
+
+    def test_size_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["verify-corollaries", "--random", "1", "--size", "3"])
+        assert info.value.code == 2
 
 
 class TestQec:
