@@ -40,7 +40,7 @@ print(f"universal map weights sum to {universal.weights.sum():.15f}")
 
 # --- normalization: a trivial channel needs no recovery ----------------
 identity_rec = pl.universal_recovery(sigma, pl.identity_channel(3), rule)
-dist = pl.choi_distance(identity_rec.as_channel(), pl.identity_channel(3))
+dist = pl.choi_distance(identity_rec, pl.identity_channel(3))
 print(f"identity channel -> identity map:  Choi distance {dist:.2e}")
 
 # --- stabilization: an untouched reference system stays untouched ------
@@ -51,7 +51,7 @@ big = pl.universal_recovery(
 lifted = pl.Channel(
     [pl.tensor_product(k, np.eye(2)) for k in universal.kraus], mode="tni"
 )
-dist = pl.choi_distance(big.as_channel(), lifted)
+dist = pl.choi_distance(big, lifted)
 print(f"stabilization:                     Choi distance {dist:.2e}")
 
 # --- every map in the family is CP and trace non-increasing ------------

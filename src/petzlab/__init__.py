@@ -9,7 +9,6 @@ of relative entropy, and approximate quantum error correction bounds.
 
 from .channels import (
     Channel,
-    assert_density,
     assert_positive,
     bit_flip_channel,
     channels_close,

@@ -24,28 +24,15 @@ DEFAULT_ATOL = 1e-10
 # state validation and construction
 # ---------------------------------------------------------------------------
 
-def assert_positive(mat: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Check Hermiticity and positivity; returns the array unchanged."""
+def assert_positive(mat: np.ndarray) -> np.ndarray:
+    """Check Hermiticity and positivity within ``DEFAULT_ATOL``; returns the
+    array unchanged."""
     mat = np.asarray(mat, dtype=complex)
-    dec = eig_hermitian(mat, herm_tol=max(atol, 1e-10))
+    dec = eig_hermitian(mat)
     lo = float(dec.eigenvalues[-1])
-    if lo < -atol * max(1.0, float(dec.eigenvalues[0])):
+    if lo < -DEFAULT_ATOL * max(1.0, float(dec.eigenvalues[0])):
         raise ValueError(f"operator is not PSD: minimum eigenvalue {lo:.3e}")
     return mat
-
-
-def assert_density(
-    rho: np.ndarray, subnormalized: bool = False, atol: float = DEFAULT_ATOL
-) -> np.ndarray:
-    """Check that ``rho`` is a density operator (unit trace unless flagged)."""
-    rho = assert_positive(rho, atol)
-    tr = float(np.trace(rho).real)
-    if subnormalized:
-        if not (0.0 < tr <= 1.0 + atol):
-            raise ValueError(f"subnormalized state needs 0 < trace <= 1, got {tr}")
-    elif abs(tr - 1.0) > atol:
-        raise ValueError(f"density operator trace deviates from 1 by {tr - 1.0:.3e}")
-    return rho
 
 
 def pure_state(vec) -> np.ndarray:
@@ -162,9 +149,6 @@ class Channel:
     @property
     def num_kraus(self) -> int:
         return self.kraus.shape[0]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Channel action ``sum_k K x K^dag``.
@@ -386,7 +370,6 @@ def truncate_project(rho: np.ndarray, k: int, reference: np.ndarray | None = Non
 
 __all__ = [
     "Channel",
-    "assert_density",
     "assert_positive",
     "basis_state",
     "bit_flip_channel",

@@ -29,6 +29,7 @@ from .channels import (
 from .entropy import LN2
 from .recovery import beta_quadrature
 from .verify import (
+    SWEEP_KINDS,
     SweepConfig,
     _dpi_row,
     _ssa_row,
@@ -38,16 +39,11 @@ from .verify import (
     sweep,
 )
 
+# row and summary entries that hold entropies, written in ``--unit``
 _ENTROPY_COLUMNS = {
     "lhs", "rhs", "rhs_mixture", "rhs_strong", "slack", "slack_mixture",
-    "slack_strong", "max_gap", "converse_bound",
+    "slack_strong", "gap", "max_gap", "min_slack", "mean_slack",
 }
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def _unit_scale(unit: str) -> float:
@@ -84,20 +80,13 @@ def _write_report(path: str | None, rows, summary, unit: str, fmt_columns=None):
     from . import __version__
 
     rows = _convert_rows(rows, unit)
-    summary = dict(summary)
+    summary = dict(_convert_rows([summary], unit)[0])
     summary["unit"] = unit
     summary.setdefault("version", __version__)
-    scale = _unit_scale(unit)
-    for key in list(summary):
-        if key in ("min_slack", "mean_slack") and isinstance(summary[key], float):
-            summary[key] = summary[key] * scale
-    try:
-        serialize.atomic_write_text(path, serialize.emit_table(rows, fmt_columns))
-        serialize.atomic_write_text(
-            path + ".summary", serialize.emit_structured({"rows": rows, "summary": summary})
-        )
-    except OSError as exc:
-        raise _CliError(f"cannot write report to {path}: {exc}", 3) from exc
+    serialize.atomic_write_text(path, serialize.emit_table(rows, fmt_columns))
+    serialize.atomic_write_text(
+        path + ".summary", serialize.emit_structured({"rows": rows, "summary": summary})
+    )
 
 
 def _print_values(pairs, unit: str):
@@ -108,20 +97,6 @@ def _print_values(pairs, unit: str):
             print(f"{label}: {shown:.12g}" + (f" ({unit})" if is_entropy else ""))
         else:
             print(f"{label}: {shown}")
-
-
-def _load_state_arg(path: str) -> np.ndarray:
-    try:
-        return serialize.load_state(path)
-    except OSError as exc:
-        raise _CliError(f"cannot read state file {path}: {exc}", 3) from exc
-
-
-def _load_channel_arg(path: str):
-    try:
-        return serialize.load_channel(path)
-    except OSError as exc:
-        raise _CliError(f"cannot read channel file {path}: {exc}", 3) from exc
 
 
 def _bundled(name: str) -> str:
@@ -182,12 +157,12 @@ def _cmd_verify_dpi(args) -> int:
         chan = serialize.load_channel(_bundled("classical_channel.txt"))
     elif args.rho or args.sigma or args.channel:
         if not (args.rho and args.sigma and args.channel):
-            raise _CliError("--rho, --sigma and --channel must be given together", 2)
+            raise ValueError("--rho, --sigma and --channel must be given together")
         name = "file"
-        rho, sigma = _load_state_arg(args.rho), _load_state_arg(args.sigma)
-        chan = _load_channel_arg(args.channel)
+        rho, sigma = serialize.load_state(args.rho), serialize.load_state(args.sigma)
+        chan = serialize.load_channel(args.channel)
     elif args.dump_recovered:
-        raise _CliError("--dump-recovered needs --example or --rho/--sigma/--channel", 2)
+        raise ValueError("--dump-recovered needs --example or --rho/--sigma/--channel")
     else:
         return _report_checks(args, _swept(args, "dpi", dims=_parse_dims(args.dims),
                                            env_max=args.env_max))
@@ -202,7 +177,7 @@ def _cmd_verify_dpi(args) -> int:
 
 def _cmd_verify_ssa(args) -> int:
     if args.state:
-        name, rho = "file", _load_state_arg(args.state)
+        name, rho = "file", serialize.load_state(args.state)
         dims = tuple(int(d) for d in args.state_dims.split(","))
     elif args.ghz:
         name, rho, dims = "ghz", ghz_state(3), (2, 2, 2)
@@ -354,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--dims", default="2..5")
     p.add_argument("--env-max", type=int, default=4)
-    p.add_argument("--kind", default="dpi",
-                   choices=("dpi", "ssa", "concavity", "joint-convexity"))
+    p.add_argument("--kind", default="dpi", choices=tuple(SWEEP_KINDS))
     p.add_argument("--timings", action="store_true",
                    help="add wall-time column (breaks byte reproducibility)")
     p.set_defaults(func=_cmd_sweep)
@@ -375,15 +349,10 @@ def _apply_config(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
         return argv
-    try:
-        with open(known.config) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise _CliError(f"cannot read config file {known.config}: {exc}", 3) from exc
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"config file {known.config} is not valid JSON: {exc}", 2) from exc
+    with open(known.config) as handle:
+        payload = json.load(handle)
     if not isinstance(payload, dict):
-        raise _CliError("config file must hold a JSON object", 2)
+        raise ValueError("config file must hold a JSON object")
     extra = []
     for key, value in payload.items():
         flag = "--" + key.replace("_", "-")
@@ -405,9 +374,6 @@ def main(argv=None) -> int:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
         # bad arguments or input the library cannot use
         print(f"error: {exc}", file=sys.stderr)

@@ -64,17 +64,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
     cutoff: float  # rank_cutoff of the eigenvalues
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues > self.cutoff))
-
-    def reconstruct(self) -> np.ndarray:
-        return _reconstruct(self.eigenvectors, self.eigenvalues)
-
 
 def hermiticity_residual(h: np.ndarray) -> float:
     """Relative spectral-norm deviation of ``h`` from its adjoint."""
@@ -219,11 +208,6 @@ def imaginary_power(h, t: float) -> np.ndarray:
     The result is unitary on the support.
     """
     return fun_on_support(h, lambda v: np.exp(1j * t * np.log(v)))
-
-
-def complex_power_on_support(h, z: complex) -> np.ndarray:
-    """``h**z`` on the support of PSD ``h`` for complex exponent ``z``."""
-    return fun_on_support(h, lambda v: np.exp(z * np.log(v)))
 
 
 def log_on_support(h) -> np.ndarray:

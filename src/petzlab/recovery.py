@@ -53,13 +53,6 @@ def beta_theta_density(t, theta: float):
     )
 
 
-def beta_densities(t, theta: float = 0.0):
-    """``beta0(t)`` for ``theta == 0``, else the pair ``(alpha_theta, beta_theta)``."""
-    if theta == 0.0:
-        return beta0_density(t)
-    return alpha_theta_density(t, theta), beta_theta_density(t, theta)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -147,7 +140,6 @@ class RecoveryMap(Channel):
         t: float | None = None,
         nodes=None,
         weights=None,
-        components=None,
         phases=None,
     ):
         super().__init__(kraus, mode="tni", atol=_TNI_TOL)
@@ -157,37 +149,10 @@ class RecoveryMap(Channel):
         self.t = t
         self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        self._components = None if components is None else tuple(components)
         self.phases = phases
 
     # an entry of its own, so that tracing can wrap it apart from Channel.apply
     apply = Channel.apply
-
-    @property
-    def components(self):
-        """Weighted parts of a mixture, or ``None`` for a single map.
-
-        A universal map stores no components: its rotated maps, one per
-        node, are rebuilt from the Kraus stack on each access.
-        """
-        if self._components is not None or self.kind != "mixture" or self.nodes is None:
-            return self._components
-        per_node = self.kraus.reshape(len(self.nodes), -1, self.dim_out, self.dim_in)
-        return tuple(
-            RecoveryMap("rotated", ops / np.sqrt(w), self.sigma, self.channel, t=t)
-            for t, w, ops in zip(self.nodes, self.weights, per_node)
-        )
-
-    def apply_components(self, x: np.ndarray) -> np.ndarray:
-        """Apply a mixture through its weighted components (for cross-checks)."""
-        components = self.components
-        if components is None:
-            return self.apply(x)
-        return sum(w * comp.apply(x) for w, comp in zip(self.weights, components))
-
-    def as_channel(self) -> Channel:
-        """The map itself, which already is a trace non-increasing channel."""
-        return self
 
 
 class _PetzFactory:
@@ -298,7 +263,7 @@ def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule
 
     Depends only on ``sigma`` and the channel.  The one Kraus stack holds
     every node's operators scaled by the square root of its weight, node
-    by node; ``components`` rebuilds the per-node maps from it on demand.
+    by node.
     """
     return _universal(_checked(sigma), channel, rule)
 
@@ -345,16 +310,22 @@ def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> Recov
     )
 
 
+def _check_simplex(weights) -> np.ndarray:
+    """``weights`` as a float array, checked to be a probability vector."""
+    weights = np.asarray(weights, dtype=float)
+    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
+        raise ValueError("weights must be nonnegative and sum to one")
+    return weights
+
+
 def convex_mixture(maps, weights) -> RecoveryMap:
     """Convex combination of recovery maps sharing the same spaces."""
     maps = list(maps)
     if not maps:
         raise ValueError("mixture needs at least one component")
-    weights = np.asarray(weights, dtype=float)
+    weights = _check_simplex(weights)
     if len(weights) != len(maps):
         raise ValueError("one weight per component required")
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to one")
     dims = {(m.dim_in, m.dim_out) for m in maps}
     if len(dims) != 1:
         raise ValueError(f"components act between different spaces: {dims}")
@@ -373,7 +344,6 @@ def convex_mixture(maps, weights) -> RecoveryMap:
         maps[0].channel,
         nodes=nodes,
         weights=weights,
-        components=maps,
     )
 
 
@@ -383,7 +353,6 @@ __all__ = [
     "alpha_theta_density",
     "beta0_density",
     "beta0_quadrature",
-    "beta_densities",
     "beta_quadrature",
     "beta_theta_density",
     "convex_mixture",

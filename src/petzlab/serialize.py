@@ -182,11 +182,7 @@ def dumps_recovery(rec: RecoveryMap) -> str:
 
 
 def loads_recovery(text: str) -> dict:
-    """Parse a recovery-map file into its header and Kraus list.
-
-    The flattened Kraus realization is returned as stored; mixture
-    components are not reconstructed.
-    """
+    """Parse a recovery-map file into its header and Kraus stack."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "petzlab recovery v1":
         raise ValueError("not a petzlab recovery file")
@@ -306,22 +302,12 @@ def parse_structured(text: str) -> dict:
     return _decode_non_finite(json.loads(text))
 
 
-def emit_report(rows, fmt: str = "table", columns=None, summary=None) -> str:
-    """Render results either as a table or as a structured document."""
-    if fmt == "table":
-        return emit_table(rows, columns)
-    if fmt == "structured":
-        return emit_structured({"rows": rows, "summary": summary or {}})
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
 __all__ = [
     "atomic_write_text",
     "channel_sha256",
     "dumps_channel",
     "dumps_recovery",
     "dumps_state",
-    "emit_report",
     "emit_structured",
     "emit_table",
     "load_channel",

@@ -35,6 +35,7 @@ from .recovery import (
     QuadratureRule,
     RecoveryMap,
     _PetzFactory,
+    _check_simplex,
     _universal,
     beta0_density,
     beta_quadrature,
@@ -226,13 +227,6 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
                      recovered_state=rec)
-
-
-def _check_simplex(weights, atol=1e-12):
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > atol:
-        raise ValueError("ensemble weights must be nonnegative and sum to one")
-    return weights
 
 
 @dataclass
@@ -607,14 +601,15 @@ class SweepConfig:
     env_max: int = 4
     nodes: int = 129
     tolerance: float = 1e-8
-    kind: str = "dpi"  # dpi | ssa | concavity | joint-convexity
+    kind: str = "dpi"  # a key of SWEEP_KINDS
     include_timings: bool = False
 
     def __post_init__(self):
-        lo, hi = (int(d) for d in self.dims)
+        self.dims = tuple(int(d) for d in self.dims)
+        lo, hi = self.dims
         if self.count < 0 or lo < 1 or hi < lo or self.nodes < 3:
             raise ValueError("invalid sweep configuration")
-        if self.kind not in ("dpi", "ssa", "concavity", "joint-convexity"):
+        if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
 
 
@@ -655,6 +650,12 @@ def _random_dpi_instance(rng, dims, env_max: int):
     return rho, sigma, random_channel(dim_in, dim_out, env, rng), regen
 
 
+def _small_factors(rng, dims, n: int) -> tuple:
+    """``n`` tensor factor dimensions drawn from ``dims = (lo, hi)`` capped at 3."""
+    lo, hi = dims
+    return tuple(int(rng.integers(lo, max(lo, min(hi, 3)) + 1)) for _ in range(n))
+
+
 def _dpi_row(rep: DpiReport, channel: Channel) -> dict:
     """The report columns of one DPI instance."""
     return dict(
@@ -671,13 +672,64 @@ def _ssa_row(rep: SsaReport, dims) -> dict:
     return dict(dim_a=da, dim_b=db, dim_c=dc, lhs=rep.cmi, rhs=rep.rhs, slack=rep.slack)
 
 
+def _ensemble_row(rep: EnsembleReport, **dims) -> dict:
+    """The report columns of one concavity or joint convexity instance."""
+    return dict(**dims, lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack)
+
+
+# Each sweep kind draws one instance from ``rng`` and checks it:
+# ``(rng, config, rule) -> (row, regenerations)``.
+
+def _sweep_dpi(rng, config: SweepConfig, rule: QuadratureRule):
+    rho, sigma, chan, regen = _random_dpi_instance(rng, config.dims, config.env_max)
+    return _dpi_row(dpi_remainder(rho, sigma, chan, rule), chan), regen
+
+
+def _sweep_ssa(rng, config: SweepConfig, rule: QuadratureRule):
+    dims = _small_factors(rng, config.dims, 3)
+    rho_abc = random_density(int(np.prod(dims)), rng)
+    return _ssa_row(ssa_remainder(rho_abc, dims, rule), dims), 0
+
+
+def _sweep_concavity(rng, config: SweepConfig, rule: QuadratureRule):
+    da, db = _small_factors(rng, config.dims, 2)
+    size = int(rng.integers(2, 4))
+    w = rng.dirichlet(np.ones(size))
+    members = [(w[x], random_density(da * db, rng)) for x in range(size)]
+    rep = concavity_remainder(members, (da, db), rule)
+    return _ensemble_row(rep, dim_a=da, dim_b=db, size=size), 0
+
+
+def _sweep_joint_convexity(rng, config: SweepConfig, rule: QuadratureRule):
+    lo, hi = config.dims
+    dim = int(rng.integers(lo, hi + 1))
+    size = int(rng.integers(2, 4))
+    w = rng.dirichlet(np.ones(size))
+    members = []
+    regenerated = 0
+    for x in range(size):
+        s, regen = _well_conditioned_density(dim, rng)
+        regenerated += regen
+        members.append((w[x], random_density(dim, rng), s))
+    rep = joint_convexity_remainder(members, rule)
+    return _ensemble_row(rep, dim=dim, size=size), regenerated
+
+
+SWEEP_KINDS = {
+    "dpi": _sweep_dpi,
+    "ssa": _sweep_ssa,
+    "concavity": _sweep_concavity,
+    "joint-convexity": _sweep_joint_convexity,
+}
+
+
 def sweep(config: SweepConfig) -> SweepResult:
     """Run ``config.count`` seeded random instances of one inequality.
 
     All randomness descends from the root seed through per-instance
     spawned seed sequences, so reruns reproduce every row exactly.
     """
-    lo, hi = (int(d) for d in config.dims)
+    check = SWEEP_KINDS[config.kind]
     children = np.random.SeedSequence(config.seed).spawn(max(config.count, 1))
     rule = beta_quadrature(config.nodes)
     rows = []
@@ -685,37 +737,9 @@ def sweep(config: SweepConfig) -> SweepResult:
     for i in range(config.count):
         rng = np.random.default_rng(children[i])
         t0 = time.perf_counter()
-        row = {"instance": i, "seed": config.seed}
-        if config.kind == "dpi":
-            rho, sigma, chan, regen = _random_dpi_instance(rng, (lo, hi), config.env_max)
-            regenerated += regen
-            row.update(_dpi_row(dpi_remainder(rho, sigma, chan, rule), chan))
-        elif config.kind == "ssa":
-            hi_f = max(lo, min(hi, 3))
-            dims = tuple(int(rng.integers(lo, hi_f + 1)) for _ in range(3))
-            rho_abc = random_density(int(np.prod(dims)), rng)
-            row.update(_ssa_row(ssa_remainder(rho_abc, dims, rule), dims))
-        elif config.kind == "concavity":
-            hi_f = max(lo, min(hi, 3))
-            da = int(rng.integers(lo, hi_f + 1))
-            db = int(rng.integers(lo, hi_f + 1))
-            size = int(rng.integers(2, 4))
-            w = rng.dirichlet(np.ones(size))
-            members = [(w[x], random_density(da * db, rng)) for x in range(size)]
-            rep = concavity_remainder(members, (da, db), rule)
-            row.update(dim_a=da, dim_b=db, size=size, lhs=rep.lhs, rhs=rep.rhs,
-                       slack=rep.slack)
-        else:  # joint-convexity
-            dim = int(rng.integers(lo, hi + 1))
-            size = int(rng.integers(2, 4))
-            w = rng.dirichlet(np.ones(size))
-            members = []
-            for x in range(size):
-                s, regen = _well_conditioned_density(dim, rng)
-                regenerated += regen
-                members.append((w[x], random_density(dim, rng), s))
-            rep = joint_convexity_remainder(members, rule)
-            row.update(dim=dim, size=size, lhs=rep.lhs, rhs=rep.rhs, slack=rep.slack)
+        columns, regen = check(rng, config, rule)
+        regenerated += regen
+        row = {"instance": i, "seed": config.seed, **columns}
         if config.include_timings:
             row["wall_time"] = time.perf_counter() - t0
         rows.append(row)
@@ -745,6 +769,7 @@ __all__ = [
     "DpiReport",
     "EnsembleReport",
     "QecReport",
+    "SWEEP_KINDS",
     "SearchResult",
     "SsaReport",
     "SweepConfig",

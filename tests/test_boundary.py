@@ -23,7 +23,6 @@ from petzlab.entropy import (
     von_neumann_entropy,
 )
 from petzlab.linalg import (
-    complex_power_on_support,
     eig_hermitian,
     fun_on_support,
     imaginary_power,
@@ -75,7 +74,6 @@ CASES = {
     "fun_on_support": lambda h: fun_on_support(h, np.sqrt),
     "power_on_support": lambda h: power_on_support(h, 0.5),
     "imaginary_power": lambda h: imaginary_power(h, 0.3),
-    "complex_power_on_support": lambda h: complex_power_on_support(h, 0.5 + 0.2j),
     "log_on_support": log_on_support,
     "sqrtm_psd": sqrtm_psd,
     "support_projector": support_projector,

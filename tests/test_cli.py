@@ -204,6 +204,24 @@ class TestQec:
         assert run(["qec", "--code", "random", "--dim", "4", "--code-dim", "2",
                     "--samples", "4", "--nodes", "33", "--seed", "8"]) == 0
 
+    def test_bits_report_converts_gaps(self, tmp_path, capsys):
+        # the table's gap column and the summary's max_gap follow --unit
+        base = ["qec", "--code", "random", "--samples", "3", "--nodes", "33"]
+        docs = {}
+        for unit in ("nats", "bits"):
+            path = tmp_path / f"{unit}.txt"
+            assert run(base + ["--unit", unit, "-o", str(path)]) == 0
+            docs[unit] = parse_structured((tmp_path / f"{unit}.txt.summary").read_text())
+        nats, bits = docs["nats"], docs["bits"]
+        assert bits["summary"]["unit"] == "bits"
+        assert len(bits["rows"]) == len(nats["rows"]) == 3
+        for row_n, row_b in zip(nats["rows"], bits["rows"]):
+            assert row_b["gap"] == pytest.approx(row_n["gap"] / math.log(2), rel=1e-11)
+            assert row_b["fidelity"] == row_n["fidelity"]
+        assert bits["summary"]["max_gap"] == pytest.approx(
+            nats["summary"]["max_gap"] / math.log(2), rel=1e-11
+        )
+
     def test_rank_deficient_recovered_state(self, capsys):
         # the recovered pure code state has an eigenvalue of -2.1e-15, below
         # the rank cutoff -1.8e-15 that fidelity once rejected
@@ -251,6 +269,32 @@ class TestSweep:
         assert "wall_time" in out.read_text().splitlines()[1]
         run(["sweep", "--count", "2", "--nodes", "33", "-o", str(out)])
         assert "wall_time" not in out.read_text().splitlines()[1]
+
+
+class TestIoErrors:
+    @pytest.mark.parametrize("missing_flag", ["--rho", "--sigma", "--channel"])
+    def test_missing_input_file(self, missing_flag, tmp_path, capsys):
+        save_state(str(tmp_path / "state.txt"), random_density(2, 1))
+        save_channel(str(tmp_path / "chan.txt"), identity_channel(2))
+        files = {"--rho": tmp_path / "state.txt", "--sigma": tmp_path / "state.txt",
+                 "--channel": tmp_path / "chan.txt"}
+        files[missing_flag] = tmp_path / "missing.txt"
+        args = ["verify-dpi", "--nodes", "17"]
+        for flag, path in files.items():
+            args += [flag, str(path)]
+        assert run(args) == 3
+        assert str(tmp_path / "missing.txt") in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["sweep", "--count", "1", "--config", str(missing)]) == 3
+        assert str(missing) in capsys.readouterr().err
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run(["sweep", "--count", "1", "--nodes", "17",
+                    "-o", str(missing / "r.txt")]) == 3
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestUsageErrors:

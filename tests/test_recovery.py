@@ -23,7 +23,6 @@ from petzlab.recovery import (
     alpha_theta_density,
     beta0_density,
     beta0_quadrature,
-    beta_densities,
     beta_quadrature,
     beta_theta_density,
     convex_mixture,
@@ -32,7 +31,6 @@ from petzlab.recovery import (
     petz,
     phase_rotated_petz,
     rotated_petz,
-    rotated_petz_family,
     universal_recovery,
 )
 
@@ -68,12 +66,6 @@ class TestDensities:
                 at = float(np.trapezoid(alpha_theta_density(t, theta), t))
                 assert bt == pytest.approx(1.0, abs=1e-9)
                 assert at == pytest.approx(1.0, abs=1e-9)
-
-    def test_beta_densities_dispatch(self):
-        assert beta_densities(0.3) == pytest.approx(beta0_density(0.3))
-        a, b = beta_densities(0.3, 0.4)
-        assert a == pytest.approx(alpha_theta_density(0.3, 0.4))
-        assert b == pytest.approx(beta_theta_density(0.3, 0.4))
 
     def test_theta_range(self):
         with pytest.raises(ValueError):
@@ -114,7 +106,7 @@ class TestPetz:
     def test_identity_channel_full_rank(self, rng):
         sigma = random_density(3, rng)
         rec = petz(sigma, identity_channel(3))
-        assert channels_close(rec.as_channel(), identity_channel(3), tol=1e-9)
+        assert channels_close(rec, identity_channel(3), tol=1e-9)
 
     def test_full_depolarizing_closed_form(self, rng):
         sigma = random_density(3, rng)
@@ -194,7 +186,7 @@ class TestRotatedPetz:
         base = petz(sigma, chan)
         for t in (-1.5, 0.4, 2.0):
             rot = rotated_petz(sigma, chan, t)
-            assert choi_distance(rot.as_channel(), base.as_channel()) <= 1e-10
+            assert choi_distance(rot, base) <= 1e-10
 
     def test_recovers_sigma_any_t(self, rng):
         sigma = random_density(3, rng)
@@ -211,7 +203,7 @@ class TestRotatedPetz:
         dists = []
         for delta in (0.2, 0.1, 0.05):
             moved = rotated_petz(sigma, chan, 0.7 + delta)
-            dists.append(choi_distance(base.as_channel(), moved.as_channel()))
+            dists.append(choi_distance(base, moved))
         # roughly linear shrinkage with delta
         assert dists[0] > dists[1] > dists[2] > 0
         assert dists[0] / dists[2] == pytest.approx(4.0, rel=0.35)
@@ -223,7 +215,6 @@ class TestUniversalRecovery:
         rec = universal_recovery(sigma, random_channel(3, 2, 2, rng), beta0_quadrature(33))
         assert isinstance(rec, Channel)
         assert rec.mode == "tni"
-        assert rec.as_channel() is rec
         assert rec.kraus.shape == (33 * 2, 3, 2)
         # the tracer in bench/ wraps these two entries of the class itself
         assert {"__init__", "apply"} <= set(vars(RecoveryMap))
@@ -241,17 +232,6 @@ class TestUniversalRecovery:
                            beta0_quadrature(129))
         assert calls == ["mixture"]
 
-    def test_components_are_the_rotated_maps(self, rng):
-        rule = beta0_quadrature(17)
-        sigma = random_density(3, rng)
-        chan = random_channel(3, 2, 2, rng)
-        rec = universal_recovery(sigma, chan, rule)
-        family = rotated_petz_family(sigma, chan, rule.nodes / 2.0)
-        assert len(rec.components) == len(family)
-        for comp, ref in zip(rec.components, family):
-            assert comp.kind == "rotated" and comp.t == ref.t
-            np.testing.assert_allclose(comp.kraus, ref.kraus, atol=1e-12)
-
     def test_perfect_reconstruction(self, rng):
         rule = beta0_quadrature(65)
         sigma = random_density(4, rng)
@@ -264,7 +244,7 @@ class TestUniversalRecovery:
         rule = beta0_quadrature(65)
         sigma = random_density(3, rng)
         rec = universal_recovery(sigma, identity_channel(3), rule)
-        assert choi_distance(rec.as_channel(), identity_channel(3)) <= 1e-8
+        assert choi_distance(rec, identity_channel(3)) <= 1e-8
 
     def test_projects_outside_support(self, rng):
         rule = beta0_quadrature(33)
@@ -286,7 +266,7 @@ class TestUniversalRecovery:
         lifted = Channel(
             [tensor_product(k, np.eye(2)) for k in small.kraus], mode="tni"
         )
-        assert choi_distance(big.as_channel(), lifted) <= 1e-8
+        assert choi_distance(big, lifted) <= 1e-8
 
     def test_trace_preserving_on_support(self, rng):
         rule = beta0_quadrature(33)
@@ -306,21 +286,14 @@ class TestUniversalRecovery:
         low = float(np.min(np.linalg.eigvalsh(rec.choi())))
         assert low >= -1e-9
 
-    def test_flat_vs_component_application(self, rng):
-        rule = beta0_quadrature(33)
-        sigma = random_density(3, rng)
-        chan = random_channel(3, 2, 2, rng)
-        rec = universal_recovery(sigma, chan, rule)
-        x = random_density(2, rng)
-        np.testing.assert_allclose(
-            rec.apply(x), rec.apply_components(x), atol=1e-12
-        )
-
     def test_per_node_fidelity_matches_boundary_norm(self, rng):
         # the trace norm of the assembled boundary product at parameter t
         # equals the fidelity of the rotated recovery at t/2
         from petzlab.entropy import fidelity
-        from petzlab.linalg import complex_power_on_support, sqrtm_psd
+        from petzlab.linalg import fun_on_support, sqrtm_psd
+
+        def power(h, z):
+            return fun_on_support(h, lambda v: np.exp(z * np.log(v)))
 
         sigma = random_density(3, rng)
         rho = random_density(3, rng)
@@ -331,13 +304,11 @@ class TestUniversalRecovery:
         env = chan.num_kraus
         for t in (-1.3, 0.0, 0.8):
             z = 0.5 * (1.0 + 1j * t)
-            left = complex_power_on_support(out_rho, z) @ complex_power_on_support(
-                out_sigma, -z
-            )
+            left = power(out_rho, z) @ power(out_sigma, -z)
             mat = (
                 np.kron(left, np.eye(env))
                 @ iso
-                @ complex_power_on_support(sigma, z)
+                @ power(sigma, z)
                 @ sqrtm_psd(rho)
             )
             norm1 = float(np.sum(np.linalg.svd(mat, compute_uv=False)))
@@ -387,7 +358,7 @@ class TestPhaseRotated:
         base = phase_rotated_petz(sigma, chan, [0.0], [0.0])
         for phi in (0.3, 1.0, 4.0):
             other = phase_rotated_petz(sigma, chan, [phi], [2.0 * phi])
-            assert choi_distance(base.as_channel(), other.as_channel()) <= 1e-12
+            assert choi_distance(base, other) <= 1e-12
 
     def test_phase_length_mismatch(self, rng):
         sigma = random_density(3, rng)
@@ -408,14 +379,14 @@ class TestConvexMixture:
         chan = random_channel(3, 2, 2, rng)
         base = petz(sigma, chan)
         mix = convex_mixture([base], [1.0])
-        assert choi_distance(mix.as_channel(), base.as_channel()) <= 1e-12
+        assert choi_distance(mix, base) <= 1e-12
 
     def test_self_mixture(self, rng):
         sigma = random_density(3, rng)
         chan = random_channel(3, 2, 2, rng)
         base = petz(sigma, chan)
         mix = convex_mixture([base, base], [0.5, 0.5])
-        assert choi_distance(mix.as_channel(), base.as_channel()) <= 1e-12
+        assert choi_distance(mix, base) <= 1e-12
 
     def test_two_rotations_recover_sigma(self, rng):
         sigma = random_density(3, rng)

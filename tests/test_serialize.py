@@ -11,7 +11,6 @@ from petzlab.serialize import (
     dumps_channel,
     dumps_recovery,
     dumps_state,
-    emit_report,
     emit_structured,
     emit_table,
     load_channel,
@@ -137,15 +136,6 @@ class TestReports:
             "summary": {"min_slack": -3.3e-17, "count": 2},
         }
         assert parse_structured(emit_structured(payload)) == payload
-
-    def test_emit_report_formats(self):
-        rows = [{"x": 1.0}]
-        assert "x" in emit_report(rows, "table")
-        doc = parse_structured(emit_report(rows, "structured", summary={"n": 1}))
-        assert doc["rows"] == rows
-        assert doc["summary"] == {"n": 1}
-        with pytest.raises(ValueError, match="format"):
-            emit_report(rows, "yaml")
 
     def test_deterministic_bytes(self):
         rows = [{"b": 2.0, "a": 1.0}]
