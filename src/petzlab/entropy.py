@@ -24,6 +24,8 @@ from .linalg import (
 )
 
 LN2 = float(np.log(2.0))
+# Absolute slack of a POVM's effect eigenvalues and of its sum's distance to id.
+POVM_TOL = 1e-10
 
 
 def nats_to_bits(x: float) -> float:
@@ -36,9 +38,9 @@ def bits_to_nats(x: float) -> float:
 
 def _von_neumann(rho) -> float:
     """Entropy of a checked or built state from its eigenvalues above the
-    rank cutoff; sub-cutoff negativity is dropped, never raised."""
-    dec = eig_hermitian(rho, herm_tol=np.inf)
-    lam = dec.eigenvalues[dec.eigenvalues > dec.cutoff]
+    rank cutoff, under the PSD rule of ``_psd_eigensystem``."""
+    vals = _psd_eigensystem(rho)[0]
+    lam = vals[vals > 0.0]
     if lam.size == 0:
         return 0.0
     return float(-np.sum(lam * np.log(lam)))
@@ -150,18 +152,18 @@ def fannes_audenaert_bound(eps: float, d: int) -> float:
 # measured relative entropy
 # ---------------------------------------------------------------------------
 
-def validate_povm(effects, dim: int, atol: float = 1e-10):
-    """Check that the effects are PSD and sum to the identity."""
+def validate_povm(effects, dim: int):
+    """Check that the effects are PSD and sum to the identity, within ``POVM_TOL``."""
     effects = [np.asarray(m, dtype=complex) for m in effects]
     total = np.zeros((dim, dim), dtype=complex)
     for m in effects:
         if m.shape != (dim, dim):
             raise ValueError(f"effect of shape {m.shape} does not match dim {dim}")
         lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + dagger(m)))))
-        if lo < -atol:
+        if lo < -POVM_TOL:
             raise ValueError(f"POVM effect has negative eigenvalue {lo:.3e}")
         total += m
-    if np.linalg.norm(total - np.eye(dim), 2) > atol:
+    if np.linalg.norm(total - np.eye(dim), 2) > POVM_TOL:
         raise ValueError("POVM effects do not sum to the identity")
     return effects
 

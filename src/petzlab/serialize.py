@@ -23,63 +23,87 @@ from .recovery import RecoveryMap
 _PAIR = re.compile(r"\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _floats(values) -> str:
+    return "none" if values is None else " ".join("%.17g" % x for x in values)
 
 
-def _matrix_lines(mat: np.ndarray):
-    return [
-        " ".join(f"({_fmt(v.real)}, {_fmt(v.imag)})" for v in row) for row in mat
-    ]
+def _dumps(kind: str, head: dict, stack, blocks: bool = True) -> str:
+    """A ``petzlab <kind> v1`` file: one ``key value`` line per item of
+    ``head``, then each matrix of the ``(n, rows, cols)`` ``stack`` as rows of
+    ``(re, im)`` pairs, after a ``block k`` line when ``blocks`` is set."""
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    _, rows, cols = stack.shape
+    matrix = "\n".join([" ".join(["(%.17g, %.17g)"] * cols)] * rows)
+    lines = [f"petzlab {kind} v1"] + [f"{key} {val}" for key, val in head.items()]
+    for k, mat in enumerate(stack):
+        if blocks:
+            lines.append(f"block {k}")
+        lines.append(matrix % tuple(mat.view(np.float64).ravel().tolist()))
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
-def _parse_matrix(lines, dim_rows: int, dim_cols: int) -> np.ndarray:
-    if len(lines) != dim_rows:
-        raise ValueError(f"expected {dim_rows} matrix rows, got {len(lines)}")
-    out = np.empty((dim_rows, dim_cols), dtype=complex)
-    for i, line in enumerate(lines):
-        pairs = _PAIR.findall(line)
-        if len(pairs) != dim_cols:
-            raise ValueError(f"row {i} has {len(pairs)} entries, expected {dim_cols}")
-        out[i] = [float(a) + 1j * float(b) for a, b in pairs]
-    return out
-
-
-def _kraus_lines(kraus) -> list:
-    """One ``block k`` header and the matrix rows of each Kraus operator."""
-    lines = []
-    for k, op in enumerate(kraus):
-        lines.append(f"block {k}")
-        lines += _matrix_lines(op)
-    return lines
-
-
-def _parse_kraus(lines, head: dict) -> list:
-    """Inverse of ``_kraus_lines``, sized by the ``kraus``, ``dim_in`` and
-    ``dim_out`` fields of a file's ``head``; ``lines`` start at ``block 0``."""
-    n_kraus, dim_in, dim_out = (int(head[key]) for key in ("kraus", "dim_in", "dim_out"))
-    ops = []
-    cursor = 0
-    for k in range(n_kraus):
-        if lines[cursor] != f"block {k}":
-            raise ValueError(f"missing Kraus block {k}")
-        cursor += 1
-        ops.append(_parse_matrix(lines[cursor : cursor + dim_out], dim_out, dim_in))
-        cursor += dim_out
-    return ops
+def _loads(text: str, kind: str, fields, blocks: bool = True):
+    """Inverse of ``_dumps``: the header (every name in ``fields`` exactly
+    once, in any order; the sizes among them as positive ints) and the
+    ``(n, rows, cols)`` stack sized by ``kraus``, ``dim_out`` and ``dim_in``
+    (``dim`` for a block-less state).  Any malformed text is a ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != f"petzlab {kind} v1":
+        raise ValueError(f"not a petzlab {kind} file")
+    head = {}
+    for line in lines[1 : 1 + len(fields)]:
+        key, _, val = line.strip().partition(" ")
+        if key not in fields or key in head:
+            raise ValueError(f"unexpected header line {line!r}")
+        head[key] = val.strip()
+    if len(head) != len(fields):
+        raise ValueError(f"missing header fields {sorted(set(fields) - set(head))}")
+    for key in ("kraus", "dim_out", "dim_in") if blocks else ("dim",):
+        if not head[key].isdecimal() or int(head[key]) < 1:
+            raise ValueError(f"{key} must be a positive integer, got {head[key]!r}")
+        head[key] = int(head[key])
+    if blocks:
+        n, rows, cols = head["kraus"], head["dim_out"], head["dim_in"]
+    else:
+        n, rows, cols = 1, head["dim"], head["dim"]
+    body = lines[1 + len(fields) :]
+    per = rows + blocks
+    if len(body) != n * per:
+        raise ValueError(f"expected {n * per} lines after the header, got {len(body)}")
+    try:
+        out = np.empty((n, rows, cols, 2))
+    except MemoryError:
+        raise ValueError(f"sizes {n} x {rows} x {cols} do not fit in memory") from None
+    for k in range(n):
+        if blocks and body[k * per] != f"block {k}":
+            raise ValueError(f"missing block {k}")
+        for i, line in enumerate(body[k * per + blocks : (k + 1) * per]):
+            pairs = _PAIR.findall(line)
+            if len(pairs) != cols:
+                raise ValueError(
+                    f"row {i} of block {k} has {len(pairs)} entries, expected {cols}"
+                )
+            out[k, i] = pairs
+    return head, out.view(complex)[..., 0]
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temporary file in the target directory, then rename.
+
+    An ``OSError`` names ``path``, never the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".petzlab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".petzlab-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -88,18 +112,11 @@ def atomic_write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def dumps_state(mat: np.ndarray) -> str:
-    mat = np.asarray(mat, dtype=complex)
-    lines = ["petzlab state v1", f"dim {mat.shape[0]}"]
-    lines += _matrix_lines(mat)
-    return "\n".join(lines) + "\n"
+    return _dumps("state", {"dim": len(mat)}, [mat], blocks=False)
 
 
 def loads_state(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "petzlab state v1":
-        raise ValueError("not a petzlab state file")
-    dim = int(lines[1].split()[1])
-    return _parse_matrix(lines[2 : 2 + dim], dim, dim)
+    return _loads(text, "state", ("dim",), blocks=False)[1][0]
 
 
 def save_state(path: str, mat: np.ndarray) -> None:
@@ -116,25 +133,18 @@ def load_state(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dumps_channel(channel: Channel) -> str:
-    lines = [
-        "petzlab channel v1",
-        f"mode {channel.mode}",
-        f"dim_in {channel.dim_in}",
-        f"dim_out {channel.dim_out}",
-        f"kraus {channel.num_kraus}",
-    ]
-    return "\n".join(lines + _kraus_lines(channel.kraus)) + "\n"
+    head = {
+        "mode": channel.mode,
+        "dim_in": channel.dim_in,
+        "dim_out": channel.dim_out,
+        "kraus": channel.num_kraus,
+    }
+    return _dumps("channel", head, channel.kraus)
 
 
 def loads_channel(text: str) -> Channel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "petzlab channel v1":
-        raise ValueError("not a petzlab channel file")
-    head = {}
-    for ln in lines[1:5]:
-        key, val = ln.split()
-        head[key] = val
-    return Channel(_parse_kraus(lines[5:], head), mode=head["mode"])
+    head, kraus = _loads(text, "channel", ("mode", "dim_in", "dim_out", "kraus"))
+    return Channel(kraus, mode=head["mode"])
 
 
 def save_channel(path: str, channel: Channel) -> None:
@@ -159,47 +169,32 @@ def channel_sha256(channel: Channel) -> str:
 # ---------------------------------------------------------------------------
 
 def dumps_recovery(rec: RecoveryMap) -> str:
-    lines = [
-        "petzlab recovery v1",
-        f"kind {rec.kind}",
-        f"sigma_sha256 {state_sha256(rec.sigma)}",
-        f"channel_sha256 {channel_sha256(rec.channel)}",
-    ]
-    if rec.nodes is None:
-        lines.append("tnodes none")
-    else:
-        lines.append("tnodes " + " ".join(_fmt(t) for t in rec.nodes))
-    if rec.weights is None:
-        lines.append("weights none")
-    else:
-        lines.append("weights " + " ".join(_fmt(w) for w in rec.weights))
-    lines += [
-        f"dim_in {rec.dim_in}",
-        f"dim_out {rec.dim_out}",
-        f"kraus {rec.kraus.shape[0]}",
-    ]
-    return "\n".join(lines + _kraus_lines(rec.kraus)) + "\n"
+    head = {
+        "kind": rec.kind,
+        "sigma_sha256": state_sha256(rec.sigma),
+        "channel_sha256": channel_sha256(rec.channel),
+        "tnodes": _floats(rec.nodes),
+        "weights": _floats(rec.weights),
+        "dim_in": rec.dim_in,
+        "dim_out": rec.dim_out,
+        "kraus": rec.kraus.shape[0],
+    }
+    return _dumps("recovery", head, rec.kraus)
+
+
+_RECOVERY_FIELDS = ("kind", "sigma_sha256", "channel_sha256", "tnodes", "weights",
+                    "dim_in", "dim_out", "kraus")
 
 
 def loads_recovery(text: str) -> dict:
     """Parse a recovery-map file into its header and Kraus stack."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "petzlab recovery v1":
-        raise ValueError("not a petzlab recovery file")
-    head = {}
-    cursor = 1
-    while not lines[cursor].startswith("block "):
-        key, _, val = lines[cursor].partition(" ")
-        head[key] = val
-        cursor += 1
-        if cursor >= len(lines):
-            break
+    head, kraus = _loads(text, "recovery", _RECOVERY_FIELDS)
     for key in ("tnodes", "weights"):
-        if head.get(key, "none") == "none":
+        if head[key] == "none":
             head[key] = None
         else:
             head[key] = np.array([float(v) for v in head[key].split()])
-    head["kraus"] = np.stack(_parse_kraus(lines[cursor:], head))
+    head["kraus"] = kraus
     return head
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ class TestVerifyDpi:
 
     def test_partial_file_args_usage_error(self, capsys):
         assert run(["verify-dpi", "--rho", "only.txt"]) == 2
+
+    @pytest.mark.parametrize("cut", ["--rho", "--channel"])
+    def test_truncated_input_file_usage_error(self, cut, tmp_path, capsys):
+        files = {"--rho": tmp_path / "rho.txt", "--sigma": tmp_path / "sigma.txt",
+                 "--channel": tmp_path / "chan.txt"}
+        save_state(str(files["--rho"]), random_density(2, 1))
+        save_state(str(files["--sigma"]), random_density(2, 2))
+        save_channel(str(files["--channel"]), random_channel(2, 2, 2, 3))
+        # keep the magic line of the state file, and the channel file's
+        # header without its Kraus blocks
+        keep = 1 if cut == "--rho" else 5
+        lines = files[cut].read_text().splitlines(keepends=True)
+        files[cut].write_text("".join(lines[:keep]))
+        args = ["verify-dpi", "--nodes", "17"]
+        for flag, path in files.items():
+            args += [flag, str(path)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_missing_file_io_error(self, capsys):
         code = run(
@@ -295,6 +315,14 @@ class TestIoErrors:
         assert run(["sweep", "--count", "1", "--nodes", "17",
                     "-o", str(missing / "r.txt")]) == 3
         assert str(missing) in capsys.readouterr().err
+
+    def test_output_error_names_the_report_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["sweep", "--count", "1", "--nodes", "17",
+                    "-o", "missing-dir/r.txt"]) == 3
+        err = capsys.readouterr().err
+        assert "missing-dir/r.txt" in err and ".petzlab-" not in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestUsageErrors:

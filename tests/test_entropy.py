@@ -184,6 +184,30 @@ class TestConditionalMutualInformation:
             assert conditional_mutual_information(rho, (2, 2, 2)) >= -1e-9
 
 
+def _entropies_of(negative):
+    """The entropy calls on a qubit state with eigenvalue ``negative``."""
+    rho = np.diag([1.0 - negative, negative]).astype(complex)
+    rho_abc = tensor_product(rho, maximally_mixed(2), maximally_mixed(2))
+    return [
+        lambda: von_neumann_entropy(rho),
+        lambda: relative_entropy(rho, maximally_mixed(2)),
+        lambda: conditional_mutual_information(rho_abc, (2, 2, 2)),
+    ]
+
+
+class TestPsdFloor:
+    """The entropies hold input to the PSD rule that ``fidelity`` applies."""
+
+    def test_negative_eigenvalue_raises(self):
+        for call in _entropies_of(-0.2):
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                call()
+
+    def test_rounding_negativity_is_clamped(self):
+        for call in _entropies_of(-1e-17):
+            assert math.isfinite(call())
+
+
 class TestBinaryEntropyAndBounds:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0

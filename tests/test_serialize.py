@@ -1,8 +1,10 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import petzlab
 from petzlab.channels import random_channel, random_density
 from petzlab.recovery import beta0_quadrature, petz, universal_recovery
 from petzlab.serialize import (
@@ -47,6 +49,12 @@ class TestStateFormat:
     def test_rejects_other_files(self):
         with pytest.raises(ValueError, match="state"):
             loads_state("petzlab channel v1\n")
+
+    def test_signed_zeros_survive(self):
+        rho = np.array(
+            [[complex(-0.0, -0.0), complex(0.5, -0.0)], [complex(-0.0, 0.5), 1.0]]
+        )
+        assert loads_state(dumps_state(rho)).tobytes() == rho.tobytes()
 
 
 class TestChannelFormat:
@@ -96,6 +104,109 @@ class TestRecoveryFormat:
         head = loads_recovery(dumps_recovery(petz(sigma, chan)))
         assert head["kind"] == "petz"
         assert head["tnodes"] is None
+
+
+def _recovery_text():
+    sigma, chan = random_density(2, 3), random_channel(2, 2, 2, 4)
+    return dumps_recovery(universal_recovery(sigma, chan, beta0_quadrature(3)))
+
+
+# one d = 2 file of each format and its loader
+FILES = {
+    "state": (lambda: dumps_state(random_density(2, 1)), loads_state),
+    "channel": (lambda: dumps_channel(random_channel(2, 2, 2, 2)), loads_channel),
+    "recovery": (_recovery_text, loads_recovery),
+}
+
+
+def _first_row(lines):
+    return next(i for i, line in enumerate(lines) if line.startswith("("))
+
+
+def _swap_blocks(lines):
+    i, j = lines.index("block 0"), lines.index("block 1")
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _size_line(lines):
+    """Index of the ``dim`` (state) or ``dim_in`` (channel, recovery) line."""
+    return next(i for i, ln in enumerate(lines) if ln.split()[0] in ("dim", "dim_in"))
+
+
+def _drop_field(lines):
+    del lines[_size_line(lines)]
+    return lines
+
+
+def _set_field(value):
+    def mutate(lines):
+        i = _size_line(lines)
+        lines[i] = f"{lines[i].split()[0]} {value}"
+        return lines
+    return mutate
+
+
+def _repeat_field(lines):
+    return lines[:2] + lines[1:]
+
+
+def _edit_row(edit):
+    def mutate(lines):
+        i = _first_row(lines)
+        lines[i] = edit(lines[i])
+        return lines
+    return mutate
+
+
+MALFORMED = {
+    "extra row": lambda lines: lines + [lines[-1]],
+    "pair too many": _edit_row(lambda row: row + " (0, 0)"),
+    "pair too few": _edit_row(lambda row: row.rsplit(" (", 1)[0]),
+    "non-numeric entry": _edit_row(lambda row: "(abc" + row[row.index(","):]),
+    "missing size field": _drop_field,
+    "repeated size field": _repeat_field,
+    "non-integer size": _set_field("two"),
+    "zero size": _set_field("0"),
+    "unallocatable size": _set_field(10**15),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("fmt", sorted(FILES))
+    def test_every_line_prefix_raises_value_error(self, fmt):
+        make, loads = FILES[fmt]
+        lines = make().splitlines()
+        for cut in range(len(lines)):
+            with pytest.raises(ValueError):
+                loads("\n".join(lines[:cut]) + "\n")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("fmt", sorted(FILES))
+    def test_malformed_raises_value_error(self, fmt, case):
+        make, loads = FILES[fmt]
+        lines = make().splitlines()
+        loads("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            loads("\n".join(MALFORMED[case](lines)) + "\n")
+
+    @pytest.mark.parametrize("fmt", ["channel", "recovery"])
+    def test_blocks_out_of_order(self, fmt):
+        make, loads = FILES[fmt]
+        with pytest.raises(ValueError, match="block 0"):
+            loads("\n".join(_swap_blocks(make().splitlines())) + "\n")
+
+
+DATA = sorted((Path(petzlab.__file__).parent / "data").glob("*.txt"))
+
+
+@pytest.mark.parametrize("path", DATA, ids=[p.name for p in DATA])
+def test_bundled_files_redump_byte_for_byte(path):
+    text = path.read_text()
+    if text.startswith("petzlab channel v1"):
+        assert dumps_channel(loads_channel(text)) == text
+    else:
+        assert dumps_state(loads_state(text)) == text
 
 
 class TestAtomicWrite:
