@@ -17,7 +17,6 @@ from .linalg import (
     _power,
     _psd_eigensystem,
     dagger,
-    eig_hermitian,
     partial_trace,
     schatten_norm,
     trace_norm_hermitian,
@@ -169,19 +168,31 @@ def validate_povm(effects, dim: int):
 
 
 def measurement_distribution(rho: np.ndarray, effects) -> np.ndarray:
-    """Outcome probabilities ``tr(rho M_x)``, clipped at zero."""
-    p = np.array([float(np.trace(rho @ m).real) for m in effects])
+    """Outcome probabilities ``tr(rho M_x)``, clipped at zero.
+
+    ``effects`` is a sequence or an ``(n, d, d)`` stack; an ``(..., n, d, d)``
+    stack with an ``(..., d, d)`` stack of states gives ``(..., n)``.
+    """
+    rho = np.asarray(rho)
+    p = np.trace(rho[..., None, :, :] @ np.asarray(effects), axis1=-2, axis2=-1).real
     return np.clip(p, 0.0, None)
 
 
-def _measured_lb(rho, omega, effects) -> float:
-    """``measured_relative_entropy_lb`` for effects known to form a POVM."""
+def _measured_lb(rho, omega, effects) -> np.ndarray:
+    """``measured_relative_entropy_lb`` for effects known to form a POVM, one
+    bound per member of ``(..., d, d)`` state stacks and their
+    ``(..., n, d, d)`` effect stack."""
     p = measurement_distribution(rho, effects)
     q = measurement_distribution(omega, effects)
-    if np.any((p > SUPPORT_TOL) & (q < 1e-300)):
-        return float(np.inf)
     mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    with np.errstate(divide="ignore"):  # q = 0 under p > 0 gives inf
+        terms = p * (np.log(np.where(mask, p, 1.0)) - np.log(np.where(mask, q, 1.0)))
+    lb = terms.sum(axis=-1)
+    # numpy groups a sum of 8 or more terms pairwise, so zero padding changes
+    # the rounding: a member with zero outcomes sums its positive terms alone
+    for i in zip(*np.nonzero(~mask.all(axis=-1))):
+        lb[i] = terms[i][mask[i]].sum()
+    return np.where(np.any((p > SUPPORT_TOL) & (q < 1e-300), axis=-1), np.inf, lb)
 
 
 def measured_relative_entropy_lb(rho: np.ndarray, omega: np.ndarray, effects) -> float:
@@ -191,11 +202,15 @@ def measured_relative_entropy_lb(rho: np.ndarray, omega: np.ndarray, effects) ->
     entropy; by data processing it also never exceeds the quantum relative
     entropy.  Returns ``inf`` on a classical support violation.
     """
-    return _measured_lb(rho, omega, validate_povm(effects, np.asarray(rho).shape[0]))
+    rho, omega = np.asarray(rho), np.asarray(omega)
+    povm = np.array(validate_povm(effects, rho.shape[0]))
+    return float(_measured_lb(rho[None], omega[None], povm[None])[0])
 
 
-def _fidelity_measurement(rho, omega):
-    """``fidelity_measurement`` of complex arrays the caller checked or built."""
+def _fidelity_measurement(rho, omega) -> np.ndarray:
+    """Eigenvectors (columns, eigenvalues descending) of the geometric
+    operator of ``fidelity_measurement``, for ``(..., d, d)`` stacks of
+    complex arrays the caller checked or built."""
     vals, vecs = _psd_eigensystem(omega)
     root = _power(vals, vecs, 0.5)
     inv_root = _power(vals, vecs, -0.5)
@@ -203,10 +218,15 @@ def _fidelity_measurement(rho, omega):
     geometric = inv_root @ middle @ inv_root
     # Hermitian by construction; rounding noise from the triple product can
     # be large for badly conditioned omega, so symmetrize before decomposing.
-    geometric = 0.5 * (geometric + dagger(geometric))
-    dec = eig_hermitian(geometric, herm_tol=np.inf)
-    vecs = dec.eigenvectors
-    return [np.outer(vecs[:, j], vecs[:, j].conj()) for j in range(vecs.shape[1])]
+    geometric = 0.5 * (geometric + geometric.conj().swapaxes(-1, -2))
+    return np.linalg.eigh(geometric)[1][..., ::-1]
+
+
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """The ``(..., n, d, d)`` stack of projectors onto the columns of a
+    ``(..., d, n)`` stack."""
+    cols = vecs.swapaxes(-1, -2)
+    return cols[..., :, None] * cols.conj()[..., None, :]
 
 
 def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
@@ -219,7 +239,8 @@ def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
     classical fidelity of the two outcome distributions equals the quantum
     fidelity of the pair.
     """
-    return _fidelity_measurement(_checked(rho), _checked(omega))
+    vecs = _fidelity_measurement(_checked(rho)[None], _checked(omega)[None])
+    return list(_projectors(vecs)[0])
 
 
 # ---------------------------------------------------------------------------

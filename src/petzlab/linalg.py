@@ -113,15 +113,16 @@ def eig_hermitian(h: np.ndarray, *, herm_tol: float = HERM_TOL) -> SpectralDecom
 
 
 def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
-    """Eigenvalues (last axis; a stack allowed) with those at or below the
-    rank cutoff ``cut`` (one per row) set to 0.
+    """Eigenvalues (last axis, in descending order; a stack allowed) with
+    those at or below the rank cutoff ``cut`` (one per row) set to 0.
 
     Raises when an eigenvalue lies below ``-max(cutoff, 1e-12 * max|lambda|)``.
     Negativity above that is rounding, which in a computed PSD operator such
-    as a CP-map output can exceed the cutoff; it is clamped too.
+    as a CP-map output can exceed the cutoff; it is clamped too.  The order
+    puts each spectrum's extremes first and last.
     """
     cut = np.asarray(cut, dtype=float)[..., None]
-    top = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))[..., None]
+    top = np.maximum(vals[..., :1], -vals[..., -1:])
     floor = np.maximum(cut, 1e-12 * top)
     neg = vals < -floor
     if np.any(neg):

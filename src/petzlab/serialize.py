@@ -20,7 +20,9 @@ import numpy as np
 from .channels import Channel
 from .recovery import RecoveryMap
 
-_PAIR = re.compile(r"\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)")
+# a row of ``(re, im)`` pairs and nothing else
+_ROW = re.compile(r"(?:\s*\(\s*[^\s,()]+\s*,\s*[^\s,()]+\s*\))*\s*")
+_PUNCTUATION = str.maketrans("(),", "   ")
 
 
 def _floats(values) -> str:
@@ -72,20 +74,19 @@ def _loads(text: str, kind: str, fields, blocks: bool = True):
     if len(body) != n * per:
         raise ValueError(f"expected {n * per} lines after the header, got {len(body)}")
     try:
-        out = np.empty((n, rows, cols, 2))
+        out = np.empty((n, 2 * rows * cols))
     except MemoryError:
         raise ValueError(f"sizes {n} x {rows} x {cols} do not fit in memory") from None
     for k in range(n):
         if blocks and body[k * per] != f"block {k}":
             raise ValueError(f"missing block {k}")
-        for i, line in enumerate(body[k * per + blocks : (k + 1) * per]):
-            pairs = _PAIR.findall(line)
-            if len(pairs) != cols:
-                raise ValueError(
-                    f"row {i} of block {k} has {len(pairs)} entries, expected {cols}"
-                )
-            out[k, i] = pairs
-    return head, out.view(complex)[..., 0]
+        matrix = body[k * per + blocks : (k + 1) * per]
+        for i, line in enumerate(matrix):
+            if not _ROW.fullmatch(line) or line.count("(") != cols:
+                raise ValueError(f"row {i} of block {k} is not {cols} (re, im) pairs")
+        # one float conversion per matrix: per row costs more, per file memory
+        out[k] = " ".join(matrix).translate(_PUNCTUATION).split()
+    return head, out.view(complex).reshape(n, rows, cols)
 
 
 def atomic_write_text(path: str, text: str) -> None:

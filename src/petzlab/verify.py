@@ -22,6 +22,7 @@ from .channels import (
 from .entropy import (
     _fidelity_measurement,
     _measured_lb,
+    _projectors,
     _relative_entropy,
     _renyi_delta,
     _root_fidelities,
@@ -39,8 +40,6 @@ from .recovery import (
     _universal,
     beta0_density,
     beta_quadrature,
-    convex_mixture,
-    rotated_petz_family,
 )
 
 
@@ -455,23 +454,33 @@ def finite_set_recovery_search(
             raise ValueError(f"state {i} is not supported inside sigma")
     t_grid = np.asarray(t_grid, dtype=float)
 
-    family = rotated_petz_family(sigma, channel, t_grid)
-    out_sigma = channel.apply(sigma)
-    outs = channel.apply(np.array(states))
-    gaps = np.array([d - _relative_entropy(out, out_sigma) for d, out in zip(d_in, outs)])
-    # recs[x, j] = R_j(N(state_x)), from one contraction over the family's stack
-    recs = _apply_each(np.array([m.kraus for m in family]), outs)
+    factory = _PetzFactory(sigma, channel)
+    kraus = factory.kraus_stack(t_grid)
+    rhos = np.array(states)
+    outs = channel.apply(rhos)
+    gaps = np.array([d - _relative_entropy(out, factory.n_sigma) for d, out in zip(d_in, outs)])
+    # recs[x, j] = R_j(N(state_x)), flattened, from one contraction over the family's stack
+    recs = _apply_each(kraus, outs).reshape(len(states), len(t_grid), -1)
+    all_states = np.arange(len(states))
 
-    def slack_of(x: int, w: np.ndarray) -> float:
-        # the library builds rec and the projective POVM, so neither is checked
-        rec = np.tensordot(w, recs[x], axes=1)
-        povm = _fidelity_measurement(states[x], rec)
-        return float(gaps[x] - _measured_lb(states[x], rec, povm))
+    def slacks(weights: np.ndarray, x) -> np.ndarray:
+        """``(P, X)`` slacks of the states indexed by ``x`` under the
+        mixtures of a ``(P, T)`` weight stack, from one stacked kernel call."""
+        # the library builds the mixtures and the projective POVMs, so none
+        # is checked; each mixture is its own (1, T) @ (T, d*d) product, so
+        # it rounds the same in any stack, where a 2-D product would not
+        mix = np.matmul(weights[:, None, None, :], recs[x]).reshape(
+            (len(weights), len(x)) + sigma.shape
+        )
+        povm = _projectors(_fidelity_measurement(rhos[x], mix))
+        return gaps[x] - _measured_lb(rhos[x], mix, povm)
 
-    def objective(w: np.ndarray):
-        slacks = np.array([slack_of(x, w) for x in range(len(states))])
-        worst = int(np.argmin(slacks))
-        return float(slacks[worst]), worst
+    def objective(weights: np.ndarray):
+        """The worst-case slack of each row of a ``(P, T)`` weight stack,
+        and the state that attains it."""
+        rows = slacks(weights, all_states)
+        worst = np.argmin(rows, axis=1)
+        return rows[np.arange(len(rows)), worst], worst
 
     starts = []
     dens = beta0_density(t_grid)
@@ -479,39 +488,47 @@ def finite_set_recovery_search(
         starts.append(dens / dens.sum())
     starts.append(np.full(len(t_grid), 1.0 / len(t_grid)))
     starts.extend(np.eye(len(t_grid)))  # pure grid nodes
-    best_w, (best_f, _) = max(
-        ((w, objective(w)) for w in starts), key=lambda p: p[1][0]
-    )
+    starts = np.array(starts)
+    values, worst = objective(starts)
+    b = int(np.argmax(values))
+    best_w, best_f, active = starts[b], float(values[b]), int(worst[b])
 
-    w = best_w.copy()
-    f_cur, active = objective(w)
+    w, f_cur = best_w.copy(), best_f
     step = 0.5
     delta = 1e-4
+    diagonal = np.diag_indices(len(t_grid))
     for _ in range(iterations):
-        grad = np.zeros(len(t_grid))
-        for j in range(len(t_grid)):
-            probe = w.copy()
-            probe[j] += delta
-            probe /= probe.sum()
-            grad[j] = (slack_of(active, probe) - f_cur) / delta
-        improved = False
-        for eta in (step, step / 4.0, step / 16.0):
-            cand = _project_simplex(w + eta * grad)
-            f_cand, act_cand = objective(cand)
-            if f_cand > f_cur + 1e-14:
-                w, f_cur, active = cand, f_cand, act_cand
-                improved = True
-                break
-        if not improved:
+        probes = np.tile(w, (len(t_grid), 1))
+        probes[diagonal] += delta
+        probes /= probes.sum(axis=1, keepdims=True)
+        grad = (slacks(probes, [active])[:, 0] - f_cur) / delta
+        # the line-search candidates are evaluated together; the first
+        # improving one is taken
+        etas = (step, step / 4.0, step / 16.0)
+        cands = np.array([_project_simplex(w + eta * grad) for eta in etas])
+        values, worst = objective(cands)
+        better = np.flatnonzero(values > f_cur + 1e-14)
+        if better.size:
+            k = better[0]
+            w, f_cur, active = cands[k], float(values[k]), int(worst[k])
+        else:
             step /= 4.0
             if step < 1e-4:
                 break
         if f_cur > best_f:
             best_f, best_w = f_cur, w.copy()
 
-    if f_cur > best_f:
-        best_f, best_w = f_cur, w
-    mixture = convex_mixture(family, best_w)
+    # the mixture's Kraus stack: each node's operators scaled by sqrt(w)
+    keep = best_w != 0.0
+    mixed = np.sqrt(best_w[keep])[:, None, None, None] * kraus[keep]
+    mixture = RecoveryMap(
+        "mixture",
+        mixed.reshape(-1, channel.dim_in, channel.dim_out),
+        sigma,
+        channel,
+        nodes=t_grid,
+        weights=best_w,
+    )
     return SearchResult(
         recovery=mixture, min_slack=best_f, weights=best_w, t_grid=t_grid
     )

@@ -164,6 +164,11 @@ MALFORMED = {
     "pair too many": _edit_row(lambda row: row + " (0, 0)"),
     "pair too few": _edit_row(lambda row: row.rsplit(" (", 1)[0]),
     "non-numeric entry": _edit_row(lambda row: "(abc" + row[row.index(","):]),
+    "non-numeric imaginary part": _edit_row(
+        lambda row: row[: row.index(",")] + ", 1e)" + row[row.index(")") + 1 :]
+    ),
+    "text between pairs": _edit_row(lambda row: row.replace(") (", ") junk (", 1)),
+    "text after the pairs": _edit_row(lambda row: row + "x"),
     "missing size field": _drop_field,
     "repeated size field": _repeat_field,
     "non-integer size": _set_field("two"),
@@ -189,6 +194,10 @@ class TestMalformedFiles:
         loads("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             loads("\n".join(MALFORMED[case](lines)) + "\n")
+
+    def test_text_around_pairs_raises_value_error(self):
+        with pytest.raises(ValueError, match="row 0 of block 0"):
+            loads_state("petzlab state v1\ndim 2\n(0.5, 0) junk (0, 0)\n(0, 0)(0.5, 0)x\n")
 
     @pytest.mark.parametrize("fmt", ["channel", "recovery"])
     def test_blocks_out_of_order(self, fmt):
