@@ -21,6 +21,7 @@ from .linalg import (
     schatten_norm,
     trace_norm_hermitian,
 )
+from .recovery import _PetzFactory
 
 LN2 = float(np.log(2.0))
 # Absolute slack of a POVM's effect eigenvalues and of its sum's distance to id.
@@ -50,9 +51,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _von_neumann(_checked(rho))
 
 
-def _outside_mass(rho: np.ndarray, support: np.ndarray) -> float:
-    """Relative mass of ``rho`` outside the span of the orthonormal columns
-    ``support``."""
+def _outside_mass(rho: np.ndarray, ref) -> float:
+    """Relative mass of ``rho`` outside the support of the clamped
+    eigensystem ``ref`` (``_psd_eigensystem``)."""
+    vals, vecs = ref
+    support = vecs[:, vals > 0.0]
     pi_perp = np.eye(rho.shape[0]) - support @ dagger(support)
     tr = float(np.trace(rho).real)
     if tr <= 0.0:
@@ -62,16 +65,15 @@ def _outside_mass(rho: np.ndarray, support: np.ndarray) -> float:
 
 def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Relative mass of ``rho`` outside the support of ``sigma``."""
-    vals, vecs = _psd_eigensystem(_checked(sigma))
-    return _outside_mass(np.asarray(rho, dtype=complex), vecs[:, vals > 0.0])
+    return _outside_mass(np.asarray(rho, dtype=complex), _psd_eigensystem(_checked(sigma)))
 
 
-def _relative_entropy(rho, sigma) -> float:
-    """``relative_entropy`` of complex arrays the caller checked or built."""
-    mu, vecs = _psd_eigensystem(sigma)
-    if _outside_mass(rho, vecs[:, mu > 0.0]) > SUPPORT_TOL:
+def _relative_entropy(rho, ref) -> float:
+    """``relative_entropy`` of a complex array the caller checked or built,
+    against the clamped eigensystem ``ref`` of the reference state."""
+    if _outside_mass(rho, ref) > SUPPORT_TOL:
         return float(np.inf)
-    log_sigma = _on_support(mu, vecs, np.log)
+    log_sigma = _on_support(*ref, np.log)
     # tr(rho log rho) = -S(rho)
     return -_von_neumann(rho) - float(np.trace(rho @ log_sigma).real)
 
@@ -84,7 +86,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     logarithms are taken on the respective supports.  Inputs need not be
     normalized.
     """
-    return _relative_entropy(_checked(rho), _checked(sigma))
+    return _relative_entropy(_checked(rho), _psd_eigensystem(_checked(sigma)))
 
 
 def _root_fidelities(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -184,12 +186,14 @@ def _measured_lb(rho, omega, effects) -> np.ndarray:
     ``(..., n, d, d)`` effect stack."""
     p = measurement_distribution(rho, effects)
     q = measurement_distribution(omega, effects)
-    mask = p > 0.0
-    with np.errstate(divide="ignore"):  # q = 0 under p > 0 gives inf
+    # an outcome counts when p > 0, except rounding mass (p <= SUPPORT_TOL)
+    # where q = 0: that lies off the support, as in _relative_entropy
+    mask = (p > 0.0) & ((q > 0.0) | (p > SUPPORT_TOL))
+    with np.errstate(divide="ignore"):  # q = 0 under p > SUPPORT_TOL gives inf
         terms = p * (np.log(np.where(mask, p, 1.0)) - np.log(np.where(mask, q, 1.0)))
     lb = terms.sum(axis=-1)
     # numpy groups a sum of 8 or more terms pairwise, so zero padding changes
-    # the rounding: a member with zero outcomes sums its positive terms alone
+    # the rounding: a member with uncounted outcomes sums its counted terms alone
     for i in zip(*np.nonzero(~mask.all(axis=-1))):
         lb[i] = terms[i][mask[i]].sum()
     return np.where(np.any((p > SUPPORT_TOL) & (q < 1e-300), axis=-1), np.inf, lb)
@@ -200,7 +204,8 @@ def measured_relative_entropy_lb(rho: np.ndarray, omega: np.ndarray, effects) ->
 
     Any single POVM gives a certified lower bound on the measured relative
     entropy; by data processing it also never exceeds the quantum relative
-    entropy.  Returns ``inf`` on a classical support violation.
+    entropy.  Returns ``inf`` on a classical support violation: an outcome
+    with probability above ``SUPPORT_TOL`` under ``rho`` and 0 under ``omega``.
     """
     rho, omega = np.asarray(rho), np.asarray(omega)
     povm = np.array(validate_povm(effects, rho.shape[0]))
@@ -247,29 +252,30 @@ def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
 # Renyi difference
 # ---------------------------------------------------------------------------
 
-def _renyi_delta(rho, sigma, channel: Channel, alpha: float) -> float:
-    """``renyi_delta`` of complex arrays the caller checked or built."""
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is excluded; use the entropy difference")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    s_vals, s_vecs = _psd_eigensystem(sigma)
-    if _outside_mass(rho, s_vecs[:, s_vals > 0.0]) > SUPPORT_TOL:
-        return float(np.inf)
-
-    p = (1.0 - alpha) / (2.0 * alpha)
-    n_rho_p = _power(*_psd_eigensystem(channel.apply(rho)), p)
-    n_sigma_p = _power(*_psd_eigensystem(channel.apply(sigma)), -p)
-    u = channel.stinespring_isometry()
-    block = np.kron(n_rho_p @ n_sigma_p, np.eye(channel.num_kraus))
-    sigma_p = _power(s_vals, s_vecs, p)
+def _renyi_delta(rho, pair, alphas) -> list:
+    """``renyi_delta`` at every alpha of ``alphas``, for a complex array the
+    caller checked or built and the eigensystems of the reference pair
+    ``pair`` (a ``recovery._PetzFactory``), from one decomposition of
+    ``rho`` and one of ``N(rho)``; every alpha is positive and not 1."""
+    if _outside_mass(rho, pair.s_sys) > SUPPORT_TOL:
+        return [float(np.inf)] * len(alphas)
+    n_rho = _psd_eigensystem(pair.channel.apply(rho))
     root_rho = _power(*_psd_eigensystem(rho), 0.5)
-    mat = block @ u @ sigma_p @ root_rho
-    norm = schatten_norm(mat, 2.0 * alpha)
-    coeff = 2.0 * alpha / (alpha - 1.0)
-    if norm <= 0.0:
-        return float(np.inf) if coeff < 0 else float(-np.inf)
-    return coeff * float(np.log(norm))
+    u = pair.channel.stinespring_isometry()
+    out = []
+    for alpha in alphas:
+        p = (1.0 - alpha) / (2.0 * alpha)
+        n_rho_p = _power(*n_rho, p)
+        n_sigma_p = _power(*pair.m_sys, -p)
+        block = np.kron(n_rho_p @ n_sigma_p, np.eye(pair.channel.num_kraus))
+        mat = block @ u @ _power(*pair.s_sys, p) @ root_rho
+        norm = schatten_norm(mat, 2.0 * alpha)
+        coeff = 2.0 * alpha / (alpha - 1.0)
+        if norm <= 0.0:
+            out.append(float(np.inf) if coeff < 0 else float(-np.inf))
+        else:
+            out.append(coeff * float(np.log(norm)))
+    return out
 
 
 def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: float) -> float:
@@ -281,7 +287,11 @@ def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: flo
     the support.  As ``alpha -> 1`` this approaches
     ``D(rho||sigma) - D(N(rho)||N(sigma))``.
     """
-    return _renyi_delta(_checked(rho), _checked(sigma), channel, alpha)
+    if alpha == 1.0:
+        raise ValueError("alpha = 1 is excluded; use the entropy difference")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return _renyi_delta(_checked(rho), _PetzFactory(_checked(sigma), channel), [alpha])[0]
 
 
 __all__ = [

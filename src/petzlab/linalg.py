@@ -172,17 +172,16 @@ def _power(vals, vecs, p: float) -> np.ndarray:
     return _on_support(vals, vecs, lambda v: np.float_power(v, p))
 
 
-def _eigenspaces(h: np.ndarray):
-    """Eigenvectors of PSD ``h`` and the index arrays of its eigenspaces.
+def _eigenspaces(vals: np.ndarray):
+    """Index arrays of the eigenspaces of a clamped spectrum (descending).
 
-    Neighbouring eigenvalues (descending) share an eigenspace when they
-    differ by at most ``CLUSTER_TOL`` times the largest; the kernel
-    (everything below the rank cutoff) is one eigenspace.
+    Neighbouring eigenvalues share an eigenspace when they differ by at
+    most ``CLUSTER_TOL`` times the largest; the kernel (everything below
+    the rank cutoff) is one eigenspace.
     """
-    vals, vecs = _psd_eigensystem(h)
     scale = float(vals[0]) if vals[0] > 0 else 1.0
     breaks = np.flatnonzero(np.abs(np.diff(vals)) > CLUSTER_TOL * scale) + 1
-    return vecs, np.split(np.arange(len(vals)), breaks)
+    return np.split(np.arange(len(vals)), breaks)
 
 
 def fun_on_support(h, f) -> np.ndarray:

@@ -156,36 +156,31 @@ class RecoveryMap(Channel):
 
 
 class _PetzFactory:
-    """Eigensystems of ``sigma`` and ``N(sigma)`` shared by every rotated
-    Petz map of the pair; builds their Kraus stacks.
+    """The reference pair of a check: ``sigma``, ``N(sigma)`` and their
+    clamped eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``),
+    formed and decomposed once.  Builds and applies every rotated Petz map
+    of the pair, and the universal map.
 
-    ``sigma`` is a complex matrix the caller has checked.
+    ``sigma`` is a complex matrix the caller has checked; ``channel.apply``
+    checks its shape.
     """
 
     def __init__(self, sigma: np.ndarray, channel: Channel):
-        if sigma.shape != (channel.dim_in, channel.dim_in):
-            raise ValueError(
-                f"sigma of shape {sigma.shape} does not match channel input "
-                f"dimension {channel.dim_in}"
-            )
+        self.sigma, self.channel = sigma, channel
         self.n_sigma = channel.apply(sigma)
         if float(np.trace(self.n_sigma).real) <= channel.dim_out * 1e-14:
             raise ValueError("channel output on sigma is numerically zero")
-        self.s_spec = self._log_spectrum(sigma)
-        self.m_spec = self._log_spectrum(self.n_sigma)
+        self.s_sys = _psd_eigensystem(sigma)
+        self.m_sys = _psd_eigensystem(self.n_sigma)
         self.kraus_dg = channel.kraus.conj().swapaxes(1, 2)
 
     @staticmethod
-    def _log_spectrum(h):
-        # everything _powers needs that does not depend on the exponent
-        vals, vecs = _psd_eigensystem(h)
+    def _powers(system, exponents) -> np.ndarray:
+        """``h**z`` on the support of ``h`` for every ``z``: a ``(T, d, d)``
+        stack, from the clamped eigensystem of ``h``."""
+        vals, vecs = system
         pos = vals > 0.0
-        return pos, np.log(vals[pos]), vecs
-
-    @staticmethod
-    def _powers(spec, exponents) -> np.ndarray:
-        """``h**z`` on the support of ``h`` for every ``z``: a ``(T, d, d)`` stack."""
-        pos, logs, vecs = spec
+        logs = np.log(vals[pos])
         f = np.zeros((len(exponents), len(pos)), dtype=complex)
         f[:, pos] = np.exp(np.multiply.outer(exponents, logs))
         # a real exponent (t = 0) takes the real exp, which may differ in
@@ -207,12 +202,33 @@ class _PetzFactory:
         size = max(1, 2**14 // self.kraus_dg.size)
         for start in range(0, len(ts), size):
             block = slice(start, start + size)
-            left = self._powers(self.s_spec, 0.5 - 1j * ts[block])
-            right = self._powers(self.m_spec, -0.5 + 1j * ts[block])
+            left = self._powers(self.s_sys, 0.5 - 1j * ts[block])
+            right = self._powers(self.m_sys, -0.5 + 1j * ts[block])
             np.matmul(left[:, None] @ self.kraus_dg, right[:, None], out=out[block])
             if weights is not None:
                 out[block] *= np.sqrt(weights[block])[:, None, None, None]
         return out
+
+    @staticmethod
+    def apply_each(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Every map of a ``(T, k, m, n)`` Kraus stack applied to ``x``.
+
+        ``x`` is one ``(n, n)`` input, giving a ``(T, m, m)`` stack, or a
+        ``(S, n, n)`` stack of inputs, giving ``(S, T, m, m)``.
+        """
+        x = x.reshape(x.shape[:-2] + (1, 1) + x.shape[-2:])
+        return (kraus @ x @ kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
+
+    def mixture(self, stack: np.ndarray, nodes, weights) -> RecoveryMap:
+        """The mixture map of the pair whose Kraus stack is the weighted
+        ``(T, k, d_in, d_out)`` rotated-map stack ``stack``."""
+        ops = stack.reshape(-1, self.channel.dim_in, self.channel.dim_out)
+        return RecoveryMap("mixture", ops, self.sigma, self.channel, nodes=nodes, weights=weights)
+
+    def universal(self, rule: QuadratureRule) -> RecoveryMap:
+        """``universal_recovery`` of the pair."""
+        nodes = rule.nodes / 2.0
+        return self.mixture(self.kraus_stack(nodes, rule.weights), nodes, rule.weights)
 
 
 def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
@@ -229,8 +245,7 @@ def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
 def rotated_petz(sigma: np.ndarray, channel: Channel, t: float) -> RecoveryMap:
     """Rotated Petz map: the Petz map conjugated by the commuting unitaries
     ``sigma^{-it}`` and ``N(sigma)^{it}`` (support-restricted)."""
-    factory = _PetzFactory(_checked(sigma), channel)
-    return RecoveryMap("rotated", factory.kraus_stack([t])[0], sigma, channel, t=t)
+    return rotated_petz_family(sigma, channel, [t])[0]
 
 
 def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
@@ -243,20 +258,6 @@ def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
     ]
 
 
-def _universal(sigma: np.ndarray, channel: Channel, rule: QuadratureRule) -> RecoveryMap:
-    """``universal_recovery`` of a matrix the caller checked or built."""
-    nodes = rule.nodes / 2.0
-    stack = _PetzFactory(sigma, channel).kraus_stack(nodes, rule.weights)
-    return RecoveryMap(
-        "mixture",
-        stack.reshape(-1, channel.dim_in, channel.dim_out),
-        sigma,
-        channel,
-        nodes=nodes,
-        weights=rule.weights,
-    )
-
-
 def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule) -> RecoveryMap:
     """Universal recovery map: the ``beta0``-weighted mixture of rotated
     Petz maps at half the node parameter.
@@ -265,12 +266,13 @@ def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule
     every node's operators scaled by the square root of its weight, node
     by node.
     """
-    return _universal(_checked(sigma), channel, rule)
+    return _PetzFactory(_checked(sigma), channel).universal(rule)
 
 
-def _phase_unitary(h: np.ndarray, phases) -> np.ndarray:
-    """``eigenspace_phase_unitary`` of a matrix the caller checked or built."""
-    vecs, spaces = _eigenspaces(h)
+def _phase_unitary(system, phases) -> np.ndarray:
+    """``eigenspace_phase_unitary`` from a clamped eigensystem."""
+    vals, vecs = system
+    spaces = _eigenspaces(vals)
     phases = np.asarray(phases, dtype=float)
     if len(phases) != len(spaces):
         raise ValueError(
@@ -287,12 +289,12 @@ def eigenspace_phase_unitary(h: np.ndarray, phases) -> np.ndarray:
     kernel (everything below the rank cutoff) counts as one eigenspace.
     The phase vector length must match the number of eigenspaces.
     """
-    return _phase_unitary(_checked(h), phases)
+    return _phase_unitary(_psd_eigensystem(_checked(h)), phases)
 
 
 def count_eigenspaces(h: np.ndarray) -> int:
     """Number of distinct eigenspaces of PSD ``h`` (kernel counts once)."""
-    return len(_eigenspaces(_checked(h))[1])
+    return len(_eigenspaces(_psd_eigensystem(_checked(h))[0]))
 
 
 def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> RecoveryMap:
@@ -300,13 +302,12 @@ def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> Recov
     (phases ``phi``, applied before) and of ``sigma`` (phases ``theta``,
     applied after).  Both unitaries commute with their operators by
     construction."""
-    sigma = _checked(sigma)
-    factory = _PetzFactory(sigma, channel)
-    u_out = _phase_unitary(factory.n_sigma, phi)
-    u_in = _phase_unitary(sigma, theta)
+    factory = _PetzFactory(_checked(sigma), channel)
+    u_out = _phase_unitary(factory.m_sys, phi)
+    u_in = _phase_unitary(factory.s_sys, theta)
     ops = u_in @ factory.kraus_stack([0.0])[0] @ u_out
     return RecoveryMap(
-        "phase-rotated", ops, sigma, channel, phases=(np.asarray(phi), np.asarray(theta))
+        "phase-rotated", ops, factory.sigma, channel, phases=(np.asarray(phi), np.asarray(theta))
     )
 
 

@@ -31,13 +31,12 @@ from .entropy import (
     conditional_mutual_information,
     fidelity,  # noqa: F401  bench/selftest.py checks that tracing restores verify.fidelity
 )
-from .linalg import _checked, eig_hermitian, dagger, partial_trace
+from .linalg import _checked, _psd_eigensystem, eig_hermitian, dagger, partial_trace
 from .recovery import (
     QuadratureRule,
     RecoveryMap,
     _PetzFactory,
     _check_simplex,
-    _universal,
     beta0_density,
     beta_quadrature,
 )
@@ -54,16 +53,6 @@ def _neg2log_mean(weights, fids) -> float:
     if np.all(fids > 0.0):
         return float(-2.0 * np.dot(weights, np.log(fids)))
     return float(np.inf)
-
-
-def _apply_each(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Every map of a ``(T, k, m, n)`` Kraus stack applied to ``x``.
-
-    ``x`` is one ``(n, n)`` input, giving a ``(T, m, m)`` stack, or a
-    ``(S, n, n)`` stack of inputs, giving ``(S, T, m, m)``.
-    """
-    x = x.reshape(x.shape[:-2] + (1, 1) + x.shape[-2:])
-    return (kraus @ x @ kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def _slack(lhs: float, rhs: float) -> float:
@@ -111,11 +100,11 @@ def dpi_remainder(
 
 def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
     """``dpi_remainder`` on checked input, with ``D(rho || sigma)``."""
-    factory = _PetzFactory(sigma, channel)
+    pair = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
 
     # w_t R_t(N(rho)) for every node t, from the universal map's Kraus stack
-    weighted = _apply_each(factory.kraus_stack(rule.nodes / 2.0, rule.weights), out_rho)
+    weighted = pair.apply_each(pair.kraus_stack(rule.nodes / 2.0, rule.weights), out_rho)
     mixture_rec = weighted.sum(axis=0)
     # the per-node fidelities and the mixture's, from one stacked call
     fids = _root_fidelities(
@@ -126,13 +115,13 @@ def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
     rhs_mixture = _neg2log(mixture_fid)
 
     # the relative entropy is infinite exactly when the support check fails
-    d_in = _relative_entropy(rho, sigma)
+    d_in = _relative_entropy(rho, pair.s_sys)
     violated = d_in == np.inf
     if violated:
         lhs = float(np.inf)
     else:
-        lhs = d_in - _relative_entropy(out_rho, factory.n_sigma)
-    exploratory = _relative_entropy(rho, mixture_rec)
+        lhs = d_in - _relative_entropy(out_rho, pair.m_sys)
+    exploratory = _relative_entropy(rho, _psd_eigensystem(mixture_rec))
     return DpiReport(
         lhs=lhs,
         rhs_mixture=rhs_mixture,
@@ -171,21 +160,19 @@ def alpha_bound_check(
     density has poles closer to the real axis.
     """
     rho = _checked(rho)
-    sigma = _checked(sigma)
-    factory = _PetzFactory(sigma, channel)
+    pair = _PetzFactory(_checked(sigma), channel)
+    alphas = [float(alpha) for alpha in alphas]
+    if not all(0.5 <= alpha < 1.0 for alpha in alphas):
+        raise ValueError(f"every alpha must lie in [1/2, 1), got {alphas}")
     out_rho = channel.apply(rho)
     results = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        lhs = _renyi_delta(rho, sigma, channel, alpha)
+    for alpha, lhs in zip(alphas, _renyi_delta(rho, pair, alphas)):
         if alpha == 0.5:
             ts, weights = np.zeros(1), np.ones(1)
-        elif 0.5 < alpha < 1.0:
+        else:
             theta_rule = beta_quadrature(2 * len(rule) - 1, (1.0 - alpha) / alpha)
             ts, weights = theta_rule.nodes / 2.0, theta_rule.weights
-        else:
-            raise ValueError(f"alpha must lie in [1/2, 1), got {alpha}")
-        recs = _apply_each(factory.kraus_stack(ts), out_rho)
+        recs = pair.apply_each(pair.kraus_stack(ts), out_rho)
         rhs = _neg2log_mean(weights, _root_fidelities(rho, recs))
         results.append(AlphaBoundResult(alpha=alpha, lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs)))
     return results
@@ -218,7 +205,7 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     cmi = conditional_mutual_information(rho_abc, (da, db, dc))  # checks rho_abc
 
     trace_c = partial_trace_channel((db, dc), keep=(0,))
-    recovery = _universal(rho_bc, trace_c, rule)
+    recovery = _PetzFactory(rho_bc, trace_c).universal(rule)
     # id_A (x) R acts on each B block (a, a') of rho_AB
     blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
     rec = recovery.apply(blocks).swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
@@ -258,7 +245,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     )
 
     trace_a = partial_trace_channel((da, db), keep=(1,))
-    recovery = _universal(avg, trace_a, rule)
+    recovery = _PetzFactory(avg, trace_a).universal(rule)
     fids = np.array(
         [
             _root_fidelities(s, recovery.apply(partial_trace(s, (da, db), keep=(1,)))[None])[0]
@@ -284,12 +271,14 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     nx = len(ensemble)
 
     # a member's relative entropy is infinite exactly when its support check fails
-    member_d = [_relative_entropy(r, s) for r, s in zip(rhos, sigmas)]
+    member_d = [_relative_entropy(r, _psd_eigensystem(s)) for r, s in zip(rhos, sigmas)]
     flags = tuple(d == np.inf for d in member_d)
     rho_avg = np.tensordot(weights, np.array(rhos), axes=1)
     sigma_avg = np.tensordot(weights, np.array(sigmas), axes=1)
 
-    lhs = float(np.dot(weights, member_d)) - _relative_entropy(rho_avg, sigma_avg)
+    lhs = float(np.dot(weights, member_d)) - _relative_entropy(
+        rho_avg, _psd_eigensystem(sigma_avg)
+    )
 
     rho_xa = np.zeros((nx * dim, nx * dim), dtype=complex)
     sigma_xa = np.zeros_like(rho_xa)
@@ -299,7 +288,7 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
         sigma_xa[sl, sl] = w * s
 
     trace_x = partial_trace_channel((nx, dim), keep=(1,))
-    recovery = _universal(sigma_xa, trace_x, rule)
+    recovery = _PetzFactory(sigma_xa, trace_x).universal(rule)
     rec = recovery.apply(rho_avg)
     rhs = _neg2log(float(_root_fidelities(rho_xa, rec[None])[0]))
 
@@ -353,6 +342,8 @@ def qec_analyze(
     fidelity of the universal recovery, and evaluates the forward bound
     ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     pi = np.asarray(projector, dtype=complex)
     idem = float(np.linalg.norm(pi @ pi - pi, 2))
     if idem > 1e-8:
@@ -360,11 +351,9 @@ def qec_analyze(
     dim_code = int(round(float(np.trace(pi).real)))
     if dim_code < 1:
         raise ValueError("codespace is empty")
-    dec = eig_hermitian(pi)
-    isometry = dec.eigenvectors[:, :dim_code]
-
-    recovery = _universal(pi, channel, rule)
-    out_pi = channel.apply(pi)
+    pair = _PetzFactory(_checked(pi), channel)
+    isometry = pair.s_sys[1][:, :dim_code]
+    recovery = pair.universal(rule)
 
     seeds = np.random.SeedSequence(seed).spawn(max(samples, 1))
     gaps = []
@@ -378,7 +367,7 @@ def qec_analyze(
             small = random_density(dim_code, seeds[i])
         rho = isometry @ small @ dagger(isometry)
         out_rho = channel.apply(rho)
-        gaps.append(_relative_entropy(rho, pi) - _relative_entropy(out_rho, out_pi))
+        gaps.append(_relative_entropy(rho, pair.s_sys) - _relative_entropy(out_rho, pair.m_sys))
         fids.append(float(_root_fidelities(rho, recovery.apply(out_rho)[None])[0]))
     gaps = np.array(gaps) if gaps else np.zeros(0)
     fids = np.array(fids) if fids else np.ones(0)
@@ -447,20 +436,24 @@ def finite_set_recovery_search(
     if not states:
         raise ValueError("need at least one state")
     sigma = _checked(sigma)
-    d_in = [_relative_entropy(s, sigma) for s in states]
+    if any(s.shape != sigma.shape for s in states):
+        raise ValueError(f"every state must have the shape of sigma, {sigma.shape}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid must be a non-empty 1-d array of finite values, got {t_grid}")
+    pair = _PetzFactory(sigma, channel)
+    d_in = [_relative_entropy(s, pair.s_sys) for s in states]
     for i, d in enumerate(d_in):
         # infinite exactly when the support check fails
         if d == np.inf:
             raise ValueError(f"state {i} is not supported inside sigma")
-    t_grid = np.asarray(t_grid, dtype=float)
 
-    factory = _PetzFactory(sigma, channel)
-    kraus = factory.kraus_stack(t_grid)
+    kraus = pair.kraus_stack(t_grid)
     rhos = np.array(states)
     outs = channel.apply(rhos)
-    gaps = np.array([d - _relative_entropy(out, factory.n_sigma) for d, out in zip(d_in, outs)])
+    gaps = np.array([d - _relative_entropy(out, pair.m_sys) for d, out in zip(d_in, outs)])
     # recs[x, j] = R_j(N(state_x)), flattened, from one contraction over the family's stack
-    recs = _apply_each(kraus, outs).reshape(len(states), len(t_grid), -1)
+    recs = pair.apply_each(kraus, outs).reshape(len(states), len(t_grid), -1)
     all_states = np.arange(len(states))
 
     def slacks(weights: np.ndarray, x) -> np.ndarray:
@@ -521,14 +514,7 @@ def finite_set_recovery_search(
     # the mixture's Kraus stack: each node's operators scaled by sqrt(w)
     keep = best_w != 0.0
     mixed = np.sqrt(best_w[keep])[:, None, None, None] * kraus[keep]
-    mixture = RecoveryMap(
-        "mixture",
-        mixed.reshape(-1, channel.dim_in, channel.dim_out),
-        sigma,
-        channel,
-        nodes=t_grid,
-        weights=best_w,
-    )
+    mixture = pair.mixture(mixed, t_grid, best_w)
     return SearchResult(
         recovery=mixture, min_slack=best_f, weights=best_w, t_grid=t_grid
     )
@@ -576,12 +562,13 @@ def truncation_convergence(
     rho = _checked(rho)
     sigma = _checked(sigma)
     ref = sigma if reference is None else _checked(reference)
-    dec = eig_hermitian(ref, herm_tol=np.inf)
+    s_sys = _psd_eigensystem(sigma)
+    vecs = s_sys[1] if ref is sigma else eig_hermitian(ref, herm_tol=np.inf).eigenvectors
 
-    d_full = _relative_entropy(rho, sigma)
+    d_full = _relative_entropy(rho, s_sys)
     d_trunc, gaps, slacks = [], [], []
     for k in ks:
-        cols = dec.eigenvectors[:, :k]
+        cols = vecs[:, :k]
         pi = cols @ dagger(cols)
         rho_k = pi @ rho @ pi
         sigma_k = pi @ sigma @ pi

@@ -11,6 +11,8 @@ from petzlab.channels import (
     partial_trace_channel,
     random_channel,
     random_density,
+    single_bit_flip_channel,
+    three_qubit_bit_flip_code,
 )
 from petzlab.entropy import _root_fidelities, fidelity
 from petzlab.linalg import partial_trace
@@ -25,6 +27,7 @@ from petzlab.verify import (
     alpha_bound_check,
     dpi_remainder,
     finite_set_recovery_search,
+    qec_analyze,
     ssa_remainder,
     truncation_convergence,
 )
@@ -181,8 +184,38 @@ class TestWorkPerInstance:
         eigs = counting(monkeypatch, "eig_hermitian", modules)
         residuals = counting(monkeypatch, "hermiticity_residual", modules)
         dpi_remainder(rho, sigma, chan, beta0_quadrature(129))
-        assert 0 < len(eigs) <= 20
+        # sigma and N(sigma) once each from the reference pair, rho for its
+        # fidelity root and its two entropies, N(rho), and the recovered state
+        assert 0 < len(eigs) <= 7
         assert 0 < len(residuals) <= 4
+
+    def test_alpha_chain_decompositions(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(8)
+        eigs = counting(monkeypatch, "eig_hermitian", (linalg, entropy, verify, channels, recovery))
+        alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], beta0_quadrature(129))
+        # sigma, N(sigma), rho and N(rho) once for every alpha's Renyi term,
+        # and rho's fidelity root once per alpha
+        assert 0 < len(eigs) <= 8
+
+    def test_finite_set_search_decompositions(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
+        states = [rho, random_density(sigma.shape[0], 17)]
+        eigs = counting(monkeypatch, "eig_hermitian", (linalg, entropy, verify, channels, recovery))
+        finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
+        # sigma and N(sigma) once, then each state and its output once
+        assert 0 < len(eigs) <= 2 + 2 * len(states)
+
+    def test_qec_decompositions(self, monkeypatch):
+        modules = (linalg, entropy, verify, channels, recovery)
+        eigs = counting(monkeypatch, "eig_hermitian", modules)
+        residuals = counting(monkeypatch, "hermiticity_residual", modules)
+        samples = 20
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), samples,
+                    beta0_quadrature(129))
+        # the codespace projector and its output once; per sample the state
+        # twice (entropy and fidelity root) and its output once
+        assert 0 < len(eigs) <= 2 + 3 * samples
+        assert len(residuals) == 1  # the caller's projector
 
     def test_finite_set_search_checks_each_input_once(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)

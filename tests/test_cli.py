@@ -342,6 +342,7 @@ class TestUsageErrors:
             "sweep --dims 5..2 --count 2",
             "quadrature-info --nodes 2",
             "qec --p 0.5 --samples 2",
+            "qec --samples -3",
             "verify-dpi --dims x..3",
         ],
     )

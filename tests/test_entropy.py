@@ -30,7 +30,7 @@ from petzlab.entropy import (
     validate_povm,
     von_neumann_entropy,
 )
-from petzlab.linalg import dagger, partial_trace
+from petzlab.linalg import SUPPORT_TOL, dagger, partial_trace
 from petzlab.recovery import petz
 
 
@@ -276,6 +276,18 @@ class TestMeasuredRelativeEntropy:
         rho = np.diag([1.0, 0.0]).astype(complex)
         omega = np.diag([0.0, 1.0]).astype(complex)
         povm = projective_povm(np.eye(2))
+        assert measured_relative_entropy_lb(rho, omega, povm) == np.inf
+
+    def test_rounding_mass_off_support_counts_zero(self):
+        # an outcome with p <= SUPPORT_TOL where q = 0 is rounding, as in
+        # relative_entropy's support rule; above SUPPORT_TOL it is a violation
+        omega = np.diag([0.5, 0.0, 0.5]).astype(complex)
+        povm = projective_povm(np.eye(3))
+        for p in (1e-12, SUPPORT_TOL):
+            rho = np.diag([0.6 - p, p, 0.4]).astype(complex)
+            want = (0.6 - p) * np.log((0.6 - p) / 0.5) + 0.4 * np.log(0.4 / 0.5)
+            assert measured_relative_entropy_lb(rho, omega, povm) == pytest.approx(want, abs=1e-15)
+        rho = np.diag([0.6 - 1e-9, 1e-9, 0.4]).astype(complex)
         assert measured_relative_entropy_lb(rho, omega, povm) == np.inf
 
 

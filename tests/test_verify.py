@@ -339,6 +339,10 @@ class TestQec:
         with pytest.raises(ValueError, match="projector"):
             qec_analyze(random_density(4, rng), depolarizing_channel(4, 0.1), 2, RULE65)
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), -3, RULE65)
+
 
 class TestFiniteSetSearch:
     def test_singleton_matches_best_grid_map(self, rng):
@@ -393,6 +397,41 @@ class TestFiniteSetSearch:
             finite_set_recovery_search(
                 [], random_density(2, rng), identity_channel(2), [0.0]
             )
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [], [[0.0, 1.0]], 0.5])
+    def test_bad_grid_rejected(self, rng, grid):
+        sigma = random_density(2, rng)
+        with pytest.raises(ValueError, match="t_grid"):
+            finite_set_recovery_search([sigma], sigma, identity_channel(2), grid)
+
+    def test_state_shape_mismatch_rejected(self, rng):
+        sigma = random_density(2, rng)
+        with pytest.raises(ValueError, match="state.*shape of sigma"):
+            finite_set_recovery_search(
+                [sigma, random_density(3, rng)], sigma, identity_channel(2), [0.0]
+            )
+
+    @pytest.mark.parametrize("seed", [6, 23])
+    def test_rank_deficient_sigma_pure_states(self, seed):
+        # rounding mass of the states off the support of sigma must not turn
+        # a probe's slack into -inf and the simplex projection into NaN
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        sigma = random_density(d, rng, "rank-k", rank=max(1, d // 2))
+        chan = random_channel(d, d, 2, rng)
+        vals, vecs = np.linalg.eigh(sigma)
+        cols = vecs[:, vals > 1e-12]
+        proj = cols @ cols.conj().T
+        states = []
+        for _ in range(2):
+            s = proj @ random_density(d, rng, "rank-k", rank=1) @ proj
+            states.append(s / np.trace(s).real)
+        result = finite_set_recovery_search(
+            states, sigma, chan, np.linspace(-1.0, 1.0, 9), iterations=60
+        )
+        assert np.all(np.isfinite(result.weights)) and np.all(result.weights >= 0.0)
+        assert abs(result.weights.sum() - 1.0) <= 1e-12
+        assert np.isfinite(result.min_slack)
 
 
 class TestTruncation:
