@@ -36,10 +36,10 @@ def bits_to_nats(x: float) -> float:
     return x * LN2
 
 
-def _von_neumann(rho) -> float:
+def _von_neumann(rho, vals=None) -> float:
     """Entropy of a checked or built state from its eigenvalues above the
-    rank cutoff, under the PSD rule of ``_psd_eigensystem``."""
-    vals = _psd_eigensystem(rho)[0]
+    rank cutoff, under the PSD rule of ``_psd_eigensystem`` (or ``vals``)."""
+    vals = _psd_eigensystem(rho)[0] if vals is None else vals
     lam = vals[vals > 0.0]
     if lam.size == 0:
         return 0.0
@@ -68,14 +68,15 @@ def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
     return _outside_mass(np.asarray(rho, dtype=complex), _psd_eigensystem(_checked(sigma)))
 
 
-def _relative_entropy(rho, ref) -> float:
-    """``relative_entropy`` of a complex array the caller checked or built,
-    against the clamped eigensystem ``ref`` of the reference state."""
+def _relative_entropy(rho, ref, vals=None) -> float:
+    """``relative_entropy`` of a complex array the caller checked or built
+    (clamped spectrum ``vals``, if known), against the clamped eigensystem
+    ``ref`` of the reference state."""
     if _outside_mass(rho, ref) > SUPPORT_TOL:
         return float(np.inf)
     log_sigma = _on_support(*ref, np.log)
     # tr(rho log rho) = -S(rho)
-    return -_von_neumann(rho) - float(np.trace(rho @ log_sigma).real)
+    return -_von_neumann(rho, vals) - float(np.trace(rho @ log_sigma).real)
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -89,23 +90,23 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return _relative_entropy(_checked(rho), _psd_eigensystem(_checked(sigma)))
 
 
-def _root_fidelities(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Root fidelities ``|| sqrt(rho) sqrt(x) ||_1`` for every ``x`` of a
-    ``(T, d, d)`` stack.
+def _root_fidelities(rho_sys, stack: np.ndarray) -> np.ndarray:
+    """Root fidelities ``|| sqrt(rho) sqrt(x) ||_1``, from the clamped
+    eigensystem ``rho_sys`` of ``rho``, for every ``x`` of a ``(T, d, d)`` stack.
 
     ``sqrt(rho)`` is taken once; the stack goes through one batched ``eigh``
     and one batched singular-value call, each member held to the rank
     cutoff, clamp and PSD rule of ``_psd_eigensystem``.  No hermiticity
     residual is computed: callers pass matrices they have checked or built.
     """
-    root = _on_support(*_psd_eigensystem(rho), np.sqrt)
+    root = _on_support(*rho_sys, np.sqrt)
     roots = _on_support(*_psd_eigensystem(stack), np.sqrt)
     return np.linalg.svd(root @ roots, compute_uv=False).sum(axis=-1)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Root fidelity ``|| sqrt(rho) sqrt(sigma) ||_1`` of two PSD operators."""
-    return float(_root_fidelities(_checked(rho), _checked(sigma)[None])[0])
+    return float(_root_fidelities(_psd_eigensystem(_checked(rho)), _checked(sigma)[None])[0])
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -252,15 +253,15 @@ def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
 # Renyi difference
 # ---------------------------------------------------------------------------
 
-def _renyi_delta(rho, pair, alphas) -> list:
+def _renyi_delta(rho, rho_sys, pair, alphas) -> list:
     """``renyi_delta`` at every alpha of ``alphas``, for a complex array the
-    caller checked or built and the eigensystems of the reference pair
-    ``pair`` (a ``recovery._PetzFactory``), from one decomposition of
-    ``rho`` and one of ``N(rho)``; every alpha is positive and not 1."""
+    caller checked or built, its clamped eigensystem ``rho_sys``, and the
+    eigensystems of the reference pair ``pair`` (a ``recovery._PetzFactory``),
+    decomposing ``N(rho)`` once; every alpha is positive and not 1."""
     if _outside_mass(rho, pair.s_sys) > SUPPORT_TOL:
         return [float(np.inf)] * len(alphas)
     n_rho = _psd_eigensystem(pair.channel.apply(rho))
-    root_rho = _power(*_psd_eigensystem(rho), 0.5)
+    root_rho = _power(*rho_sys, 0.5)
     u = pair.channel.stinespring_isometry()
     out = []
     for alpha in alphas:
@@ -291,7 +292,8 @@ def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: flo
         raise ValueError("alpha = 1 is excluded; use the entropy difference")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return _renyi_delta(_checked(rho), _PetzFactory(_checked(sigma), channel), [alpha])[0]
+    rho, pair = _checked(rho), _PetzFactory(_checked(sigma), channel)
+    return _renyi_delta(rho, _psd_eigensystem(rho), pair, [alpha])[0]
 
 
 __all__ = [

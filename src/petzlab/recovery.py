@@ -158,8 +158,10 @@ class RecoveryMap(Channel):
 class _PetzFactory:
     """The reference pair of a check: ``sigma``, ``N(sigma)`` and their
     clamped eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``),
-    formed and decomposed once.  Builds and applies every rotated Petz map
-    of the pair, and the universal map.
+    formed and decomposed once.  Builds every rotated Petz map of the pair
+    and the universal map; ``recovered`` applies the rotated maps through
+    ``R_t = U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map,
+    ``U_{h,t}(x) = h^{-it} x h^{it}``), building no Kraus operator.
 
     ``sigma`` is a complex matrix the caller has checked; ``channel.apply``
     checks its shape.
@@ -173,12 +175,15 @@ class _PetzFactory:
         self.s_sys = _psd_eigensystem(sigma)
         self.m_sys = _psd_eigensystem(self.n_sigma)
         self.kraus_dg = channel.kraus.conj().swapaxes(1, 2)
+        # B_k = V_sigma^dag K_k^dag V_N side by side, and the B_k^dag side by side
+        b = self.s_sys[1].conj().T @ self.kraus_dg @ self.m_sys[1]
+        self.b_row = np.concatenate(b, axis=1)
+        self.b_dg_row = np.concatenate(b.conj().swapaxes(1, 2), axis=1)
 
     @staticmethod
-    def _powers(system, exponents) -> np.ndarray:
-        """``h**z`` on the support of ``h`` for every ``z``: a ``(T, d, d)``
-        stack, from the clamped eigensystem of ``h``."""
-        vals, vecs = system
+    def _powers(vals, exponents) -> np.ndarray:
+        """The ``(T, d)`` diagonals of ``h**z`` for every ``z`` in the eigenbasis
+        of ``h`` (clamped spectrum ``vals``), 0 on the kernel."""
         pos = vals > 0.0
         logs = np.log(vals[pos])
         f = np.zeros((len(exponents), len(pos)), dtype=complex)
@@ -187,7 +192,7 @@ class _PetzFactory:
         # the last bit from the complex one
         real = exponents.imag == 0.0
         f[np.ix_(real, pos)] = np.exp(np.multiply.outer(exponents.real[real], logs))
-        return _reconstruct(vecs, f)
+        return f
 
     def kraus_stack(self, ts, weights=None) -> np.ndarray:
         """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
@@ -202,22 +207,29 @@ class _PetzFactory:
         size = max(1, 2**14 // self.kraus_dg.size)
         for start in range(0, len(ts), size):
             block = slice(start, start + size)
-            left = self._powers(self.s_sys, 0.5 - 1j * ts[block])
-            right = self._powers(self.m_sys, -0.5 + 1j * ts[block])
+            left = _reconstruct(self.s_sys[1], self._powers(self.s_sys[0], 0.5 - 1j * ts[block]))
+            right = _reconstruct(self.m_sys[1], self._powers(self.m_sys[0], -0.5 + 1j * ts[block]))
             np.matmul(left[:, None] @ self.kraus_dg, right[:, None], out=out[block])
             if weights is not None:
                 out[block] *= np.sqrt(weights[block])[:, None, None, None]
         return out
 
-    @staticmethod
-    def apply_each(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Every map of a ``(T, k, m, n)`` Kraus stack applied to ``x``.
+    def recovered(self, ts, x) -> np.ndarray:
+        """``R_t(x)`` for every ``t`` in ``ts``, in the eigenbasis of ``sigma``.
 
-        ``x`` is one ``(n, n)`` input, giving a ``(T, m, m)`` stack, or a
-        ``(S, n, n)`` stack of inputs, giving ``(S, T, m, m)``.
+        One ``(n, n)`` input ``x`` gives a ``(T, m, m)`` stack, an ``(S, n, n)``
+        stack gives ``(S, T, m, m)``.  With ``*`` entrywise and the diagonals
+        ``a_t = N(sigma)^{-1/2 + it}``, ``c_t = sigma^{1/2 - it}``, that is
+        ``(c_t c_t^dag) * sum_k B_k ((a_t a_t^dag) * V_N^dag x V_N) B_k^dag``.
         """
-        x = x.reshape(x.shape[:-2] + (1, 1) + x.shape[-2:])
-        return (kraus @ x @ kraus.conj().swapaxes(-1, -2)).sum(axis=-3)
+        a = self._powers(self.m_sys[0], -0.5 + 1j * ts)
+        c = self._powers(self.s_sys[0], 0.5 - 1j * ts)
+        vn = self.m_sys[1]
+        z = (a[:, :, None] * a.conj()[:, None, :]) * (vn.conj().T @ x @ vn)[..., None, :, :]
+        # Z B_k^dag for every k, restacked as one (k n, m) column per node
+        zb = (z @ self.b_dg_row).reshape(z.shape[:-1] + (-1, len(self.sigma))).swapaxes(-2, -3)
+        y = self.b_row @ zb.reshape(z.shape[:-2] + (-1, len(self.sigma)))
+        return (c[:, :, None] * c.conj()[:, None, :]) * y
 
     def mixture(self, stack: np.ndarray, nodes, weights) -> RecoveryMap:
         """The mixture map of the pair whose Kraus stack is the weighted

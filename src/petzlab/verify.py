@@ -102,26 +102,23 @@ def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
     """``dpi_remainder`` on checked input, with ``D(rho || sigma)``."""
     pair = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
+    vals, vecs = _psd_eigensystem(rho)
 
-    # w_t R_t(N(rho)) for every node t, from the universal map's Kraus stack
-    weighted = pair.apply_each(pair.kraus_stack(rule.nodes / 2.0, rule.weights), out_rho)
-    mixture_rec = weighted.sum(axis=0)
-    # the per-node fidelities and the mixture's, from one stacked call
-    fids = _root_fidelities(
-        rho, np.concatenate([weighted / rule.weights[:, None, None], mixture_rec[None]])
-    )
+    # R_t(N(rho)) at every node and the universal map's mixture of them, in
+    # sigma's eigenbasis: one stacked fidelity call against rho rotated there
+    recs = pair.recovered(rule.nodes / 2.0, out_rho)
+    recs = np.concatenate([recs, np.tensordot(rule.weights, recs, axes=1)[None]])
+    fids = _root_fidelities((vals, dagger(pair.s_sys[1]) @ vecs), recs)
     fids, mixture_fid = fids[:-1], float(fids[-1])
+    mixture_rec = pair.s_sys[1] @ recs[-1] @ dagger(pair.s_sys[1])
     rhs_strong = _neg2log_mean(rule.weights, fids)
     rhs_mixture = _neg2log(mixture_fid)
 
     # the relative entropy is infinite exactly when the support check fails
-    d_in = _relative_entropy(rho, pair.s_sys)
+    d_in = _relative_entropy(rho, pair.s_sys, vals)
     violated = d_in == np.inf
-    if violated:
-        lhs = float(np.inf)
-    else:
-        lhs = d_in - _relative_entropy(out_rho, pair.m_sys)
-    exploratory = _relative_entropy(rho, _psd_eigensystem(mixture_rec))
+    lhs = float(np.inf) if violated else d_in - _relative_entropy(out_rho, pair.m_sys)
+    exploratory = _relative_entropy(rho, _psd_eigensystem(mixture_rec), vals)
     return DpiReport(
         lhs=lhs,
         rhs_mixture=rhs_mixture,
@@ -165,15 +162,17 @@ def alpha_bound_check(
     if not all(0.5 <= alpha < 1.0 for alpha in alphas):
         raise ValueError(f"every alpha must lie in [1/2, 1), got {alphas}")
     out_rho = channel.apply(rho)
+    vals, vecs = rho_sys = _psd_eigensystem(rho)
+    # the recovered states are in sigma's eigenbasis, and so is this root of rho
+    rotated = (vals, dagger(pair.s_sys[1]) @ vecs)
     results = []
-    for alpha, lhs in zip(alphas, _renyi_delta(rho, pair, alphas)):
+    for alpha, lhs in zip(alphas, _renyi_delta(rho, rho_sys, pair, alphas)):
         if alpha == 0.5:
             ts, weights = np.zeros(1), np.ones(1)
         else:
             theta_rule = beta_quadrature(2 * len(rule) - 1, (1.0 - alpha) / alpha)
             ts, weights = theta_rule.nodes / 2.0, theta_rule.weights
-        recs = pair.apply_each(pair.kraus_stack(ts), out_rho)
-        rhs = _neg2log_mean(weights, _root_fidelities(rho, recs))
+        rhs = _neg2log_mean(weights, _root_fidelities(rotated, pair.recovered(ts, out_rho)))
         results.append(AlphaBoundResult(alpha=alpha, lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs)))
     return results
 
@@ -209,7 +208,7 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     # id_A (x) R acts on each B block (a, a') of rho_AB
     blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
     rec = recovery.apply(blocks).swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
-    f = float(_root_fidelities(rho_abc, rec[None])[0])
+    f = float(_root_fidelities(_psd_eigensystem(rho_abc), rec[None])[0])
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
                      recovered_state=rec)
@@ -246,12 +245,12 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
 
     trace_a = partial_trace_channel((da, db), keep=(1,))
     recovery = _PetzFactory(avg, trace_a).universal(rule)
-    fids = np.array(
-        [
-            _root_fidelities(s, recovery.apply(partial_trace(s, (da, db), keep=(1,)))[None])[0]
-            for s in states
-        ]
-    )
+    fids = np.array([
+        _root_fidelities(
+            _psd_eigensystem(s), recovery.apply(partial_trace(s, (da, db), keep=(1,)))[None]
+        )[0]
+        for s in states
+    ])
     rhs = _neg2log(float(np.dot(weights, fids)))
     return EnsembleReport(lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs), member_fidelities=fids)
 
@@ -290,7 +289,7 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     trace_x = partial_trace_channel((nx, dim), keep=(1,))
     recovery = _PetzFactory(sigma_xa, trace_x).universal(rule)
     rec = recovery.apply(rho_avg)
-    rhs = _neg2log(float(_root_fidelities(rho_xa, rec[None])[0]))
+    rhs = _neg2log(float(_root_fidelities(_psd_eigensystem(rho_xa), rec[None])[0]))
 
     member_fids = []
     for x, (w, r) in enumerate(zip(weights, rhos)):
@@ -298,7 +297,7 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
             member_fids.append(np.nan)
             continue
         block = rec[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] / w
-        member_fids.append(float(_root_fidelities(r, block[None])[0]))
+        member_fids.append(float(_root_fidelities(_psd_eigensystem(r), block[None])[0]))
     return EnsembleReport(
         lhs=lhs,
         rhs=rhs,
@@ -366,9 +365,10 @@ def qec_analyze(
         else:
             small = random_density(dim_code, seeds[i])
         rho = isometry @ small @ dagger(isometry)
-        out_rho = channel.apply(rho)
-        gaps.append(_relative_entropy(rho, pair.s_sys) - _relative_entropy(out_rho, pair.m_sys))
-        fids.append(float(_root_fidelities(rho, recovery.apply(out_rho)[None])[0]))
+        out_rho, rho_sys = channel.apply(rho), _psd_eigensystem(rho)
+        d_out = _relative_entropy(out_rho, pair.m_sys)
+        gaps.append(_relative_entropy(rho, pair.s_sys, rho_sys[0]) - d_out)
+        fids.append(float(_root_fidelities(rho_sys, recovery.apply(out_rho)[None])[0]))
     gaps = np.array(gaps) if gaps else np.zeros(0)
     fids = np.array(fids) if fids else np.ones(0)
 
@@ -448,12 +448,12 @@ def finite_set_recovery_search(
         if d == np.inf:
             raise ValueError(f"state {i} is not supported inside sigma")
 
-    kraus = pair.kraus_stack(t_grid)
-    rhos = np.array(states)
-    outs = channel.apply(rhos)
+    outs = channel.apply(np.array(states))
     gaps = np.array([d - _relative_entropy(out, pair.m_sys) for d, out in zip(d_in, outs)])
-    # recs[x, j] = R_j(N(state_x)), flattened, from one contraction over the family's stack
-    recs = pair.apply_each(kraus, outs).reshape(len(states), len(t_grid), -1)
+    # recs[x, j] = R_j(N(state_x)) in sigma's eigenbasis, flattened; the
+    # slacks are unitarily invariant, so the states are rotated there too
+    recs = pair.recovered(t_grid, outs).reshape(len(states), len(t_grid), -1)
+    rhos = dagger(pair.s_sys[1]) @ np.array(states) @ pair.s_sys[1]
     all_states = np.arange(len(states))
 
     def slacks(weights: np.ndarray, x) -> np.ndarray:
@@ -513,8 +513,7 @@ def finite_set_recovery_search(
 
     # the mixture's Kraus stack: each node's operators scaled by sqrt(w)
     keep = best_w != 0.0
-    mixed = np.sqrt(best_w[keep])[:, None, None, None] * kraus[keep]
-    mixture = pair.mixture(mixed, t_grid, best_w)
+    mixture = pair.mixture(pair.kraus_stack(t_grid[keep], best_w[keep]), t_grid, best_w)
     return SearchResult(
         recovery=mixture, min_slack=best_f, weights=best_w, t_grid=t_grid
     )
@@ -584,7 +583,8 @@ def truncation_convergence(
         slacks=np.array(slacks),
         full_relative_entropy=d_full,
         monotone_ok=bool(np.all(d_trunc <= d_full + 1e-9)),
-        final_delta=float(abs(d_trunc[-1] - d_full)),
+        # 0, not NaN, when both are infinite (rho has mass outside sigma's support)
+        final_delta=0.0 if d_trunc[-1] == d_full else float(abs(d_trunc[-1] - d_full)),
     )
 
 

@@ -1,4 +1,5 @@
-"""The batched quadrature engine: one rotated-Kraus stack, one stacked fidelity."""
+"""The batched quadrature engine: the phase-sandwich kernel of the reference
+pair, one rotated-Kraus stack per built map, one stacked fidelity."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from petzlab.channels import (
     three_qubit_bit_flip_code,
 )
 from petzlab.entropy import _root_fidelities, fidelity
-from petzlab.linalg import partial_trace
+from petzlab.linalg import _checked, _psd_eigensystem, partial_trace
 from petzlab.recovery import (
     RecoveryMap,
     beta0_quadrature,
@@ -75,7 +76,7 @@ class TestStackedFidelity:
     @pytest.mark.parametrize("case", list(regimes()), ids=lambda c: c[0])
     def test_matches_scalar_fidelity(self, case):
         _, rho, stack = case
-        batched = _root_fidelities(rho, stack)
+        batched = _root_fidelities(_psd_eigensystem(rho), stack)
         scalar = np.array([fidelity(rho, x) for x in stack])
         reference = np.array([reference_fidelity(rho, x) for x in stack])
         np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
@@ -86,12 +87,12 @@ class TestStackedFidelity:
         bad = np.diag([1.0, 0.5, -1e-6]).astype(complex)
         stack = np.array([random_density(3, rng), bad, random_density(3, rng)])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            _root_fidelities(rho, stack)
+            _root_fidelities(_psd_eigensystem(rho), stack)
 
     def test_member_rounding_negativity_clamped(self, rng):
         rho = random_density(8, rng)
         rounding = np.diag([1.0, 0.5, 0, 0, 0, 0, 0, -2e-15]).astype(complex)
-        f = _root_fidelities(rho, np.array([rounding]))[0]
+        f = _root_fidelities(_psd_eigensystem(rho), np.array([rounding]))[0]
         assert f == pytest.approx(reference_fidelity(rho, rounding), abs=1e-12)
 
     def test_non_hermitian_inputs_rejected(self, rng):
@@ -163,6 +164,96 @@ class TestKrausStack:
             np.testing.assert_array_equal(m.kraus, rotated_petz(sigma, chan, t).kraus)
 
 
+def kernel_regimes():
+    """``(name, sigma, channel, x)``: inputs ``x = N(rho)`` of the recovery."""
+    gen = np.random.default_rng(2718)
+    _, sigma, chan = random_dpi_instance(13)
+    yield "full-rank", sigma, chan, chan.apply(random_density(sigma.shape[0], gen))
+    # rank-deficient sigma, rho inside its support
+    sigma = random_density(4, gen, ensemble="rank-k", rank=2)
+    vals, vecs = np.linalg.eigh(sigma)
+    cols = vecs[:, vals > 1e-12]
+    chan = random_channel(4, 3, 2, gen)
+    inside = cols @ random_density(2, gen) @ cols.conj().T
+    yield "rank-deficient-sigma", sigma, chan, chan.apply(inside)
+    # N(sigma) of rank 4 on a 5-dimensional output
+    chan = random_channel(2, 5, 2, gen)
+    yield "rank-deficient-n-sigma", random_density(2, gen), chan, chan.apply(random_density(2, gen))
+    chan = random_channel(3, 3, 2, gen)
+    pure = random_density(3, gen, ensemble="rank-k", rank=1)
+    yield "pure-input", random_density(3, gen), chan, chan.apply(pure)
+    # the equality case: an isometry is reversed exactly
+    chan = random_channel(3, 4, 1, gen)
+    yield "isometric", random_density(3, gen), chan, chan.apply(random_density(3, gen))
+    sigma = np.diag(gen.dirichlet(np.ones(4))).astype(complex)
+    rho = np.diag(gen.dirichlet(np.ones(4))).astype(complex)
+    yield "classical", sigma, dephasing_channel(4, 1.0), dephasing_channel(4, 1.0).apply(rho)
+    chan = random_channel(5, 2, 3, gen)
+    yield "d_in-ne-d_out", random_density(5, gen), chan, chan.apply(random_density(5, gen))
+
+
+def relative_error(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestPhaseSandwichKernel:
+    """``_PetzFactory.recovered`` against the maps it replaces on the quadrature path."""
+
+    TS = np.linspace(-4.0, 4.0, 17)
+
+    @staticmethod
+    def standard_basis(pair, stack):
+        v = pair.s_sys[1]
+        return v @ stack @ v.conj().T
+
+    @pytest.mark.parametrize("case", list(kernel_regimes()), ids=lambda c: c[0])
+    def test_every_node_is_the_rotated_map(self, case):
+        _, sigma, chan, x = case
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        got = self.standard_basis(pair, pair.recovered(self.TS, x))
+        assert got.shape == (len(self.TS), chan.dim_in, chan.dim_in)
+        for t, state in zip(self.TS, got):
+            assert relative_error(state, rotated_petz(sigma, chan, t).apply(x)) <= 1e-13
+
+    @pytest.mark.parametrize("case", list(kernel_regimes()), ids=lambda c: c[0])
+    def test_weighted_sum_is_the_universal_map(self, case):
+        _, sigma, chan, x = case
+        rule = beta0_quadrature(65)
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        mixture = np.tensordot(rule.weights, pair.recovered(rule.nodes / 2.0, x), axes=1)
+        want = universal_recovery(sigma, chan, rule).apply(x)
+        assert relative_error(self.standard_basis(pair, mixture), want) <= 1e-13
+
+    def test_isometric_channel_recovers_sigma_at_every_node(self):
+        _, sigma, chan, _ = next(c for c in kernel_regimes() if c[0] == "isometric")
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        got = self.standard_basis(pair, pair.recovered(self.TS, chan.apply(sigma)))
+        for state in got:
+            assert relative_error(state, sigma) <= 1e-13
+
+    @pytest.mark.parametrize("case", list(kernel_regimes()), ids=lambda c: c[0])
+    def test_input_stack_matches_per_input_calls(self, case):
+        _, sigma, chan, x = case
+        gen = np.random.default_rng(31)
+        xs = np.array([x] + [chan.apply(random_density(chan.dim_in, gen)) for _ in range(3)])
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        stacked = pair.recovered(self.TS, xs)
+        assert stacked.shape == (4, len(self.TS), chan.dim_in, chan.dim_in)
+        for member, one in zip(stacked, xs):
+            np.testing.assert_allclose(member, pair.recovered(self.TS, one), rtol=0.0, atol=1e-15)
+
+    def test_quadrature_checks_build_no_kraus_stack(self, monkeypatch):
+        def refuse(self, ts, weights=None):
+            raise AssertionError("a quadrature check built a rotated-Kraus stack")
+
+        monkeypatch.setattr(recovery._PetzFactory, "kraus_stack", refuse)
+        rho, sigma, chan = random_dpi_instance(21)
+        rule = beta0_quadrature(129)
+        assert dpi_remainder(rho, sigma, chan, rule).slack_mixture >= -1e-9
+        results = alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], rule)
+        assert len(results) == 4 and all(r.slack >= -1e-7 for r in results)
+
+
 def counting(monkeypatch, name, modules):
     calls = []
     original = getattr(modules[0], name)
@@ -184,18 +275,18 @@ class TestWorkPerInstance:
         eigs = counting(monkeypatch, "eig_hermitian", modules)
         residuals = counting(monkeypatch, "hermiticity_residual", modules)
         dpi_remainder(rho, sigma, chan, beta0_quadrature(129))
-        # sigma and N(sigma) once each from the reference pair, rho for its
-        # fidelity root and its two entropies, N(rho), and the recovered state
-        assert 0 < len(eigs) <= 7
+        # sigma and N(sigma) once each from the reference pair, rho once for
+        # its fidelity root and both its entropies, N(rho), and the recovered state
+        assert 0 < len(eigs) <= 5
         assert 0 < len(residuals) <= 4
 
     def test_alpha_chain_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)
         eigs = counting(monkeypatch, "eig_hermitian", (linalg, entropy, verify, channels, recovery))
         alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], beta0_quadrature(129))
-        # sigma, N(sigma), rho and N(rho) once for every alpha's Renyi term,
-        # and rho's fidelity root once per alpha
-        assert 0 < len(eigs) <= 8
+        # sigma, N(sigma), rho and N(rho) once for every alpha's Renyi term
+        # and fidelity root
+        assert 0 < len(eigs) <= 5
 
     def test_finite_set_search_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
@@ -213,8 +304,8 @@ class TestWorkPerInstance:
         qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), samples,
                     beta0_quadrature(129))
         # the codespace projector and its output once; per sample the state
-        # twice (entropy and fidelity root) and its output once
-        assert 0 < len(eigs) <= 2 + 3 * samples
+        # once (entropy and fidelity root) and its output once
+        assert 0 < len(eigs) <= 2 + 2 * samples
         assert len(residuals) == 1  # the caller's projector
 
     def test_finite_set_search_checks_each_input_once(self, monkeypatch):

@@ -89,7 +89,7 @@ def test_imaginary_power_unitary_on_support(h, t):
 @given(psd(dim=4), st.lists(psd(dim=4), min_size=1, max_size=4))
 def test_root_fidelities_match_trace_norm_of_root_product(rho, members):
     stack = np.array(members)
-    got = _root_fidelities(rho, stack)
+    got = _root_fidelities(_psd_eigensystem(rho), stack)
     root = reference_sqrt(rho)
     want = [np.linalg.svd(root @ reference_sqrt(x), compute_uv=False).sum() for x in stack]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

@@ -472,6 +472,19 @@ class TestTruncation:
         with pytest.raises(ValueError, match="k_list"):
             truncation_convergence(rho, rho, identity_channel(3), [1, 5], RULE65)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_rho_outside_sigma_support_has_no_nan(self, d):
+        # both full entropies are infinite: their difference is 0, not NaN
+        gen = np.random.default_rng(40 + d)
+        rho = random_density(d, gen)
+        sigma = random_density(d, gen, ensemble="rank-k", rank=max(1, d // 2))
+        chan = random_channel(d, 3, 2, gen)
+        rep = truncation_convergence(rho, sigma, chan, list(range(1, d + 1)), RULE65)
+        assert rep.full_relative_entropy == np.inf
+        assert rep.truncated_relative_entropies[-1] == np.inf
+        assert rep.final_delta == 0.0
+        assert not np.any(np.isnan(rep.truncated_relative_entropies))
+
 
 class TestSweep:
     def test_empty_sweep(self):
