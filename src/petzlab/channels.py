@@ -42,12 +42,6 @@ def pure_state(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def basis_state(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return pure_state(v)
-
-
 def ghz_state(n_qubits: int = 3) -> np.ndarray:
     """GHZ state density matrix on ``n_qubits`` qubits."""
     d = 2**n_qubits
@@ -371,7 +365,6 @@ def truncate_project(rho: np.ndarray, k: int, reference: np.ndarray | None = Non
 __all__ = [
     "Channel",
     "assert_positive",
-    "basis_state",
     "bit_flip_channel",
     "channels_close",
     "choi_distance",

@@ -32,10 +32,6 @@ def nats_to_bits(x: float) -> float:
     return x / LN2
 
 
-def bits_to_nats(x: float) -> float:
-    return x * LN2
-
-
 def _von_neumann(rho, vals=None) -> float:
     """Entropy of a checked or built state from its eigenvalues above the
     rank cutoff, under the PSD rule of ``_psd_eigensystem`` (or ``vals``)."""
@@ -298,7 +294,6 @@ def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: flo
 
 __all__ = [
     "binary_entropy",
-    "bits_to_nats",
     "conditional_mutual_information",
     "fannes_audenaert_bound",
     "fidelity",

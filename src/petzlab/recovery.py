@@ -28,16 +28,6 @@ def beta0_density(t):
     return (np.pi / 2.0) / (np.cosh(np.pi * t) + 1.0)
 
 
-def alpha_theta_density(t, theta: float):
-    """``sin(pi theta) / (2 (1-theta) (cosh(pi t) - cos(pi theta)))``."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    t = np.asarray(t, dtype=float)
-    return np.sin(np.pi * theta) / (
-        2.0 * (1.0 - theta) * (np.cosh(np.pi * t) - np.cos(np.pi * theta))
-    )
-
-
 def beta_theta_density(t, theta: float):
     """``sin(pi theta) / (2 theta (cosh(pi t) + cos(pi theta)))``.
 
@@ -158,10 +148,11 @@ class RecoveryMap(Channel):
 class _PetzFactory:
     """The reference pair of a check: ``sigma``, ``N(sigma)`` and their
     clamped eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``),
-    formed and decomposed once.  Builds every rotated Petz map of the pair
-    and the universal map; ``recovered`` applies the rotated maps through
-    ``R_t = U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map,
-    ``U_{h,t}(x) = h^{-it} x h^{it}``), building no Kraus operator.
+    formed and decomposed once.  Builds the rotated Petz maps' Kraus stack;
+    ``recovered`` (every node's ``R_t(x)``) and ``universal_apply`` (the
+    universal map's output) apply the maps without one, through ``R_t =
+    U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map, ``U_{h,t}(x) =
+    h^{-it} x h^{it}``) and the node phases of ``_phases``.
 
     ``sigma`` is a complex matrix the caller has checked; ``channel.apply``
     checks its shape.
@@ -194,6 +185,14 @@ class _PetzFactory:
         f[np.ix_(real, pos)] = np.exp(np.multiply.outer(exponents.real[real], logs))
         return f
 
+    def _phases(self, ts):
+        """The node phases ``(a_t a_t^dag, c_t c_t^dag)`` at every ``t`` in
+        ``ts``, ``(T, n, n)`` and ``(T, m, m)``, from the diagonals ``a_t =
+        N(sigma)^{-1/2 + it}`` and ``c_t = sigma^{1/2 - it}``."""
+        a = self._powers(self.m_sys[0], -0.5 + 1j * ts)
+        c = self._powers(self.s_sys[0], 0.5 - 1j * ts)
+        return a[:, :, None] * a.conj()[:, None, :], c[:, :, None] * c.conj()[:, None, :]
+
     def kraus_stack(self, ts, weights=None) -> np.ndarray:
         """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
 
@@ -218,29 +217,41 @@ class _PetzFactory:
         """``R_t(x)`` for every ``t`` in ``ts``, in the eigenbasis of ``sigma``.
 
         One ``(n, n)`` input ``x`` gives a ``(T, m, m)`` stack, an ``(S, n, n)``
-        stack gives ``(S, T, m, m)``.  With ``*`` entrywise and the diagonals
-        ``a_t = N(sigma)^{-1/2 + it}``, ``c_t = sigma^{1/2 - it}``, that is
-        ``(c_t c_t^dag) * sum_k B_k ((a_t a_t^dag) * V_N^dag x V_N) B_k^dag``.
+        stack gives ``(S, T, m, m)``.  With ``*`` entrywise and the node
+        phases of ``_phases``, that is ``(c_t c_t^dag) * sum_k B_k ((a_t
+        a_t^dag) * V_N^dag x V_N) B_k^dag``.
         """
-        a = self._powers(self.m_sys[0], -0.5 + 1j * ts)
-        c = self._powers(self.s_sys[0], 0.5 - 1j * ts)
+        a, c = self._phases(ts)
         vn = self.m_sys[1]
-        z = (a[:, :, None] * a.conj()[:, None, :]) * (vn.conj().T @ x @ vn)[..., None, :, :]
+        z = a * (vn.conj().T @ x @ vn)[..., None, :, :]
         # Z B_k^dag for every k, restacked as one (k n, m) column per node
         zb = (z @ self.b_dg_row).reshape(z.shape[:-1] + (-1, len(self.sigma))).swapaxes(-2, -3)
         y = self.b_row @ zb.reshape(z.shape[:-2] + (-1, len(self.sigma)))
-        return (c[:, :, None] * c.conj()[:, None, :]) * y
+        return c * y
+
+    def universal_apply(self, rule: QuadratureRule, x) -> np.ndarray:
+        """The universal map of ``rule`` on one ``(n, n)`` input ``x`` or a
+        stack ``(..., n, n)``, as ``(..., m, m)`` in the standard basis.
+
+        The weighted node sum is one ``(m m, n n)`` superoperator in the
+        eigenbases of the pair, ``phases = sum_t w_t (c_t c_t^dag) (x) (a_t
+        a_t^dag)`` over the nodes ``t/2`` times ``T_{ijpq} = sum_k B_k[i,p]
+        conj(B_k[j,q])`` entrywise, acting on ``V_N^dag x V_N``.
+        """
+        a, c = self._phases(rule.nodes / 2.0)
+        m, n = len(self.sigma), len(self.n_sigma)
+        phases = (rule.weights[:, None] * c.reshape(len(c), -1)).T @ a.reshape(len(a), -1)
+        b = self.b_row.reshape(m, -1, n)  # b[i, k, p] = B_k[i, p]
+        kernel = np.einsum("ikp,jkq->ijpq", b, b.conj()).reshape(m * m, n * n)
+        vn, vs = self.m_sys[1], self.s_sys[1]
+        xs = (vn.conj().T @ x @ vn).reshape(x.shape[:-2] + (n * n,))
+        return vs @ (xs @ (phases * kernel).T).reshape(x.shape[:-2] + (m, m)) @ vs.conj().T
 
     def mixture(self, stack: np.ndarray, nodes, weights) -> RecoveryMap:
         """The mixture map of the pair whose Kraus stack is the weighted
         ``(T, k, d_in, d_out)`` rotated-map stack ``stack``."""
         ops = stack.reshape(-1, self.channel.dim_in, self.channel.dim_out)
         return RecoveryMap("mixture", ops, self.sigma, self.channel, nodes=nodes, weights=weights)
-
-    def universal(self, rule: QuadratureRule) -> RecoveryMap:
-        """``universal_recovery`` of the pair."""
-        nodes = rule.nodes / 2.0
-        return self.mixture(self.kraus_stack(nodes, rule.weights), nodes, rule.weights)
 
 
 def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
@@ -278,7 +289,9 @@ def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule
     every node's operators scaled by the square root of its weight, node
     by node.
     """
-    return _PetzFactory(_checked(sigma), channel).universal(rule)
+    pair = _PetzFactory(_checked(sigma), channel)
+    nodes = rule.nodes / 2.0
+    return pair.mixture(pair.kraus_stack(nodes, rule.weights), nodes, rule.weights)
 
 
 def _phase_unitary(system, phases) -> np.ndarray:
@@ -363,7 +376,6 @@ def convex_mixture(maps, weights) -> RecoveryMap:
 __all__ = [
     "QuadratureRule",
     "RecoveryMap",
-    "alpha_theta_density",
     "beta0_density",
     "beta0_quadrature",
     "beta_quadrature",

@@ -204,10 +204,10 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     cmi = conditional_mutual_information(rho_abc, (da, db, dc))  # checks rho_abc
 
     trace_c = partial_trace_channel((db, dc), keep=(0,))
-    recovery = _PetzFactory(rho_bc, trace_c).universal(rule)
     # id_A (x) R acts on each B block (a, a') of rho_AB
     blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
-    rec = recovery.apply(blocks).swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
+    rec = _PetzFactory(rho_bc, trace_c).universal_apply(rule, blocks)
+    rec = rec.swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
     f = float(_root_fidelities(_psd_eigensystem(rho_abc), rec[None])[0])
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
@@ -244,12 +244,10 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     )
 
     trace_a = partial_trace_channel((da, db), keep=(1,))
-    recovery = _PetzFactory(avg, trace_a).universal(rule)
+    marginals = np.array([partial_trace(s, (da, db), keep=(1,)) for s in states])
+    recs = _PetzFactory(avg, trace_a).universal_apply(rule, marginals)
     fids = np.array([
-        _root_fidelities(
-            _psd_eigensystem(s), recovery.apply(partial_trace(s, (da, db), keep=(1,)))[None]
-        )[0]
-        for s in states
+        _root_fidelities(_psd_eigensystem(s), rec[None])[0] for s, rec in zip(states, recs)
     ])
     rhs = _neg2log(float(np.dot(weights, fids)))
     return EnsembleReport(lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs), member_fidelities=fids)
@@ -287,8 +285,7 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
         sigma_xa[sl, sl] = w * s
 
     trace_x = partial_trace_channel((nx, dim), keep=(1,))
-    recovery = _PetzFactory(sigma_xa, trace_x).universal(rule)
-    rec = recovery.apply(rho_avg)
+    rec = _PetzFactory(sigma_xa, trace_x).universal_apply(rule, rho_avg)
     rhs = _neg2log(float(_root_fidelities(_psd_eigensystem(rho_xa), rec[None])[0]))
 
     member_fids = []
@@ -352,11 +349,9 @@ def qec_analyze(
         raise ValueError("codespace is empty")
     pair = _PetzFactory(_checked(pi), channel)
     isometry = pair.s_sys[1][:, :dim_code]
-    recovery = pair.universal(rule)
 
     seeds = np.random.SeedSequence(seed).spawn(max(samples, 1))
-    gaps = []
-    fids = []
+    gaps, outs, rho_systems = [], [], []
     for i in range(samples):
         if dim_code == 1:
             small = np.array([[1.0 + 0.0j]])
@@ -368,9 +363,11 @@ def qec_analyze(
         out_rho, rho_sys = channel.apply(rho), _psd_eigensystem(rho)
         d_out = _relative_entropy(out_rho, pair.m_sys)
         gaps.append(_relative_entropy(rho, pair.s_sys, rho_sys[0]) - d_out)
-        fids.append(float(_root_fidelities(rho_sys, recovery.apply(out_rho)[None])[0]))
-    gaps = np.array(gaps) if gaps else np.zeros(0)
-    fids = np.array(fids) if fids else np.ones(0)
+        outs.append(out_rho)
+        rho_systems.append(rho_sys)
+    gaps = np.array(gaps)
+    recs = pair.universal_apply(rule, np.reshape(outs, (samples,) + pair.n_sigma.shape))
+    fids = np.array([_root_fidelities(s, rec[None])[0] for s, rec in zip(rho_systems, recs)])
 
     max_gap = float(np.max(gaps, initial=0.0))
     min_fid = float(np.min(fids, initial=1.0))
@@ -483,7 +480,8 @@ def finite_set_recovery_search(
     starts.extend(np.eye(len(t_grid)))  # pure grid nodes
     starts = np.array(starts)
     values, worst = objective(starts)
-    b = int(np.argmax(values))
+    # the first start within rounding of the best, so ties do not jump between starts
+    b = int(np.argmax(values >= np.max(values) - 1e-14))
     best_w, best_f, active = starts[b], float(values[b]), int(worst[b])
 
     w, f_cur = best_w.copy(), best_f

@@ -1,5 +1,6 @@
-"""The batched quadrature engine: the phase-sandwich kernel of the reference
-pair, one rotated-Kraus stack per built map, one stacked fidelity."""
+"""The batched quadrature engine: the phase-sandwich kernel and the universal
+map's superoperator of the reference pair, one rotated-Kraus stack per built
+map, one stacked fidelity."""
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from petzlab.recovery import (
 )
 from petzlab.verify import (
     alpha_bound_check,
+    concavity_remainder,
     dpi_remainder,
     finite_set_recovery_search,
+    joint_convexity_remainder,
     qec_analyze,
     ssa_remainder,
     truncation_convergence,
@@ -197,7 +200,8 @@ def relative_error(got, want):
 
 
 class TestPhaseSandwichKernel:
-    """``_PetzFactory.recovered`` against the maps it replaces on the quadrature path."""
+    """``_PetzFactory.recovered`` and ``_PetzFactory.universal_apply`` against
+    the maps they replace on the quadrature and mixture paths."""
 
     TS = np.linspace(-4.0, 4.0, 17)
 
@@ -223,6 +227,7 @@ class TestPhaseSandwichKernel:
         mixture = np.tensordot(rule.weights, pair.recovered(rule.nodes / 2.0, x), axes=1)
         want = universal_recovery(sigma, chan, rule).apply(x)
         assert relative_error(self.standard_basis(pair, mixture), want) <= 1e-13
+        assert relative_error(pair.universal_apply(rule, x), want) <= 1e-13
 
     def test_isometric_channel_recovers_sigma_at_every_node(self):
         _, sigma, chan, _ = next(c for c in kernel_regimes() if c[0] == "isometric")
@@ -241,17 +246,33 @@ class TestPhaseSandwichKernel:
         assert stacked.shape == (4, len(self.TS), chan.dim_in, chan.dim_in)
         for member, one in zip(stacked, xs):
             np.testing.assert_allclose(member, pair.recovered(self.TS, one), rtol=0.0, atol=1e-15)
+        rule = beta0_quadrature(65)
+        universal = pair.universal_apply(rule, xs)
+        assert universal.shape == (4, chan.dim_in, chan.dim_in)
+        for member, one in zip(universal, xs):
+            np.testing.assert_allclose(member, pair.universal_apply(rule, one), rtol=0.0,
+                                       atol=1e-15)
 
     def test_quadrature_checks_build_no_kraus_stack(self, monkeypatch):
-        def refuse(self, ts, weights=None):
-            raise AssertionError("a quadrature check built a rotated-Kraus stack")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check built a rotated-Kraus stack or a recovery map")
 
         monkeypatch.setattr(recovery._PetzFactory, "kraus_stack", refuse)
+        monkeypatch.setattr(RecoveryMap, "__init__", refuse)
         rho, sigma, chan = random_dpi_instance(21)
         rule = beta0_quadrature(129)
         assert dpi_remainder(rho, sigma, chan, rule).slack_mixture >= -1e-9
         results = alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], rule)
         assert len(results) == 4 and all(r.slack >= -1e-7 for r in results)
+        # the mixture checks read the universal map's superoperator
+        gen = np.random.default_rng(21)
+        assert ssa_remainder(random_density(12, gen), (2, 3, 2), rule).slack >= -1e-9
+        members = [(0.5, random_density(6, gen)), (0.5, random_density(6, gen))]
+        assert concavity_remainder(members, (2, 3), rule).slack >= -1e-9
+        members = [(w, random_density(3, gen), random_density(3, gen)) for w in (0.3, 0.7)]
+        assert joint_convexity_remainder(members, rule).slack >= -1e-9
+        rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 4, rule)
+        assert rep.forward_ok and rep.converse_ok
 
 
 def counting(monkeypatch, name, modules):
@@ -307,6 +328,13 @@ class TestWorkPerInstance:
         # once (entropy and fidelity root) and its output once
         assert 0 < len(eigs) <= 2 + 2 * samples
         assert len(residuals) == 1  # the caller's projector
+
+    def test_qec_computes_the_phases_once(self, monkeypatch):
+        calls = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20,
+                    beta0_quadrature(129))
+        # the universal map is applied to every sample's output in one call
+        assert len(calls) == 1
 
     def test_finite_set_search_checks_each_input_once(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)

@@ -16,7 +16,6 @@ from petzlab.channels import (
 )
 from petzlab.entropy import (
     binary_entropy,
-    bits_to_nats,
     conditional_mutual_information,
     fannes_audenaert_bound,
     fidelity,
@@ -231,7 +230,7 @@ class TestBinaryEntropyAndBounds:
 
     def test_unit_conversion(self):
         assert nats_to_bits(math.log(2.0)) == pytest.approx(1.0, abs=1e-12)
-        assert bits_to_nats(nats_to_bits(0.7)) == pytest.approx(0.7, abs=1e-15)
+        assert nats_to_bits(0.7 * math.log(2.0)) == pytest.approx(0.7, abs=1e-15)
 
 
 def projective_povm(unitary):

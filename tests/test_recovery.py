@@ -20,7 +20,6 @@ from petzlab.entropy import trace_distance
 from petzlab.linalg import dagger, sqrtm_psd, support_projector, tensor_product
 from petzlab.recovery import (
     RecoveryMap,
-    alpha_theta_density,
     beta0_density,
     beta0_quadrature,
     beta_quadrature,
@@ -63,15 +62,11 @@ class TestDensities:
             else:
                 t = np.linspace(-30, 30, 10**6)
                 bt = float(np.trapezoid(beta_theta_density(t, theta), t))
-                at = float(np.trapezoid(alpha_theta_density(t, theta), t))
                 assert bt == pytest.approx(1.0, abs=1e-9)
-                assert at == pytest.approx(1.0, abs=1e-9)
 
     def test_theta_range(self):
         with pytest.raises(ValueError):
             beta_theta_density(0.0, 1.2)
-        with pytest.raises(ValueError):
-            alpha_theta_density(0.0, 0.0)
 
 
 class TestQuadrature:

@@ -6,10 +6,10 @@ import pytest
 from conftest import random_dpi_instance
 from petzlab.channels import (
     Channel,
-    basis_state,
     depolarizing_channel,
     ghz_state,
     identity_channel,
+    pure_state,
     random_channel,
     random_density,
     random_unitary,
@@ -23,7 +23,12 @@ from petzlab.entropy import (
     trace_distance,
 )
 from petzlab.linalg import dagger, tensor_product
-from petzlab.recovery import beta0_quadrature, rotated_petz_family, universal_recovery
+from petzlab.recovery import (
+    beta0_density,
+    beta0_quadrature,
+    rotated_petz_family,
+    universal_recovery,
+)
 from petzlab.serialize import dumps_recovery
 from petzlab.verify import (
     SweepConfig,
@@ -84,10 +89,10 @@ class TestDpiRemainder:
             assert rep.rhs_strong >= rep.rhs_mixture - 1e-9
 
     def test_support_violation_passes_trivially(self, rng):
-        rho = basis_state(3, 0)
+        rho = pure_state([1, 0, 0])
         sigma = random_density(3, rng, ensemble="rank-k", rank=1)
         # force orthogonal support
-        sigma = basis_state(3, 1)
+        sigma = pure_state([0, 1, 0])
         rep = dpi_remainder(rho, sigma, depolarizing_channel(3, 0.5), RULE65)
         assert rep.support_violated
         assert rep.lhs == np.inf
@@ -262,7 +267,7 @@ class TestJointConvexity:
 
     def test_support_violation_flagged(self, rng):
         good = (0.5, random_density(2, rng), random_density(2, rng))
-        bad = (0.5, basis_state(2, 0), basis_state(2, 1))
+        bad = (0.5, pure_state([1, 0]), pure_state([0, 1]))
         rep = joint_convexity_remainder([good, bad], RULE65)
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf
@@ -375,6 +380,20 @@ class TestFiniteSetSearch:
             [state, state], sigma, chan, np.linspace(-1, 1, 5), iterations=10
         )
         assert result.min_slack >= -1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tied_grid_keeps_the_beta0_start(self, seed):
+        # an isometric channel is reversed exactly by every rotated map, so
+        # every start gives a zero slack up to rounding; the first start, the
+        # beta0 density on the grid, is kept
+        rng = np.random.default_rng(seed)
+        sigma = random_density(3, rng)
+        chan = random_channel(3, 4, 1, rng)
+        states = [random_density(3, rng) for _ in range(2)]
+        grid = np.linspace(-1.0, 1.0, 5)
+        result = finite_set_recovery_search(states, sigma, chan, grid, iterations=10)
+        dens = beta0_density(grid)
+        np.testing.assert_array_equal(result.weights, dens / dens.sum())
 
     def test_commuting_classical_states(self):
         sigma = np.diag([0.3, 0.7]).astype(complex)
