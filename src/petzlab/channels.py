@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    MAX_TENSOR_DIM,
     _checked,
     dagger,
     eig_hermitian,
@@ -159,7 +160,7 @@ class Channel:
         out = np.zeros(lead + (self.dim_out, self.dim_out), dtype=complex)
         # batches whose products with all inputs hold at most 2**14 Kraus
         # entries keep the temporaries small
-        size = max(1, 2**14 // (self.dim_out * self.dim_in * int(np.prod(lead))))
+        size = max(1, 2**14 // (self.dim_out * self.dim_in * max(1, int(np.prod(lead)))))
         for start in range(0, self.num_kraus, size):
             block = self.kraus[start : start + size]
             block = block.reshape(block.shape[:1] + (1,) * len(lead) + block.shape[1:])
@@ -268,19 +269,13 @@ def partial_trace_channel(dims, keep) -> Channel:
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range")
     discarded = [i for i in range(len(dims)) if i not in keep]
-    ops = []
-    for multi in np.ndindex(*[dims[i] for i in discarded]):
-        chosen = dict(zip(discarded, multi))
-        factors = []
-        for i, d in enumerate(dims):
-            if i in chosen:
-                bra = np.zeros((1, d), dtype=complex)
-                bra[0, chosen[i]] = 1.0
-                factors.append(bra)
-            else:
-                factors.append(np.eye(d, dtype=complex))
-        ops.append(tensor_product(*factors))
-    return Channel(ops)
+    total = int(np.prod(dims))
+    if total > MAX_TENSOR_DIM:
+        raise ValueError(f"dimension {total} exceeds the configured maximum {MAX_TENSOR_DIM}")
+    # Kraus operator j: the rows of id whose discarded digits are j
+    d_disc = int(np.prod([dims[i] for i in discarded]))
+    eye = np.eye(total, dtype=complex).reshape(dims + [total])
+    return Channel(eye.transpose(discarded + keep + [len(dims)]).reshape(d_disc, -1, total))
 
 
 def three_qubit_bit_flip_code() -> np.ndarray:

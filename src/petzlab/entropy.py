@@ -32,19 +32,17 @@ def nats_to_bits(x: float) -> float:
     return x / LN2
 
 
-def _von_neumann(rho, vals=None) -> float:
-    """Entropy of a checked or built state from its eigenvalues above the
-    rank cutoff, under the PSD rule of ``_psd_eigensystem`` (or ``vals``)."""
-    vals = _psd_eigensystem(rho)[0] if vals is None else vals
-    lam = vals[vals > 0.0]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log(lam)))
+def _von_neumann(vals):
+    """Entropy of a clamped spectrum (``_psd_eigensystem``), a float, or of
+    each spectrum of a stack along the last axis, an array."""
+    lam = np.where(vals > 0.0, vals, 1.0)  # 1 log 1 = 0 on the kernel
+    h = -np.sum(lam * np.log(lam), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """``-tr(rho log rho)`` in nats, computed on the support."""
-    return _von_neumann(_checked(rho))
+    return _von_neumann(_psd_eigensystem(_checked(rho))[0])
 
 
 def _outside_mass(rho: np.ndarray, ref) -> float:
@@ -70,9 +68,10 @@ def _relative_entropy(rho, ref, vals=None) -> float:
     ``ref`` of the reference state."""
     if _outside_mass(rho, ref) > SUPPORT_TOL:
         return float(np.inf)
+    vals = _psd_eigensystem(rho)[0] if vals is None else vals
     log_sigma = _on_support(*ref, np.log)
     # tr(rho log rho) = -S(rho)
-    return -_von_neumann(rho, vals) - float(np.trace(rho @ log_sigma).real)
+    return -_von_neumann(vals) - float(np.trace(rho @ log_sigma).real)
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -89,6 +88,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _root_fidelities(rho_sys, stack: np.ndarray) -> np.ndarray:
     """Root fidelities ``|| sqrt(rho) sqrt(x) ||_1``, from the clamped
     eigensystem ``rho_sys`` of ``rho``, for every ``x`` of a ``(T, d, d)`` stack.
+    A stack of ``T`` eigensystems ``rho_sys`` broadcasts: member ``t`` of the
+    stack is then paired with ``rho_t``.
 
     ``sqrt(rho)`` is taken once; the stack goes through one batched ``eigh``
     and one batched singular-value call, each member held to the rank
@@ -119,9 +120,9 @@ def conditional_mutual_information(rho_abc: np.ndarray, dims) -> float:
         raise ValueError(
             f"dims {dims} do not match state dimension {rho_abc.shape[0]}"
         )
-    h_abc = _von_neumann(_checked(rho_abc))
+    h_abc = von_neumann_entropy(rho_abc)
     h_ab, h_bc, h_b = (
-        _von_neumann(partial_trace(rho_abc, (da, db, dc), keep=keep))
+        _von_neumann(_psd_eigensystem(partial_trace(rho_abc, (da, db, dc), keep=keep))[0])
         for keep in ((0, 1), (1, 2), (1,))
     )
     return h_ab + h_bc - h_abc - h_b

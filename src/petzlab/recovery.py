@@ -339,6 +339,8 @@ def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> Recov
 def _check_simplex(weights) -> np.ndarray:
     """``weights`` as a float array, checked to be a probability vector."""
     weights = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be finite, got {weights}")
     if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to one")
     return weights

@@ -28,7 +28,6 @@ from .entropy import (
     _root_fidelities,
     _von_neumann,
     binary_entropy,
-    conditional_mutual_information,
     fidelity,  # noqa: F401  bench/selftest.py checks that tracing restores verify.fidelity
 )
 from .linalg import _checked, _psd_eigensystem, eig_hermitian, dagger, partial_trace
@@ -201,14 +200,16 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     rho_abc = np.asarray(rho_abc, dtype=complex)
     rho_ab = partial_trace(rho_abc, (da, db, dc), keep=(0, 1))
     rho_bc = partial_trace(rho_abc, (da, db, dc), keep=(1, 2))
-    cmi = conditional_mutual_information(rho_abc, (da, db, dc))  # checks rho_abc
+    abc_sys = _psd_eigensystem(_checked(rho_abc))
+    # the pair's eigensystems are those of rho_BC and rho_B = tr_C rho_BC
+    pair = _PetzFactory(rho_bc, partial_trace_channel((db, dc), keep=(0,)))
+    cmi = (_von_neumann(_psd_eigensystem(rho_ab)[0]) + _von_neumann(pair.s_sys[0])
+           - _von_neumann(abc_sys[0]) - _von_neumann(pair.m_sys[0]))
 
-    trace_c = partial_trace_channel((db, dc), keep=(0,))
     # id_A (x) R acts on each B block (a, a') of rho_AB
     blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
-    rec = _PetzFactory(rho_bc, trace_c).universal_apply(rule, blocks)
-    rec = rec.swapaxes(1, 2).reshape(da * db * dc, da * db * dc)
-    f = float(_root_fidelities(_psd_eigensystem(rho_abc), rec[None])[0])
+    rec = pair.universal_apply(rule, blocks).swapaxes(1, 2).reshape(rho_abc.shape)
+    f = float(_root_fidelities(abc_sys, rec[None])[0])
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
                      recovered_state=rec)
@@ -223,6 +224,16 @@ class EnsembleReport:
     support_flags: tuple = ()
 
 
+def _members(states, dims=None) -> np.ndarray:
+    """Checked ensemble members as one stack, each of dimension ``prod(dims)``."""
+    states = [_checked(s) for s in states]
+    dims = states[0].shape[:1] if dims is None else dims
+    size = int(np.prod(dims))
+    if any(s.shape != (size, size) for s in states):
+        raise ValueError(f"dims {dims} do not match member shapes {[s.shape for s in states]}")
+    return np.array(states)
+
+
 def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     """Concavity of the conditional entropy with a recovery remainder.
 
@@ -233,22 +244,16 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     """
     da, db = (int(d) for d in dims)
     weights = _check_simplex([w for w, _ in ensemble])
-    states = [_checked(s) for _, s in ensemble]
-    avg = np.tensordot(weights, np.array(states), axes=1)
+    states = _members([s for _, s in ensemble], (da, db))
+    # the pair's eigensystems are those of the average and its B marginal
+    avg = np.tensordot(weights, states, axes=1)
+    pair = _PetzFactory(avg, partial_trace_channel((da, db), keep=(1,)))
+    states_sys = _psd_eigensystem(states)
+    marginals = np.trace(states.reshape(-1, da, db, da, db), axis1=1, axis2=3)
+    cond = _von_neumann(states_sys[0]) - _von_neumann(_psd_eigensystem(marginals)[0])
+    lhs = _von_neumann(pair.s_sys[0]) - _von_neumann(pair.m_sys[0]) - float(np.dot(weights, cond))
 
-    def cond_ent(rho_ab):
-        return _von_neumann(rho_ab) - _von_neumann(partial_trace(rho_ab, (da, db), keep=(1,)))
-
-    lhs = cond_ent(avg) - float(
-        np.dot(weights, [cond_ent(s) for s in states])
-    )
-
-    trace_a = partial_trace_channel((da, db), keep=(1,))
-    marginals = np.array([partial_trace(s, (da, db), keep=(1,)) for s in states])
-    recs = _PetzFactory(avg, trace_a).universal_apply(rule, marginals)
-    fids = np.array([
-        _root_fidelities(_psd_eigensystem(s), rec[None])[0] for s, rec in zip(states, recs)
-    ])
+    fids = _root_fidelities(states_sys, pair.universal_apply(rule, marginals))
     rhs = _neg2log(float(np.dot(weights, fids)))
     return EnsembleReport(lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs), member_fidelities=fids)
 
@@ -260,46 +265,40 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     common space.  The classical label is embedded as a block index, the
     universal map of ``(sigma_XA, tr_X)`` re-inflates the averaged state,
     and the remainder compares against the fidelity with the labeled state.
+    That map is block diagonal, so the fidelity is the weighted sum of the
+    member fidelities ``F(rho_x, rec_x / w_x)``.
     """
     weights = _check_simplex([w for w, _, _ in ensemble])
-    rhos = [_checked(r) for _, r, _ in ensemble]
-    sigmas = [_checked(s) for _, _, s in ensemble]
-    dim = rhos[0].shape[0]
-    nx = len(ensemble)
+    rhos = _members([r for _, r, _ in ensemble])
+    sigmas = _members([s for _, _, s in ensemble], rhos.shape[1:2])
+    nx, dim = rhos.shape[:2]
+    rho_sys, sigma_sys = _psd_eigensystem(rhos), _psd_eigensystem(sigmas)
 
     # a member's relative entropy is infinite exactly when its support check fails
-    member_d = [_relative_entropy(r, _psd_eigensystem(s)) for r, s in zip(rhos, sigmas)]
+    member_d = [_relative_entropy(r, ref, vals)
+                for r, vals, ref in zip(rhos, rho_sys[0], zip(*sigma_sys))]
     flags = tuple(d == np.inf for d in member_d)
-    rho_avg = np.tensordot(weights, np.array(rhos), axes=1)
-    sigma_avg = np.tensordot(weights, np.array(sigmas), axes=1)
-
-    lhs = float(np.dot(weights, member_d)) - _relative_entropy(
-        rho_avg, _psd_eigensystem(sigma_avg)
-    )
-
-    rho_xa = np.zeros((nx * dim, nx * dim), dtype=complex)
-    sigma_xa = np.zeros_like(rho_xa)
-    for x, (w, r, s) in enumerate(zip(weights, rhos, sigmas)):
-        sl = slice(x * dim, (x + 1) * dim)
-        rho_xa[sl, sl] = w * r
-        sigma_xa[sl, sl] = w * s
-
+    sigma_xa = np.zeros((nx, dim, nx, dim), dtype=complex)
+    sigma_xa[np.arange(nx), :, np.arange(nx)] = weights[:, None, None] * sigmas
+    # the pair's N(sigma_XA) is the average of the sigma_x
     trace_x = partial_trace_channel((nx, dim), keep=(1,))
-    rec = _PetzFactory(sigma_xa, trace_x).universal_apply(rule, rho_avg)
-    rhs = _neg2log(float(_root_fidelities(_psd_eigensystem(rho_xa), rec[None])[0]))
+    pair = _PetzFactory(sigma_xa.reshape(nx * dim, -1), trace_x)
+    rho_avg = np.tensordot(weights, rhos, axes=1)
+    lhs = float(np.dot(weights, member_d)) - _relative_entropy(rho_avg, pair.m_sys)
 
-    member_fids = []
-    for x, (w, r) in enumerate(zip(weights, rhos)):
-        if w <= 0.0:
-            member_fids.append(np.nan)
-            continue
-        block = rec[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] / w
-        member_fids.append(float(_root_fidelities(_psd_eigensystem(r), block[None])[0]))
+    rec = pair.universal_apply(rule, rho_avg).reshape(nx, dim, nx, dim)
+    live = weights > 0.0
+    member_fids = np.full(nx, np.nan)
+    member_fids[live] = _root_fidelities(
+        (rho_sys[0][live], rho_sys[1][live]),
+        rec[np.arange(nx), :, np.arange(nx)][live] / weights[live, None, None],
+    )
+    rhs = _neg2log(float(np.dot(weights[live], member_fids[live])))
     return EnsembleReport(
         lhs=lhs,
         rhs=rhs,
         slack=_slack(lhs, rhs),
-        member_fidelities=np.array(member_fids),
+        member_fidelities=member_fids,
         support_flags=flags,
     )
 
@@ -351,7 +350,7 @@ def qec_analyze(
     isometry = pair.s_sys[1][:, :dim_code]
 
     seeds = np.random.SeedSequence(seed).spawn(max(samples, 1))
-    gaps, outs, rho_systems = [], [], []
+    rhos = []
     for i in range(samples):
         if dim_code == 1:
             small = np.array([[1.0 + 0.0j]])
@@ -359,15 +358,15 @@ def qec_analyze(
             small = random_density(dim_code, seeds[i], ensemble="rank-k", rank=1)
         else:
             small = random_density(dim_code, seeds[i])
-        rho = isometry @ small @ dagger(isometry)
-        out_rho, rho_sys = channel.apply(rho), _psd_eigensystem(rho)
-        d_out = _relative_entropy(out_rho, pair.m_sys)
-        gaps.append(_relative_entropy(rho, pair.s_sys, rho_sys[0]) - d_out)
-        outs.append(out_rho)
-        rho_systems.append(rho_sys)
-    gaps = np.array(gaps)
-    recs = pair.universal_apply(rule, np.reshape(outs, (samples,) + pair.n_sigma.shape))
-    fids = np.array([_root_fidelities(s, rec[None])[0] for s, rec in zip(rho_systems, recs)])
+        rhos.append(isometry @ small @ dagger(isometry))
+    rhos = np.reshape(rhos, (samples,) + pi.shape)
+    outs = channel.apply(rhos)
+    rho_sys, out_vals = _psd_eigensystem(rhos), _psd_eigensystem(outs)[0]
+    gaps = np.array([
+        _relative_entropy(rho, pair.s_sys, vals) - _relative_entropy(out, pair.m_sys, o_vals)
+        for rho, vals, out, o_vals in zip(rhos, rho_sys[0], outs, out_vals)
+    ])
+    fids = _root_fidelities(rho_sys, pair.universal_apply(rule, outs))
 
     max_gap = float(np.max(gaps, initial=0.0))
     min_fid = float(np.min(fids, initial=1.0))

@@ -11,12 +11,20 @@ from petzlab.channels import (
     dephasing_channel,
     identity_channel,
     partial_trace_channel,
+    pure_state,
     random_channel,
     random_density,
+    random_unitary,
     single_bit_flip_channel,
     three_qubit_bit_flip_code,
 )
-from petzlab.entropy import _root_fidelities, fidelity
+from petzlab.entropy import (
+    _root_fidelities,
+    conditional_mutual_information,
+    fidelity,
+    relative_entropy,
+    von_neumann_entropy,
+)
 from petzlab.linalg import _checked, _psd_eigensystem, partial_trace
 from petzlab.recovery import (
     RecoveryMap,
@@ -336,6 +344,46 @@ class TestWorkPerInstance:
         # the universal map is applied to every sample's output in one call
         assert len(calls) == 1
 
+    def test_ssa_decompositions(self, rng, monkeypatch):
+        rho = random_density(12, rng)
+        eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
+        ssa_remainder(rho, (2, 3, 2), beta0_quadrature(129))
+        # rho_ABC (entropy and fidelity root), rho_AB, the reference pair
+        # (rho_BC and rho_B, which serve their entropies too), the recovered state
+        assert 0 < len(eigs) <= 5
+
+    @pytest.mark.parametrize("members", [2, 5])
+    def test_concavity_decompositions(self, rng, monkeypatch, members):
+        ensemble = [(w, random_density(6, rng)) for w in rng.dirichlet(np.ones(members))]
+        eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
+        concavity_remainder(ensemble, (2, 3), beta0_quadrature(129))
+        # the pair (the average and its marginal), then the members, their
+        # marginals and their recovered states, each stack in one call
+        assert 0 < len(eigs) <= 5
+
+    @pytest.mark.parametrize("members", [2, 5])
+    def test_joint_convexity_decompositions(self, rng, monkeypatch, members):
+        ensemble = [(w, random_density(3, rng), random_density(3, rng))
+                    for w in rng.dirichlet(np.ones(members))]
+        eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
+        joint_convexity_remainder(ensemble, beta0_quadrature(129))
+        # the rho_x and the sigma_x stacks, the pair (sigma_XA and the average
+        # sigma), the average rho, and the recovered blocks
+        assert 0 < len(eigs) <= 6
+
+    def test_qec_stacked_decompositions(self, monkeypatch):
+        eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20,
+                    beta0_quadrature(129))
+        # the pair, then the samples, their outputs and their recovered states,
+        # each stack in one call
+        assert 0 < len(eigs) <= 5
+
+    def test_partial_trace_channel_builds_no_tensor_product(self, monkeypatch):
+        calls = counting(monkeypatch, "tensor_product", (linalg, channels))
+        partial_trace_channel((2, 3, 2), keep=(1,))
+        assert calls == []
+
     def test_finite_set_search_checks_each_input_once(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
         states = [rho, random_density(sigma.shape[0], 17)]
@@ -384,6 +432,146 @@ class TestWorkPerInstance:
         assert all(r.slack >= -1e-7 for r in results)
 
 
+def reference_concavity(ensemble, dims, rule):
+    """``(lhs, rhs, member fidelities)`` of ``concavity_remainder`` from
+    public per-member calls."""
+    def cond(s):
+        return von_neumann_entropy(s) - von_neumann_entropy(partial_trace(s, dims, keep=(1,)))
+
+    avg = sum(w * s for w, s in ensemble)
+    rec = universal_recovery(avg, partial_trace_channel(dims, keep=(1,)), rule)
+    fids = np.array([fidelity(s, rec.apply(partial_trace(s, dims, keep=(1,)))) for _, s in ensemble])
+    lhs = cond(avg) - sum(w * cond(s) for w, s in ensemble)
+    return lhs, -2.0 * np.log(sum(w * f for (w, _), f in zip(ensemble, fids))), fids
+
+
+def block_diagonal(blocks):
+    n, d = len(blocks), len(blocks[0])
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for x, b in enumerate(blocks):
+        out[x * d : (x + 1) * d, x * d : (x + 1) * d] = b
+    return out
+
+
+def reference_joint(ensemble, rule):
+    """``(lhs, rhs, member fidelities)`` of ``joint_convexity_remainder`` from
+    public per-member calls, with ``rhs`` from ``F(rho_XA, rec)`` of the
+    full labeled state."""
+    weights, rhos, sigmas = zip(*ensemble)
+    n, d = len(rhos), len(rhos[0])
+    rho_avg = sum(w * r for w, r in zip(weights, rhos))
+    sigma_avg = sum(w * s for w, s in zip(weights, sigmas))
+    lhs = sum(w * relative_entropy(r, s) for w, r, s in ensemble if w > 0)
+    lhs -= relative_entropy(rho_avg, sigma_avg)
+    sigma_xa = block_diagonal([w * s for w, s in zip(weights, sigmas)])
+    rec = universal_recovery(sigma_xa, partial_trace_channel((n, d), keep=(1,)), rule).apply(rho_avg)
+    rhs = -2.0 * np.log(fidelity(block_diagonal([w * r for w, r in zip(weights, rhos)]), rec))
+    fids = np.array([
+        fidelity(r, rec[x * d : (x + 1) * d, x * d : (x + 1) * d] / w) if w > 0 else np.nan
+        for x, (w, r) in enumerate(zip(weights, rhos))
+    ])
+    return lhs, rhs, fids
+
+
+def ensemble_regimes():
+    gen = np.random.default_rng(2718)
+    rank_deficient = random_density(6, gen, ensemble="rank-k", rank=2)
+    pure = random_density(6, gen, ensemble="rank-k", rank=1)
+    yield "rank-deficient", [(0.3, rank_deficient), (0.7, random_density(6, gen))]
+    yield "pure", [(0.2, pure), (0.5, random_density(6, gen)), (0.3, random_density(6, gen))]
+    diagonal = [np.diag(gen.dirichlet(np.ones(6))).astype(complex) for _ in range(3)]
+    yield "classical", list(zip(gen.dirichlet(np.ones(3)), diagonal))
+
+
+class TestMixtureParity:
+    """The stacked mixture checks against public per-member calls."""
+
+    RULE = beta0_quadrature(65)
+
+    @pytest.mark.parametrize("case", list(ensemble_regimes()), ids=lambda c: c[0])
+    def test_concavity(self, case):
+        rep = concavity_remainder(case[1], (2, 3), self.RULE)
+        lhs, rhs, fids = reference_concavity(case[1], (2, 3), self.RULE)
+        assert rep.lhs == pytest.approx(lhs, abs=1e-12)
+        assert rep.rhs == pytest.approx(rhs, abs=1e-12)
+        np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", list(ensemble_regimes()), ids=lambda c: c[0])
+    def test_joint_convexity(self, case):
+        gen = np.random.default_rng(len(case[0]))
+        ensemble = [(w, s, random_density(6, gen)) for w, s in case[1]]
+        if case[0] == "classical":
+            ensemble = [(w, s, np.diag(gen.dirichlet(np.ones(6))).astype(complex))
+                        for w, s in case[1]]
+        rep = joint_convexity_remainder(ensemble, self.RULE)
+        lhs, rhs, fids = reference_joint(ensemble, self.RULE)
+        assert rep.lhs == pytest.approx(lhs, abs=1e-12)
+        # the block sum of member fidelities against the full labeled state
+        assert rep.rhs == pytest.approx(rhs, abs=1e-13)
+        np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 3, 12])
+    def test_ssa(self, rank):
+        gen = np.random.default_rng(rank)
+        rho = random_density(12, gen, ensemble="rank-k", rank=rank)
+        rep = ssa_remainder(rho, (2, 3, 2), self.RULE)
+        assert rep.cmi == pytest.approx(conditional_mutual_information(rho, (2, 3, 2)), abs=1e-12)
+        assert rep.recovered_fidelity == pytest.approx(fidelity(rho, rep.recovered_state),
+                                                       abs=1e-12)
+
+    def test_zero_weight_member(self, rng):
+        states = [random_density(4, rng) for _ in range(3)]
+        sigmas = [random_density(4, rng) for _ in range(3)]
+        weights = [0.4, 0.0, 0.6]
+        rep = concavity_remainder(list(zip(weights, states)), (2, 2), self.RULE)
+        live = concavity_remainder([(0.4, states[0]), (0.6, states[2])], (2, 2), self.RULE)
+        assert rep.rhs == pytest.approx(live.rhs, abs=1e-12)
+        assert rep.lhs == pytest.approx(live.lhs, abs=1e-12)
+        rep = joint_convexity_remainder(list(zip(weights, states, sigmas)), self.RULE)
+        live = joint_convexity_remainder(
+            [(0.4, states[0], sigmas[0]), (0.6, states[2], sigmas[2])], self.RULE
+        )
+        assert np.isnan(rep.member_fidelities[1])
+        assert rep.support_flags == (False, False, False)
+        assert rep.rhs == pytest.approx(live.rhs, abs=1e-12)
+        assert rep.lhs == pytest.approx(live.lhs, abs=1e-12)
+        np.testing.assert_allclose(rep.member_fidelities[[0, 2]], live.member_fidelities,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_joint_member_outside_sigma_support(self, rng):
+        inside = (0.5, random_density(3, rng), random_density(3, rng))
+        outside = (0.5, pure_state([1, 0, 0]), np.diag([0.0, 0.5, 0.5]).astype(complex))
+        rep = joint_convexity_remainder([inside, outside], self.RULE)
+        assert rep.support_flags == (False, True)
+        assert rep.lhs == np.inf and rep.slack == np.inf
+        _, rhs, fids = reference_joint([inside, outside], self.RULE)
+        assert rep.rhs == pytest.approx(rhs, abs=1e-13)
+        np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
+
+    def test_member_size_must_match_dims(self, rng):
+        good, bad = random_density(6, rng), random_density(4, rng)
+        for members in ([(0.5, good), (0.5, bad)], [(0.5, bad), (0.5, bad)]):
+            with pytest.raises(ValueError, match=r"dims \(2, 3\) do not match"):
+                concavity_remainder(members, (2, 3), self.RULE)
+        with pytest.raises(ValueError, match="do not match"):
+            joint_convexity_remainder([(0.5, good, good), (0.5, good, bad)], self.RULE)
+        with pytest.raises(ValueError, match="dims .* do not match"):
+            ssa_remainder(good, (2, 2, 2), self.RULE)
+
+    def test_negative_member_eigenvalue_raises(self, rng):
+        u = random_unitary(4, rng)
+        bad = u @ np.diag([0.5 + 1e-6, 0.3, 0.2, -1e-6]).astype(complex) @ u.conj().T
+        good = random_density(4, rng)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            concavity_remainder([(0.5, good), (0.5, bad)], (2, 2), self.RULE)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            joint_convexity_remainder([(0.5, good, good), (0.5, bad, good)], self.RULE)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            joint_convexity_remainder([(0.5, good, good), (0.5, good, bad)], self.RULE)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ssa_remainder(np.kron(bad, random_density(2, rng)), (2, 2, 2), self.RULE)
+
+
 class TestSsaReshape:
     def test_recovered_state_matches_lifted_channel(self, rng):
         rule = beta0_quadrature(33)
@@ -407,3 +595,4 @@ class TestSsaReshape:
         for i in range(2):
             for j in range(2):
                 np.testing.assert_allclose(out[i, j], chan.apply(xs[i, j]), atol=1e-15)
+        assert chan.apply(np.zeros((0, 3, 3))).shape == (0, 2, 2)

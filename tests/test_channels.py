@@ -181,6 +181,29 @@ class TestNamedChannels:
             out, (1 - lam) * rho + lam * np.eye(3) / 3, atol=1e-12
         )
 
+    @pytest.mark.parametrize("dims, keep", [
+        ((3,), ()), ((3,), (0,)), ((2, 3), ()), ((2, 3), (0,)), ((3, 2), (1,)),
+        ((2, 3, 2), (0, 2)), ((3, 1, 2), (1,)), ((2, 2, 3, 2), (1, 3)), ((4, 1, 3), (0, 1, 2)),
+    ])
+    def test_partial_trace_channel_matches_kron(self, dims, keep):
+        discarded = [i for i in range(len(dims)) if i not in keep]
+        ops = []
+        for digits in np.ndindex(*[dims[i] for i in discarded]):
+            chosen = dict(zip(discarded, digits))
+            op = np.ones((1, 1), dtype=complex)
+            for i, d in enumerate(dims):
+                factor = np.eye(d, dtype=complex)
+                op = np.kron(op, factor[chosen[i] : chosen[i] + 1] if i in chosen else factor)
+            ops.append(op)
+        kraus = partial_trace_channel(dims, keep).kraus
+        assert kraus.dtype == complex and kraus.shape == np.shape(ops)
+        assert kraus.tobytes() == np.array(ops).tobytes()
+
+    def test_partial_trace_channel_dimension_guard(self):
+        # 65 * 64 exceeds MAX_TENSOR_DIM; raised before any allocation
+        with pytest.raises(ValueError, match="exceeds the configured maximum"):
+            partial_trace_channel((65, 64), keep=(0,))
+
     def test_partial_trace_channel_on_product(self, rng):
         a = random_density(2, rng)
         b = random_density(3, rng)

@@ -398,3 +398,9 @@ class TestConvexMixture:
         base = petz(sigma, chan)
         with pytest.raises(ValueError, match="weights"):
             convex_mixture([base, base], [0.7, 0.7])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, rng, bad):
+        base = petz(random_density(2, rng), identity_channel(2))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            convex_mixture([base, base], [bad, 1.0])

@@ -224,6 +224,12 @@ class TestConcavity:
                 RULE65,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, rng, bad):
+        members = [(bad, random_density(4, rng)), (1.0, random_density(4, rng))]
+        with pytest.raises(ValueError, match="weights must be finite"):
+            concavity_remainder(members, (2, 2), RULE65)
+
 
 class TestJointConvexity:
     def test_identical_members(self, rng):
@@ -271,6 +277,12 @@ class TestJointConvexity:
         rep = joint_convexity_remainder([good, bad], RULE65)
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_weight_rejected(self, rng, bad):
+        members = [(w, random_density(2, rng), random_density(2, rng)) for w in (bad, 1.0)]
+        with pytest.raises(ValueError, match="weights must be finite"):
+            joint_convexity_remainder(members, RULE65)
 
 
 def syndrome_decoder_for_bit_flip():
@@ -343,6 +355,11 @@ class TestQec:
     def test_non_projector_rejected(self, rng):
         with pytest.raises(ValueError, match="projector"):
             qec_analyze(random_density(4, rng), depolarizing_channel(4, 0.1), 2, RULE65)
+
+    def test_zero_samples(self):
+        rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 0, RULE65)
+        assert rep.gaps.shape == rep.fidelities.shape == (0,)
+        assert rep.forward_ok and rep.converse_ok
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
