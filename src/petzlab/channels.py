@@ -183,12 +183,7 @@ class Channel:
         the number of Kraus operators; output ordering is big-endian
         (system first, environment second).
         """
-        env = self.num_kraus
-        u = np.zeros((self.dim_out * env, self.dim_in), dtype=complex)
-        view = u.reshape(self.dim_out, env, self.dim_in)
-        for k in range(env):
-            view[:, k, :] = self.kraus[k]
-        return u
+        return self.kraus.transpose(1, 0, 2).copy().reshape(-1, self.dim_in)
 
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_ij E_ij (x) N(E_ij)`` (input factor first)."""

@@ -16,6 +16,7 @@ from .linalg import (
     _on_support,
     _power,
     _psd_eigensystem,
+    _reconstruct,
     dagger,
     partial_trace,
     schatten_norm,
@@ -45,16 +46,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _von_neumann(_psd_eigensystem(_checked(rho))[0])
 
 
-def _outside_mass(rho: np.ndarray, ref) -> float:
-    """Relative mass of ``rho`` outside the support of the clamped
-    eigensystem ``ref`` (``_psd_eigensystem``)."""
-    vals, vecs = ref
-    support = vecs[:, vals > 0.0]
-    pi_perp = np.eye(rho.shape[0]) - support @ dagger(support)
-    tr = float(np.trace(rho).real)
-    if tr <= 0.0:
-        return 0.0
-    return max(0.0, float(np.trace(pi_perp @ rho).real) / tr)
+def _outside_mass(rho, ref):
+    """Relative mass of ``rho`` outside the support of the clamped eigensystem
+    ``ref`` (``_psd_eigensystem``); a ``(..., d, d)`` stack gives an array,
+    against ``ref`` or, member by member, a stack of eigensystems."""
+    pi_perp = np.eye(rho.shape[-1]) - _reconstruct(ref[1], ref[0] > 0.0)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    out = np.trace(pi_perp @ rho, axis1=-2, axis2=-1).real
+    mass = np.maximum(0.0, np.divide(out, tr, out=np.zeros_like(tr), where=tr > 0.0))
+    return float(mass) if mass.ndim == 0 else mass
 
 
 def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -62,16 +62,16 @@ def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
     return _outside_mass(np.asarray(rho, dtype=complex), _psd_eigensystem(_checked(sigma)))
 
 
-def _relative_entropy(rho, ref, vals=None) -> float:
+def _relative_entropy(rho, ref, vals=None):
     """``relative_entropy`` of a complex array the caller checked or built
     (clamped spectrum ``vals``, if known), against the clamped eigensystem
-    ``ref`` of the reference state."""
-    if _outside_mass(rho, ref) > SUPPORT_TOL:
-        return float(np.inf)
+    ``ref`` of the reference state; stacks pair up as in ``_outside_mass``."""
     vals = _psd_eigensystem(rho)[0] if vals is None else vals
     log_sigma = _on_support(*ref, np.log)
     # tr(rho log rho) = -S(rho)
-    return -_von_neumann(vals) - float(np.trace(rho @ log_sigma).real)
+    d = -_von_neumann(vals) - np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
+    d = np.where(_outside_mass(rho, ref) > SUPPORT_TOL, np.inf, d)
+    return float(d) if d.ndim == 0 else d
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -259,15 +259,14 @@ def _renyi_delta(rho, rho_sys, pair, alphas) -> list:
         return [float(np.inf)] * len(alphas)
     n_rho = _psd_eigensystem(pair.channel.apply(rho))
     root_rho = _power(*rho_sys, 0.5)
-    u = pair.channel.stinespring_isometry()
+    kraus = pair.channel.kraus
     out = []
     for alpha in alphas:
         p = (1.0 - alpha) / (2.0 * alpha)
-        n_rho_p = _power(*n_rho, p)
-        n_sigma_p = _power(*pair.m_sys, -p)
-        block = np.kron(n_rho_p @ n_sigma_p, np.eye(pair.channel.num_kraus))
-        mat = block @ u @ _power(*pair.s_sys, p) @ root_rho
-        norm = schatten_norm(mat, 2.0 * alpha)
+        left = _power(*n_rho, p) @ _power(*pair.m_sys, -p)
+        # the rows of U = sum_k K_k (x) |k>, permuted to (k, out): same singular values
+        mat = left @ kraus @ (_power(*pair.s_sys, p) @ root_rho)
+        norm = schatten_norm(mat.reshape(-1, pair.channel.dim_in), 2.0 * alpha)
         coeff = 2.0 * alpha / (alpha - 1.0)
         if norm <= 0.0:
             out.append(float(np.inf) if coeff < 0 else float(-np.inf))

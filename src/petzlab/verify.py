@@ -275,9 +275,8 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     rho_sys, sigma_sys = _psd_eigensystem(rhos), _psd_eigensystem(sigmas)
 
     # a member's relative entropy is infinite exactly when its support check fails
-    member_d = [_relative_entropy(r, ref, vals)
-                for r, vals, ref in zip(rhos, rho_sys[0], zip(*sigma_sys))]
-    flags = tuple(d == np.inf for d in member_d)
+    member_d = _relative_entropy(rhos, sigma_sys, rho_sys[0])
+    flags = tuple((member_d == np.inf).tolist())
     sigma_xa = np.zeros((nx, dim, nx, dim), dtype=complex)
     sigma_xa[np.arange(nx), :, np.arange(nx)] = weights[:, None, None] * sigmas
     # the pair's N(sigma_XA) is the average of the sigma_x
@@ -339,14 +338,14 @@ def qec_analyze(
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    pi = np.asarray(projector, dtype=complex)
+    pi = _checked(projector)
     idem = float(np.linalg.norm(pi @ pi - pi, 2))
     if idem > 1e-8:
         raise ValueError(f"input is not a projector: ||P^2 - P|| = {idem:.3e}")
     dim_code = int(round(float(np.trace(pi).real)))
     if dim_code < 1:
         raise ValueError("codespace is empty")
-    pair = _PetzFactory(_checked(pi), channel)
+    pair = _PetzFactory(pi, channel)
     isometry = pair.s_sys[1][:, :dim_code]
 
     seeds = np.random.SeedSequence(seed).spawn(max(samples, 1))
@@ -362,10 +361,8 @@ def qec_analyze(
     rhos = np.reshape(rhos, (samples,) + pi.shape)
     outs = channel.apply(rhos)
     rho_sys, out_vals = _psd_eigensystem(rhos), _psd_eigensystem(outs)[0]
-    gaps = np.array([
-        _relative_entropy(rho, pair.s_sys, vals) - _relative_entropy(out, pair.m_sys, o_vals)
-        for rho, vals, out, o_vals in zip(rhos, rho_sys[0], outs, out_vals)
-    ])
+    gaps = (_relative_entropy(rhos, pair.s_sys, rho_sys[0])
+            - _relative_entropy(outs, pair.m_sys, out_vals))
     fids = _root_fidelities(rho_sys, pair.universal_apply(rule, outs))
 
     max_gap = float(np.max(gaps, initial=0.0))
@@ -434,22 +431,22 @@ def finite_set_recovery_search(
     sigma = _checked(sigma)
     if any(s.shape != sigma.shape for s in states):
         raise ValueError(f"every state must have the shape of sigma, {sigma.shape}")
+    states = np.array(states)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid)):
         raise ValueError(f"t_grid must be a non-empty 1-d array of finite values, got {t_grid}")
     pair = _PetzFactory(sigma, channel)
-    d_in = [_relative_entropy(s, pair.s_sys) for s in states]
-    for i, d in enumerate(d_in):
-        # infinite exactly when the support check fails
-        if d == np.inf:
-            raise ValueError(f"state {i} is not supported inside sigma")
+    d_in = _relative_entropy(states, pair.s_sys)
+    outside = d_in == np.inf  # exactly when the support check fails
+    if outside.any():
+        raise ValueError(f"state {outside.argmax()} is not supported inside sigma")
 
-    outs = channel.apply(np.array(states))
-    gaps = np.array([d - _relative_entropy(out, pair.m_sys) for d, out in zip(d_in, outs)])
+    outs = channel.apply(states)
+    gaps = d_in - _relative_entropy(outs, pair.m_sys)
     # recs[x, j] = R_j(N(state_x)) in sigma's eigenbasis, flattened; the
     # slacks are unitarily invariant, so the states are rotated there too
     recs = pair.recovered(t_grid, outs).reshape(len(states), len(t_grid), -1)
-    rhos = dagger(pair.s_sys[1]) @ np.array(states) @ pair.s_sys[1]
+    rhos = dagger(pair.s_sys[1]) @ states @ pair.s_sys[1]
     all_states = np.arange(len(states))
 
     def slacks(weights: np.ndarray, x) -> np.ndarray:

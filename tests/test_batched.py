@@ -25,7 +25,7 @@ from petzlab.entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from petzlab.linalg import _checked, _psd_eigensystem, partial_trace
+from petzlab.linalg import _checked, _psd_eigensystem, dagger, partial_trace
 from petzlab.recovery import (
     RecoveryMap,
     beta0_quadrature,
@@ -151,6 +151,65 @@ class TestStackedMeasurement:
         if rank == "pure" and d == 8:
             # numpy would group a padded 8-term sum differently
             assert zeros > 0
+
+
+def relative_entropy_regimes():
+    gen = np.random.default_rng(4242)
+
+    def inside(sigma, rank):
+        vals, vecs = np.linalg.eigh(sigma)
+        cols = vecs[:, vals > 1e-12]
+        return cols @ random_density(cols.shape[1], gen, ensemble="rank-k", rank=rank) @ dagger(cols)
+
+    sigma = random_density(4, gen, ensemble="rank-k", rank=2)
+    zero = np.zeros((4, 4), dtype=complex)
+    members = [inside(sigma, 2), inside(sigma, 1), random_density(4, gen), zero]
+    yield "rank-deficient", np.array(members), sigma
+    sigma = random_density(3, gen, ensemble="rank-k", rank=1)
+    yield "pure", np.array([sigma, random_density(3, gen), np.zeros((3, 3), dtype=complex)]), sigma
+    members = [random_density(8, gen, ensemble="rank-k", rank=k) for k in (8, 3, 1)]
+    yield "full-rank", np.array(members), random_density(8, gen)
+    refs = [random_density(5, gen, ensemble="rank-k", rank=k) for k in (5, 3, 1, 2)]
+    members = [random_density(5, gen), inside(refs[1], 2), random_density(5, gen), inside(refs[3], 1)]
+    yield "stacked-references", np.array(members), np.array(refs)
+
+
+class TestStackedRelativeEntropy:
+    """A stack of states against one reference, or against a paired stack of
+    references, gets the bits of each member's own call."""
+
+    @pytest.mark.parametrize("case", list(relative_entropy_regimes()), ids=lambda c: c[0])
+    def test_stack_matches_members(self, case):
+        _, rhos, refs = case
+        ref_sys = _psd_eigensystem(refs)
+        pairs = list(zip(*ref_sys)) if refs.ndim == 3 else [ref_sys] * len(rhos)
+        stacked = entropy._relative_entropy(rhos, ref_sys)
+        masses = entropy._outside_mass(rhos, ref_sys)
+        singles = [entropy._relative_entropy(r, ref) for r, ref in zip(rhos, pairs)]
+        single_masses = [entropy._outside_mass(r, ref) for r, ref in zip(rhos, pairs)]
+        assert all(type(d) is float for d in singles + single_masses)
+        assert stacked.shape == masses.shape == (len(rhos),)
+        assert stacked.tobytes() == np.array(singles).tobytes()
+        assert masses.tobytes() == np.array(single_masses).tobytes()
+        with_vals = entropy._relative_entropy(rhos, ref_sys, _psd_eigensystem(rhos)[0])
+        assert with_vals.tobytes() == stacked.tobytes()
+        for r, ref, d in zip(rhos, refs if refs.ndim == 3 else [refs] * len(rhos), stacked):
+            assert d == relative_entropy(r, ref)
+
+    def test_outside_member_is_infinite_and_zero_trace_member_has_no_mass(self):
+        _, rhos, sigma = next(relative_entropy_regimes())
+        d = entropy._relative_entropy(rhos, _psd_eigensystem(sigma))
+        mass = entropy._outside_mass(rhos, _psd_eigensystem(sigma))
+        assert np.isfinite(d[:2]).all() and d[2] == np.inf
+        assert mass[2] > linalg.SUPPORT_TOL and mass[3] == 0.0 and d[3] == 0.0
+
+    @pytest.mark.parametrize("stacked_refs", [False, True])
+    def test_empty_stack(self, rng, stacked_refs):
+        refs = random_density(3, rng)
+        empty = np.zeros((0, 3, 3), dtype=complex)
+        ref_sys = _psd_eigensystem(empty if stacked_refs else refs)
+        for out in (entropy._relative_entropy(empty, ref_sys), entropy._outside_mass(empty, ref_sys)):
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 class TestKrausStack:
@@ -378,6 +437,29 @@ class TestWorkPerInstance:
         # the pair, then the samples, their outputs and their recovered states,
         # each stack in one call
         assert 0 < len(eigs) <= 5
+
+    def test_qec_takes_two_stacked_entropies(self, monkeypatch):
+        calls = counting(monkeypatch, "_relative_entropy", (verify,))
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20,
+                    beta0_quadrature(129))
+        # the samples against sigma and their outputs against N(sigma)
+        assert len(calls) == 2
+
+    def test_finite_set_search_takes_two_stacked_entropies(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
+        states = [rho] + [random_density(sigma.shape[0], seed) for seed in (5, 17)]
+        calls = counting(monkeypatch, "_relative_entropy", (verify,))
+        finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=2)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("members", [2, 5])
+    def test_joint_convexity_takes_two_stacked_entropies(self, rng, monkeypatch, members):
+        ensemble = [(w, random_density(3, rng), random_density(3, rng))
+                    for w in rng.dirichlet(np.ones(members))]
+        calls = counting(monkeypatch, "_relative_entropy", (verify,))
+        joint_convexity_remainder(ensemble, beta0_quadrature(129))
+        # the members against their sigma_x, then the averages
+        assert len(calls) == 2
 
     def test_partial_trace_channel_builds_no_tensor_product(self, monkeypatch):
         calls = counting(monkeypatch, "tensor_product", (linalg, channels))

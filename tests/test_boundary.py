@@ -142,7 +142,7 @@ def test_non_hermitian_composite_input_rejected(name):
 
 
 def test_qec_analyze_rejects_non_hermitian_projector():
-    # idempotent, so it passes the projector test and reaches the residual
+    # idempotent, so only the residual rejects it
     projector = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="residual"):
         qec_analyze(projector, bit_flip_channel(0.1), 2, RULE)

@@ -111,6 +111,19 @@ class TestStinespring:
         assert iso.shape == (4, 2)
         np.testing.assert_allclose(dagger(iso) @ iso, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (2, 2, 3), (3, 4, 2), (5, 3, 3)])
+    def test_matches_loop_built_isometry(self, rng, shape):
+        env, dout, din = shape
+        chan = random_channel(din, dout, env, rng)
+        want = np.zeros((dout * env, din), dtype=complex)
+        view = want.reshape(dout, env, din)
+        for k in range(env):
+            view[:, k, :] = chan.kraus[k]
+        iso = chan.stinespring_isometry()
+        assert iso.shape == want.shape and iso.tobytes() == want.tobytes()
+        iso[...] = 0.0  # a copy: the channel's Kraus stack is untouched
+        assert np.any(chan.kraus != 0.0)
+
     def test_traces_back_to_channel(self, rng):
         chan = random_channel(3, 2, 3, rng)
         iso = chan.stinespring_isometry()

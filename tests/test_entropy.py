@@ -29,7 +29,7 @@ from petzlab.entropy import (
     validate_povm,
     von_neumann_entropy,
 )
-from petzlab.linalg import SUPPORT_TOL, dagger, partial_trace
+from petzlab.linalg import SUPPORT_TOL, dagger, partial_trace, power_on_support, schatten_norm
 from petzlab.recovery import petz
 
 
@@ -393,6 +393,19 @@ class TestRenyiDelta:
             )
             want = classical_renyi_delta(p, q, t, alpha)
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_matches_stinespring_formula(self, rng):
+        for din, dout, env in ((2, 2, 1), (3, 2, 2), (4, 3, 3), (2, 4, 2)):
+            rho, sigma = random_density(din, rng), random_density(din, rng)
+            chan = random_channel(din, dout, env, rng)
+            for alpha in (0.5, 0.75, 1.5):
+                p = (1.0 - alpha) / (2.0 * alpha)
+                left = power_on_support(chan.apply(rho), p) @ power_on_support(
+                    chan.apply(sigma), -p)
+                mat = (np.kron(left, np.eye(env)) @ chan.stinespring_isometry()
+                       @ power_on_support(sigma, p) @ power_on_support(rho, 0.5))
+                want = 2.0 * alpha / (alpha - 1.0) * math.log(schatten_norm(mat, 2.0 * alpha))
+                assert renyi_delta(rho, sigma, chan, alpha) == pytest.approx(want, abs=1e-12)
 
     def test_alpha_one_rejected(self, rng):
         rho = random_density(2, rng)

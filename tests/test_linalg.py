@@ -4,6 +4,7 @@ import pytest
 from petzlab.linalg import (
     dagger,
     eig_hermitian,
+    hermiticity_residual,
     imaginary_power,
     log_on_support,
     partial_trace,
@@ -55,6 +56,31 @@ class TestEigHermitian:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         with pytest.raises(ValueError, match="residual"):
             eig_hermitian(g)
+
+
+class TestHermiticityResidual:
+    @staticmethod
+    def svd_residual(h):
+        scale = np.linalg.norm(h, 2)
+        return 0.0 if scale == 0.0 else np.linalg.norm(h - dagger(h), 2) / scale
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 27])
+    def test_matches_svd_formula(self, rng, dim):
+        for log_eps in (-15, -11, -9, -4, 0):
+            h = random_psd(dim, rng) + 10.0**log_eps * (
+                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            want = self.svd_residual(h)
+            assert abs(hermiticity_residual(h) - want) <= 1e-12 * want
+
+    def test_hermitian_and_zero(self, rng):
+        assert hermiticity_residual(random_hermitian(4, rng)) == 0.0
+        assert hermiticity_residual(np.zeros((3, 3), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_scales(self, rng, scale):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        want = self.svd_residual(g)
+        assert abs(hermiticity_residual(scale * g) - want) <= 1e-12 * want
 
 
 class TestMatrixFunctions:

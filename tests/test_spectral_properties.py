@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petzlab.entropy import _root_fidelities
+from petzlab.entropy import _relative_entropy, _root_fidelities
 from petzlab.linalg import (
     _on_support,
     _psd_eigensystem,
@@ -93,3 +93,26 @@ def test_root_fidelities_match_trace_norm_of_root_product(rho, members):
     root = reference_sqrt(rho)
     want = [np.linalg.svd(root @ reference_sqrt(x), compute_uv=False).sum() for x in stack]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def states_and_references(draw):
+    """A stack of states and an equally long stack of references, one size."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    states = draw(st.lists(psd(dim=d), min_size=n, max_size=n))
+    refs = draw(st.lists(psd(dim=d), min_size=n, max_size=n))
+    return np.array(states), np.array(refs)
+
+
+@PROPERTY
+@given(states_and_references())
+def test_stacked_relative_entropy_matches_members(pair):
+    states, refs = pair
+    vals, vecs = ref_sys = _psd_eigensystem(refs)
+    paired = _relative_entropy(states, ref_sys)
+    against_first = _relative_entropy(states, (vals[0], vecs[0]))
+    for i, rho in enumerate(states):
+        assert paired[i].tobytes() == np.float64(_relative_entropy(rho, (vals[i], vecs[i]))).tobytes()
+        assert against_first[i].tobytes() == np.float64(
+            _relative_entropy(rho, (vals[0], vecs[0]))).tobytes()

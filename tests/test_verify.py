@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,16 @@ class TestQec:
         with pytest.raises(ValueError, match="projector"):
             qec_analyze(random_density(4, rng), depolarizing_channel(4, 0.1), 2, RULE65)
 
+    @pytest.mark.parametrize("projector, message", [
+        (np.diag([1.0, np.nan]), "non-finite entries"),
+        (np.ones((2, 3)), "expected a square matrix"),
+    ])
+    def test_malformed_projector_rejected_first(self, projector, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                qec_analyze(projector, single_bit_flip_channel(0.1), 2, RULE65)
+
     def test_zero_samples(self):
         rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 0, RULE65)
         assert rep.gaps.shape == rep.fidelities.shape == (0,)
@@ -367,6 +378,13 @@ class TestQec:
 
 
 class TestFiniteSetSearch:
+    def test_first_state_outside_sigma_named(self, rng):
+        sigma = np.diag([0.6, 0.4, 0.0]).astype(complex)
+        inside = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        states = [inside, random_density(3, rng), inside, random_density(3, rng)]
+        with pytest.raises(ValueError, match="state 1 is not supported inside sigma"):
+            finite_set_recovery_search(states, sigma, random_channel(3, 2, 2, rng), [0.0, 1.0])
+
     def test_singleton_matches_best_grid_map(self, rng):
         sigma = random_density(2, rng)
         chan = random_channel(2, 2, 2, rng)
