@@ -118,6 +118,8 @@ class Channel:
             raise ValueError("a channel needs at least one Kraus operator")
         if self.kraus.ndim != 3:
             raise ValueError("all Kraus operators must share one 2-d shape")
+        if not np.all(np.isfinite(self.kraus)):
+            raise ValueError("Kraus operators have non-finite entries")
         if mode not in ("tp", "tni"):
             raise ValueError(f"mode must be 'tp' or 'tni', got {mode!r}")
         self.mode = mode

@@ -59,7 +59,7 @@ def _outside_mass(rho, ref):
 
 def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Relative mass of ``rho`` outside the support of ``sigma``."""
-    return _outside_mass(np.asarray(rho, dtype=complex), _psd_eigensystem(_checked(sigma)))
+    return _outside_mass(_checked(rho, herm_tol=np.inf), _psd_eigensystem(_checked(sigma)))
 
 
 def _relative_entropy(rho, ref, vals=None):
@@ -108,7 +108,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of the difference."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    diff = _checked(rho, herm_tol=np.inf) - _checked(sigma, herm_tol=np.inf)
     return 0.5 * trace_norm_hermitian(0.5 * (diff + dagger(diff)))
 
 
@@ -205,7 +205,7 @@ def measured_relative_entropy_lb(rho: np.ndarray, omega: np.ndarray, effects) ->
     entropy.  Returns ``inf`` on a classical support violation: an outcome
     with probability above ``SUPPORT_TOL`` under ``rho`` and 0 under ``omega``.
     """
-    rho, omega = np.asarray(rho), np.asarray(omega)
+    rho, omega = _checked(rho, herm_tol=np.inf), _checked(omega, herm_tol=np.inf)
     povm = np.array(validate_povm(effects, rho.shape[0]))
     return float(_measured_lb(rho[None], omega[None], povm[None])[0])
 
@@ -258,14 +258,14 @@ def _renyi_delta(rho, rho_sys, pair, alphas) -> list:
     if _outside_mass(rho, pair.s_sys) > SUPPORT_TOL:
         return [float(np.inf)] * len(alphas)
     n_rho = _psd_eigensystem(pair.channel.apply(rho))
-    root_rho = _power(*rho_sys, 0.5)
-    kraus = pair.channel.kraus
+    right = pair.s_sys[1].conj().T @ _power(*rho_sys, 0.5)
+    ps = np.array([(1.0 - alpha) / (2.0 * alpha) for alpha in alphas])
+    # N(sigma)^-p K_k sigma^p = V_N cores_k^dag V_sigma^dag, cores of (sigma^p, N(sigma)^-p)
+    cores = pair.cores(pair._powers(pair.s_sys[0], ps), pair._powers(pair.m_sys[0], -ps))
     out = []
-    for alpha in alphas:
-        p = (1.0 - alpha) / (2.0 * alpha)
-        left = _power(*n_rho, p) @ _power(*pair.m_sys, -p)
+    for alpha, p, core in zip(alphas, ps, cores.conj().swapaxes(-1, -2)):
         # the rows of U = sum_k K_k (x) |k>, permuted to (k, out): same singular values
-        mat = left @ kraus @ (_power(*pair.s_sys, p) @ root_rho)
+        mat = (_power(*n_rho, p) @ pair.m_sys[1]) @ core @ right
         norm = schatten_norm(mat.reshape(-1, pair.channel.dim_in), 2.0 * alpha)
         coeff = 2.0 * alpha / (alpha - 1.0)
         if norm <= 0.0:

@@ -277,19 +277,21 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 
     ``dims`` lists the factor dimensions in big-endian order and must
     multiply to the dimension of ``m``; ``keep`` is an iterable of factor
-    indices to retain (output keeps their original order).
+    indices to retain (output keeps their original order).  A ``(..., D,
+    D)`` stack gives the stack of its members' partial traces.
     """
     m = np.asarray(m, dtype=complex)
     dims = [int(d) for d in dims]
     n = len(dims)
     total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"dims {dims} do not match matrix shape {m.shape}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
 
-    tensor = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    tensor = m.reshape(lead + tuple(dims + dims))
     # Trace over discarded factors from the highest index down so that the
     # remaining axis numbering stays valid.
     removed = 0
@@ -297,7 +299,7 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
         if i in keep:
             continue
         n_cur = n - removed
-        tensor = np.trace(tensor, axis1=i, axis2=i + n_cur)
+        tensor = np.trace(tensor, axis1=len(lead) + i, axis2=len(lead) + i + n_cur)
         removed += 1
     d_keep = int(np.prod([dims[k] for k in keep], initial=1))
-    return tensor.reshape(d_keep, d_keep)
+    return tensor.reshape(lead + (d_keep, d_keep))

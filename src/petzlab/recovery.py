@@ -146,13 +146,14 @@ class RecoveryMap(Channel):
 
 
 class _PetzFactory:
-    """The reference pair of a check: ``sigma``, ``N(sigma)`` and their
-    clamped eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``),
-    formed and decomposed once.  Builds the rotated Petz maps' Kraus stack;
+    """The reference pair of a check: ``sigma``, ``N(sigma)``, their clamped
+    eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``) and the channel
+    in those eigenbases, ``B_k = V_sigma^dag K_k^dag V_N``, formed once.  Every
+    Petz-type operator is ``B_k`` between two ``_powers`` diagonals (``cores``).
     ``recovered`` (every node's ``R_t(x)``) and ``universal_apply`` (the
-    universal map's output) apply the maps without one, through ``R_t =
-    U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map, ``U_{h,t}(x) =
-    h^{-it} x h^{it}``) and the node phases of ``_phases``.
+    universal map's output) apply the maps without a Kraus stack, through
+    ``R_t = U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map, ``U_{h,t}(x)
+    = h^{-it} x h^{it}``) and the node phases of ``_phases``.
 
     ``sigma`` is a complex matrix the caller has checked; ``channel.apply``
     checks its shape.
@@ -165,33 +166,42 @@ class _PetzFactory:
             raise ValueError("channel output on sigma is numerically zero")
         self.s_sys = _psd_eigensystem(sigma)
         self.m_sys = _psd_eigensystem(self.n_sigma)
-        self.kraus_dg = channel.kraus.conj().swapaxes(1, 2)
-        # B_k = V_sigma^dag K_k^dag V_N side by side, and the B_k^dag side by side
-        b = self.s_sys[1].conj().T @ self.kraus_dg @ self.m_sys[1]
-        self.b_row = np.concatenate(b, axis=1)
-        self.b_dg_row = np.concatenate(b.conj().swapaxes(1, 2), axis=1)
+        # B_k as (k, m, n), side by side as (m, k n), and the B_k^dag side by side
+        self.b = self.s_sys[1].conj().T @ channel.kraus.conj().swapaxes(1, 2) @ self.m_sys[1]
+        self.b_row = np.concatenate(self.b, axis=1)
+        self.b_dg_row = np.concatenate(self.b.conj().swapaxes(1, 2), axis=1)
 
     @staticmethod
     def _powers(vals, exponents) -> np.ndarray:
         """The ``(T, d)`` diagonals of ``h**z`` for every ``z`` in the eigenbasis
         of ``h`` (clamped spectrum ``vals``), 0 on the kernel."""
         pos = vals > 0.0
-        logs = np.log(vals[pos])
-        f = np.zeros((len(exponents), len(pos)), dtype=complex)
-        f[:, pos] = np.exp(np.multiply.outer(exponents, logs))
+        z = np.multiply.outer(exponents, np.log(vals[pos]))
+        powers = np.exp(z)
         # a real exponent (t = 0) takes the real exp, which may differ in
         # the last bit from the complex one
         real = exponents.imag == 0.0
-        f[np.ix_(real, pos)] = np.exp(np.multiply.outer(exponents.real[real], logs))
+        powers[real] = np.exp(z[real].real)
+        f = np.zeros((len(exponents), len(pos)), dtype=complex)
+        f[:, pos] = powers
         return f
+
+    def _diagonals(self, ts):
+        """``a_t = N(sigma)^{-1/2 + it}`` and ``c_t = sigma^{1/2 - it}`` at every ``t``
+        of the float array ``ts``, ``(T, n)`` and ``(T, m)``."""
+        z = 0.5 - 1j * ts
+        return self._powers(self.m_sys[0], -z), self._powers(self.s_sys[0], z)
 
     def _phases(self, ts):
         """The node phases ``(a_t a_t^dag, c_t c_t^dag)`` at every ``t`` in
-        ``ts``, ``(T, n, n)`` and ``(T, m, m)``, from the diagonals ``a_t =
-        N(sigma)^{-1/2 + it}`` and ``c_t = sigma^{1/2 - it}``."""
-        a = self._powers(self.m_sys[0], -0.5 + 1j * ts)
-        c = self._powers(self.s_sys[0], 0.5 - 1j * ts)
+        ``ts``, ``(T, n, n)`` and ``(T, m, m)``, from ``_diagonals``."""
+        a, c = self._diagonals(ts)
         return a[:, :, None] * a.conj()[:, None, :], c[:, :, None] * c.conj()[:, None, :]
+
+    def cores(self, c, a) -> np.ndarray:
+        """``diag(c_t) B_k diag(a_t)``, ``(T, k, m, n)``, from ``(T, m)`` and ``(T, n)``
+        diagonal stacks ``c`` and ``a``; ``V_sigma cores V_N^dag`` are Kraus stacks."""
+        return c[:, None, :, None] * self.b * a[:, None, None, :]
 
     def kraus_stack(self, ts, weights=None) -> np.ndarray:
         """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
@@ -200,17 +210,10 @@ class _PetzFactory:
         N(sigma)^{-1/2 + it}``; with ``weights``, node ``t``'s operators are
         scaled by ``sqrt(w_t)`` in place.
         """
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts),) + self.kraus_dg.shape, dtype=complex)
-        # blocks of at most 2**14 Kraus entries keep the temporaries small
-        size = max(1, 2**14 // self.kraus_dg.size)
-        for start in range(0, len(ts), size):
-            block = slice(start, start + size)
-            left = _reconstruct(self.s_sys[1], self._powers(self.s_sys[0], 0.5 - 1j * ts[block]))
-            right = _reconstruct(self.m_sys[1], self._powers(self.m_sys[0], -0.5 + 1j * ts[block]))
-            np.matmul(left[:, None] @ self.kraus_dg, right[:, None], out=out[block])
-            if weights is not None:
-                out[block] *= np.sqrt(weights[block])[:, None, None, None]
+        a, c = self._diagonals(np.asarray(ts, dtype=float))
+        out = self.s_sys[1] @ self.cores(c, a) @ self.m_sys[1].conj().T
+        if weights is not None:
+            out *= np.sqrt(weights)[:, None, None, None]
         return out
 
     def recovered(self, ts, x) -> np.ndarray:
@@ -261,8 +264,8 @@ def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
     negative power taken on the support of ``N(sigma)``.  Perfectly
     recovers ``sigma`` from ``channel(sigma)``.
     """
-    factory = _PetzFactory(_checked(sigma), channel)
-    return RecoveryMap("petz", factory.kraus_stack([0.0])[0], sigma, channel, t=0.0)
+    pair = _PetzFactory(_checked(sigma), channel)
+    return RecoveryMap("petz", pair.kraus_stack([0.0])[0], sigma, channel, t=0.0)
 
 
 def rotated_petz(sigma: np.ndarray, channel: Channel, t: float) -> RecoveryMap:
@@ -275,6 +278,8 @@ def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
     """Rotated Petz maps at each parameter in ``ts``, sharing one
     eigendecomposition of ``sigma`` and ``channel(sigma)``."""
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"ts must be finite, got {ts}")
     stack = _PetzFactory(_checked(sigma), channel).kraus_stack(ts)
     return [
         RecoveryMap("rotated", ops, sigma, channel, t=float(t)) for t, ops in zip(ts, stack)
@@ -294,9 +299,9 @@ def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule
     return pair.mixture(pair.kraus_stack(nodes, rule.weights), nodes, rule.weights)
 
 
-def _phase_unitary(system, phases) -> np.ndarray:
-    """``eigenspace_phase_unitary`` from a clamped eigensystem."""
-    vals, vecs = system
+def _eigenspace_phases(vals, phases) -> np.ndarray:
+    """The diagonal ``exp(i phi_k)`` on each eigenspace of the clamped
+    spectrum ``vals``, from one finite phase per eigenspace."""
     spaces = _eigenspaces(vals)
     phases = np.asarray(phases, dtype=float)
     if len(phases) != len(spaces):
@@ -304,7 +309,9 @@ def _phase_unitary(system, phases) -> np.ndarray:
             f"phase vector of length {len(phases)} does not match "
             f"{len(spaces)} eigenspaces"
         )
-    return _reconstruct(vecs, np.repeat(np.exp(1j * phases), [len(idx) for idx in spaces]))
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite, got {phases}")
+    return np.repeat(np.exp(1j * phases), [len(idx) for idx in spaces])
 
 
 def eigenspace_phase_unitary(h: np.ndarray, phases) -> np.ndarray:
@@ -314,7 +321,8 @@ def eigenspace_phase_unitary(h: np.ndarray, phases) -> np.ndarray:
     kernel (everything below the rank cutoff) counts as one eigenspace.
     The phase vector length must match the number of eigenspaces.
     """
-    return _phase_unitary(_psd_eigensystem(_checked(h)), phases)
+    vals, vecs = _psd_eigensystem(_checked(h))
+    return _reconstruct(vecs, _eigenspace_phases(vals, phases))
 
 
 def count_eigenspaces(h: np.ndarray) -> int:
@@ -327,12 +335,13 @@ def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> Recov
     (phases ``phi``, applied before) and of ``sigma`` (phases ``theta``,
     applied after).  Both unitaries commute with their operators by
     construction."""
-    factory = _PetzFactory(_checked(sigma), channel)
-    u_out = _phase_unitary(factory.m_sys, phi)
-    u_in = _phase_unitary(factory.s_sys, theta)
-    ops = u_in @ factory.kraus_stack([0.0])[0] @ u_out
+    pair = _PetzFactory(_checked(sigma), channel)
+    a, c = pair._diagonals(np.zeros(1))
+    a *= _eigenspace_phases(pair.m_sys[0], phi)
+    c *= _eigenspace_phases(pair.s_sys[0], theta)
+    ops = pair.s_sys[1] @ pair.cores(c, a)[0] @ pair.m_sys[1].conj().T
     return RecoveryMap(
-        "phase-rotated", ops, factory.sigma, channel, phases=(np.asarray(phi), np.asarray(theta))
+        "phase-rotated", ops, pair.sigma, channel, phases=(np.asarray(phi), np.asarray(theta))
     )
 
 
@@ -357,22 +366,12 @@ def convex_mixture(maps, weights) -> RecoveryMap:
     dims = {(m.dim_in, m.dim_out) for m in maps}
     if len(dims) != 1:
         raise ValueError(f"components act between different spaces: {dims}")
-    flat = []
-    for w, m in zip(weights, maps):
-        if w == 0.0:
-            continue
-        flat.extend(np.sqrt(w) * k for k in m.kraus)
+    ops = np.concatenate([np.sqrt(w) * m.kraus for w, m in zip(weights, maps) if w > 0.0])
     nodes = None
     if all(m.kind in ("petz", "rotated") for m in maps):
         nodes = np.array([m.t for m in maps], dtype=float)
-    return RecoveryMap(
-        "mixture",
-        flat,
-        maps[0].sigma,
-        maps[0].channel,
-        nodes=nodes,
-        weights=weights,
-    )
+    return RecoveryMap("mixture", ops, maps[0].sigma, maps[0].channel, nodes=nodes,
+                       weights=weights)
 
 
 __all__ = [

@@ -249,7 +249,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     avg = np.tensordot(weights, states, axes=1)
     pair = _PetzFactory(avg, partial_trace_channel((da, db), keep=(1,)))
     states_sys = _psd_eigensystem(states)
-    marginals = np.trace(states.reshape(-1, da, db, da, db), axis1=1, axis2=3)
+    marginals = partial_trace(states, (da, db), keep=(1,))
     cond = _von_neumann(states_sys[0]) - _von_neumann(_psd_eigensystem(marginals)[0])
     lhs = _von_neumann(pair.s_sys[0]) - _von_neumann(pair.m_sys[0]) - float(np.dot(weights, cond))
 

@@ -25,10 +25,24 @@ from petzlab.entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from petzlab.linalg import _checked, _psd_eigensystem, dagger, partial_trace
+from petzlab.linalg import (
+    _checked,
+    _psd_eigensystem,
+    dagger,
+    imaginary_power,
+    partial_trace,
+    power_on_support,
+    schatten_norm,
+    support_projector,
+)
 from petzlab.recovery import (
     RecoveryMap,
     beta0_quadrature,
+    convex_mixture,
+    count_eigenspaces,
+    eigenspace_phase_unitary,
+    petz,
+    phase_rotated_petz,
     rotated_petz,
     rotated_petz_family,
     universal_recovery,
@@ -232,6 +246,115 @@ class TestKrausStack:
         ts = np.array([-1.5, 0.0, 0.25, 2.0])
         for t, m in zip(ts, rotated_petz_family(sigma, chan, ts)):
             np.testing.assert_array_equal(m.kraus, rotated_petz(sigma, chan, t).kraus)
+
+
+def rotated_unitarily(vals, gen):
+    u = random_unitary(len(vals), gen)
+    return (u * (np.asarray(vals) / np.sum(vals))) @ u.conj().T
+
+
+def petz_regimes():
+    """``(name, sigma, channel)`` pairs of the Petz-type operators."""
+    gen = np.random.default_rng(1707)
+    _, sigma, chan = random_dpi_instance(13)
+    yield "full-rank", sigma, chan
+    yield "rank-deficient-sigma", random_density(4, gen, ensemble="rank-k", rank=2), \
+        random_channel(4, 3, 2, gen)
+    # N(sigma) of rank 4 on a 5-dimensional output
+    yield "rank-deficient-n-sigma", random_density(2, gen), random_channel(2, 5, 2, gen)
+    yield "d_in-ne-d_out", random_density(5, gen), random_channel(5, 2, 3, gen)
+    sigma = np.diag(gen.dirichlet(np.ones(4))).astype(complex)
+    yield "classical", sigma, dephasing_channel(4, 1.0)
+    yield "degenerate-sigma", rotated_unitarily([0.3, 0.3, 0.2, 0.2], gen), \
+        random_channel(4, 3, 2, gen)
+    yield "condition-1e10", rotated_unitarily(np.logspace(0.0, -10.0, 4), gen), \
+        random_channel(4, 3, 2, gen)
+
+
+def dense_rotated_kraus(sigma, chan, t):
+    """``sigma^{1/2} sigma^{-it} K^dag N(sigma)^{it} N(sigma)^{-1/2}`` from the
+    public support-restricted powers."""
+    n_sigma = chan.apply(sigma)
+    left = power_on_support(sigma, 0.5) @ imaginary_power(sigma, -t)
+    right = imaginary_power(n_sigma, t) @ power_on_support(n_sigma, -0.5)
+    return left @ chan.kraus.conj().swapaxes(1, 2) @ right
+
+
+def dense_renyi_delta(rho, sigma, chan, alpha):
+    """``renyi_delta`` with every power of ``rho``, ``sigma`` and their outputs dense."""
+    p = (1.0 - alpha) / (2.0 * alpha)
+    left = power_on_support(chan.apply(rho), p) @ power_on_support(chan.apply(sigma), -p)
+    mat = left @ chan.kraus @ power_on_support(sigma, p) @ power_on_support(rho, 0.5)
+    norm = schatten_norm(mat.reshape(-1, chan.dim_in), 2.0 * alpha)
+    return 2.0 * alpha / (alpha - 1.0) * float(np.log(norm))
+
+
+class TestEigenbasisCores:
+    """Every Petz-type operator is ``B_k = V_sigma^dag K_k^dag V_N`` between two
+    diagonals of the pair's eigenbases; none forms a dense power."""
+
+    TS = (-3.0, -0.4, 0.0, 1.7)
+    ALPHAS = (0.5, 0.6, 0.75, 0.9, 1.5)
+
+    @pytest.mark.parametrize("case", list(petz_regimes()), ids=lambda c: c[0])
+    def test_kraus_stacks_match_dense_formula(self, case):
+        _, sigma, chan = case
+        petz_kraus = dense_rotated_kraus(sigma, chan, 0.0)
+        assert relative_error(petz(sigma, chan).kraus, petz_kraus) <= 1e-13
+        for t, m in zip(self.TS, rotated_petz_family(sigma, chan, self.TS)):
+            assert relative_error(m.kraus, dense_rotated_kraus(sigma, chan, t)) <= 1e-13
+        rule = beta0_quadrature(129)
+        want = np.concatenate([
+            np.sqrt(w) * dense_rotated_kraus(sigma, chan, t)
+            for t, w in zip(rule.nodes / 2.0, rule.weights)
+        ])
+        assert relative_error(universal_recovery(sigma, chan, rule).kraus, want) <= 1e-13
+        gen = np.random.default_rng(5)
+        n_sigma = chan.apply(sigma)
+        phi = gen.uniform(0.0, 2.0 * np.pi, count_eigenspaces(n_sigma))
+        theta = gen.uniform(0.0, 2.0 * np.pi, count_eigenspaces(sigma))
+        want = (eigenspace_phase_unitary(sigma, theta) @ petz_kraus
+                @ eigenspace_phase_unitary(n_sigma, phi))
+        assert relative_error(phase_rotated_petz(sigma, chan, phi, theta).kraus, want) <= 1e-13
+
+    @pytest.mark.parametrize("case", list(petz_regimes()), ids=lambda c: c[0])
+    def test_renyi_term_matches_dense_formula(self, case):
+        _, sigma, chan = case
+        # a state inside the support of sigma
+        proj = support_projector(sigma)
+        inside = proj @ random_density(len(sigma), 9) @ proj
+        rho = 0.5 * sigma + 0.5 * inside / np.trace(inside).real
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        rho = _checked(rho)
+        got = entropy._renyi_delta(rho, _psd_eigensystem(rho), pair, self.ALPHAS)
+        for alpha, value in zip(self.ALPHAS, got):
+            assert abs(value - dense_renyi_delta(rho, sigma, chan, alpha)) <= 1e-12
+
+    def test_renyi_term_takes_one_power_per_alpha(self, monkeypatch):
+        calls = counting(monkeypatch, "_power", [entropy])
+        rho, sigma, chan = random_dpi_instance(21)
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        entropy._renyi_delta(_checked(rho), _psd_eigensystem(_checked(rho)), pair, self.ALPHAS)
+        # rho^{1/2} once and N(rho)^p at every alpha
+        assert len(calls) == 1 + len(self.ALPHAS)
+
+    def test_map_builders_reconstruct_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map builder formed a dense operator from a spectrum")
+
+        monkeypatch.setattr(recovery, "_reconstruct", refuse)
+        monkeypatch.setattr(linalg, "_reconstruct", refuse)
+        _, sigma, chan = random_dpi_instance(13)
+        n_out, n_in = count_eigenspaces(chan.apply(sigma)), count_eigenspaces(sigma)
+        maps = [
+            petz(sigma, chan),
+            rotated_petz(sigma, chan, 0.7),
+            *rotated_petz_family(sigma, chan, self.TS),
+            universal_recovery(sigma, chan, beta0_quadrature(33)),
+            phase_rotated_petz(sigma, chan, np.ones(n_out), np.ones(n_in)),
+        ]
+        mixture = convex_mixture(maps[:2], [0.5, 0.5])
+        assert all(isinstance(m, RecoveryMap) for m in maps + [mixture])
 
 
 def kernel_regimes():

@@ -16,6 +16,7 @@ from petzlab.entropy import (
     conditional_mutual_information,
     fidelity,
     fidelity_measurement,
+    measured_relative_entropy_lb,
     relative_entropy,
     renyi_delta,
     support_violation,
@@ -59,6 +60,13 @@ CHAN = random_channel(3, 2, 2, 13)
 STATE8 = random_density(8, 14)
 STATE4 = random_density(4, 15)
 GRID = np.linspace(-1.0, 1.0, 3)
+
+
+def with_nan(h):
+    """``h`` with a NaN on its first diagonal entry."""
+    out = np.array(h, dtype=complex)
+    out[0, 0] = np.nan
+    return out
 
 
 def skewed(h):
@@ -152,3 +160,37 @@ def test_unchecked_arguments_accept_non_hermitian_input():
     assert support_violation(skewed(RHO), SIGMA) == pytest.approx(0.0, abs=1e-12)
     assert trace_distance(skewed(RHO), SIGMA) == pytest.approx(trace_distance(RHO, SIGMA), abs=1e-6)
     assert trace_distance(RHO, skewed(SIGMA)) == pytest.approx(trace_distance(RHO, SIGMA), abs=1e-6)
+
+
+# arguments checked for shape and finiteness only
+POVM = [np.diag(np.eye(3)[i]).astype(complex) for i in range(3)]
+UNCHECKED_CASES = {
+    "trace_distance-rho": lambda h: trace_distance(h, SIGMA),
+    "trace_distance-sigma": lambda h: trace_distance(RHO, h),
+    "support_violation-rho": lambda h: support_violation(h, SIGMA),
+    "measured_relative_entropy_lb-rho": lambda h: measured_relative_entropy_lb(h, SIGMA, POVM),
+    "measured_relative_entropy_lb-omega": lambda h: measured_relative_entropy_lb(RHO, h, POVM),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(UNCHECKED_CASES))
+def test_non_finite_input_rejected(name):
+    call = CASES.get(name) or UNCHECKED_CASES[name]
+    with pytest.raises(ValueError, match="non-finite"):
+        call(with_nan(RHO))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(ValueError, match="ts must be finite"):
+        rotated_petz(SIGMA, CHAN, bad)
+    with pytest.raises(ValueError, match="ts must be finite"):
+        rotated_petz_family(SIGMA, CHAN, [0.0, bad])
+    with pytest.raises(ValueError, match="phases must be finite"):
+        phase_rotated_petz(SIGMA, CHAN, [0.1, bad], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="phases must be finite"):
+        phase_rotated_petz(SIGMA, CHAN, [0.1, 0.2], [bad, 0.2, 0.3])
+    with pytest.raises(ValueError, match="phases must be finite"):
+        eigenspace_phase_unitary(SIGMA, [0.1, bad, 0.3])

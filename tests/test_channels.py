@@ -40,6 +40,15 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="non-increasing"):
             Channel([2.0 * np.eye(2)], mode="tni")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "entry, mode",
+        [(np.inf, "tp"), (np.nan, "tp"), (np.nan, "tni"), (complex(0.0, -np.inf), "tni")],
+    )
+    def test_non_finite_kraus_rejected(self, entry, mode):
+        with pytest.raises(ValueError, match="non-finite"):
+            Channel([[[entry]]], mode=mode)
+
     def test_dimension_mismatch_on_apply(self):
         chan = identity_channel(2)
         with pytest.raises(ValueError, match="dim_in"):

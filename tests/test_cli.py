@@ -119,6 +119,22 @@ class TestVerifyDpi:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_channel_file_usage_error(self, tmp_path, capsys):
+        files = {"--rho": tmp_path / "rho.txt", "--sigma": tmp_path / "sigma.txt",
+                 "--channel": tmp_path / "chan.txt"}
+        save_state(str(files["--rho"]), random_density(2, 1))
+        save_state(str(files["--sigma"]), random_density(2, 2))
+        save_channel(str(files["--channel"]), identity_channel(2))
+        text = files["--channel"].read_text()
+        files["--channel"].write_text(text.replace("(1, 0)", "(nan, 0)", 1))
+        args = ["verify-dpi", "--nodes", "17"]
+        for flag, path in files.items():
+            args += [flag, str(path)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_missing_file_io_error(self, capsys):
         code = run(
             ["verify-dpi", "--rho", "/nonexistent/a", "--sigma", "/nonexistent/b",

@@ -254,6 +254,22 @@ class TestPartialTrace:
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             partial_trace(np.eye(5), (2, 3), keep=(0,))
+        with pytest.raises(ValueError, match="dims"):
+            partial_trace(np.zeros((4, 5, 5)), (2, 3), keep=(0,))
+
+    @pytest.mark.parametrize("keep", [(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
+    def test_stack_matches_members(self, rng, keep):
+        m = rng.standard_normal((2, 3, 12, 12)) + 1j * rng.standard_normal((2, 3, 12, 12))
+        got = partial_trace(m, (2, 3, 2), keep=keep)
+        d_keep = int(np.prod([(2, 3, 2)[k] for k in keep], initial=1))
+        assert got.shape == (2, 3, d_keep, d_keep)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(got[idx], partial_trace(m[idx], (2, 3, 2), keep=keep))
+
+    def test_stacked_marginal_is_the_reshaped_trace(self, rng):
+        m = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        want = np.trace(m.reshape(-1, 2, 3, 2, 3), axis1=1, axis2=3)
+        np.testing.assert_array_equal(partial_trace(m, (2, 3), keep=(1,)), want)
 
 
 class TestSupportProjector:
