@@ -9,6 +9,7 @@ support of the reference output state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,10 @@ class RecoveryMap(Channel):
     one of ``"petz"``, ``"rotated"``, ``"phase-rotated"`` or ``"mixture"``;
     a mixture's Kraus stack holds each component's operators scaled by the
     square root of its weight.
+
+    ``max eig sum K^dag K`` may exceed 1 by ``_TNI_TOL``; a map built from a
+    reference pair may exceed it by the pair's larger ``tni_budget``, kept
+    as ``_atol``.
     """
 
     def __init__(
@@ -131,8 +136,11 @@ class RecoveryMap(Channel):
         nodes=None,
         weights=None,
         phases=None,
+        *,
+        _atol: float = _TNI_TOL,
     ):
-        super().__init__(kraus, mode="tni", atol=_TNI_TOL)
+        super().__init__(kraus, mode="tni", atol=_atol)
+        self._atol = _atol
         self.kind = kind
         self.sigma = np.asarray(sigma, dtype=complex)
         self.channel = channel
@@ -150,10 +158,19 @@ class _PetzFactory:
     eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``) and the channel
     in those eigenbases, ``B_k = V_sigma^dag K_k^dag V_N``, formed once.  Every
     Petz-type operator is ``B_k`` between two ``_powers`` diagonals (``cores``).
-    ``recovered`` (every node's ``R_t(x)``) and ``universal_apply`` (the
-    universal map's output) apply the maps without a Kraus stack, through
+
+    Every map is applied through one kernel, the Petz map in the eigenbases
+    of the pair: ``kernel``, the ``(m m, n n)`` superoperator ``T_{ijpq} =
+    sum_k B_k[i,p] conj(B_k[j,q])`` on ``V_N^dag x V_N``.  The rotated map
     ``R_t = U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map, ``U_{h,t}(x)
-    = h^{-it} x h^{it}``) and the node phases of ``_phases``.
+    = h^{-it} x h^{it}``) is ``T`` between the node phases of ``_phases``:
+    ``recovered`` applies it at every node, and ``universal_apply`` folds the
+    rule's weighted node sum into the phases.  ``T`` is formed at most once,
+    by the first application; the map builders read only ``cores``.
+
+    ``tni_budget`` is the trace-non-increase tolerance of the pair's maps:
+    ``N(sigma)^{-1/2}`` amplifies the rounding of the small eigenvalues of
+    ``N(sigma)``, so it grows with their condition number.
 
     ``sigma`` is a complex matrix the caller has checked; ``channel.apply``
     checks its shape.
@@ -166,22 +183,31 @@ class _PetzFactory:
             raise ValueError("channel output on sigma is numerically zero")
         self.s_sys = _psd_eigensystem(sigma)
         self.m_sys = _psd_eigensystem(self.n_sigma)
-        # B_k as (k, m, n), side by side as (m, k n), and the B_k^dag side by side
+        # B_k as (k, m, n)
         self.b = self.s_sys[1].conj().T @ channel.kraus.conj().swapaxes(1, 2) @ self.m_sys[1]
-        self.b_row = np.concatenate(self.b, axis=1)
-        self.b_dg_row = np.concatenate(self.b.conj().swapaxes(1, 2), axis=1)
+        vals = self.m_sys[0]
+        pos = vals[vals > 0.0]  # the largest first, the smallest last
+        self.tni_budget = _TNI_TOL + len(vals) * np.finfo(float).eps * float(pos[0] / pos[-1])
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The pair's one application kernel, ``T_{ijpq} = sum_k B_k[i,p]
+        conj(B_k[j,q])`` as an ``(m m, n n)`` array."""
+        m, n = len(self.sigma), len(self.n_sigma)
+        return np.einsum("kip,kjq->ijpq", self.b, self.b.conj()).reshape(m * m, n * n)
 
     @staticmethod
     def _powers(vals, exponents) -> np.ndarray:
         """The ``(T, d)`` diagonals of ``h**z`` for every ``z`` in the eigenbasis
         of ``h`` (clamped spectrum ``vals``), 0 on the kernel."""
         pos = vals > 0.0
-        z = np.multiply.outer(exponents, np.log(vals[pos]))
-        powers = np.exp(z)
-        # a real exponent (t = 0) takes the real exp, which may differ in
-        # the last bit from the complex one
+        logs = np.log(vals[pos])
+        # a real exponent (t = 0, the Renyi term) takes the real exp, which may
+        # differ in the last bit from the complex one
         real = exponents.imag == 0.0
-        powers[real] = np.exp(z[real].real)
+        powers = np.empty((len(exponents), len(logs)), dtype=complex)
+        powers[real] = np.exp(np.multiply.outer(exponents[real].real, logs))
+        powers[~real] = np.exp(np.multiply.outer(exponents[~real], logs))
         f = np.zeros((len(exponents), len(pos)), dtype=complex)
         f[:, pos] = powers
         return f
@@ -216,45 +242,48 @@ class _PetzFactory:
             out *= np.sqrt(weights)[:, None, None, None]
         return out
 
+    def _rotate_input(self, x) -> np.ndarray:
+        """``V_N^dag x V_N`` of one ``(n, n)`` input or a stack, flattened to
+        ``(..., n n)``."""
+        vn = self.m_sys[1]
+        return (vn.conj().T @ x @ vn).reshape(x.shape[:-2] + (vn.size,))
+
     def recovered(self, ts, x) -> np.ndarray:
         """``R_t(x)`` for every ``t`` in ``ts``, in the eigenbasis of ``sigma``.
 
         One ``(n, n)`` input ``x`` gives a ``(T, m, m)`` stack, an ``(S, n, n)``
         stack gives ``(S, T, m, m)``.  With ``*`` entrywise and the node
-        phases of ``_phases``, that is ``(c_t c_t^dag) * sum_k B_k ((a_t
-        a_t^dag) * V_N^dag x V_N) B_k^dag``.
+        phases of ``_phases``, that is ``(c_t c_t^dag) * T((a_t a_t^dag) *
+        V_N^dag x V_N)``: one product with ``T`` over every node and input.
         """
         a, c = self._phases(ts)
-        vn = self.m_sys[1]
-        z = a * (vn.conj().T @ x @ vn)[..., None, :, :]
-        # Z B_k^dag for every k, restacked as one (k n, m) column per node
-        zb = (z @ self.b_dg_row).reshape(z.shape[:-1] + (-1, len(self.sigma))).swapaxes(-2, -3)
-        y = self.b_row @ zb.reshape(z.shape[:-2] + (-1, len(self.sigma)))
-        return c * y
+        z = a.reshape(len(a), -1) * self._rotate_input(x)[..., None, :]
+        return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
     def universal_apply(self, rule: QuadratureRule, x) -> np.ndarray:
         """The universal map of ``rule`` on one ``(n, n)`` input ``x`` or a
         stack ``(..., n, n)``, as ``(..., m, m)`` in the standard basis.
 
-        The weighted node sum is one ``(m m, n n)`` superoperator in the
-        eigenbases of the pair, ``phases = sum_t w_t (c_t c_t^dag) (x) (a_t
-        a_t^dag)`` over the nodes ``t/2`` times ``T_{ijpq} = sum_k B_k[i,p]
-        conj(B_k[j,q])`` entrywise, acting on ``V_N^dag x V_N``.
+        The weighted node sum is one ``(m m, n n)`` superoperator, ``phases
+        = sum_t w_t (c_t c_t^dag) (x) (a_t a_t^dag)`` over the nodes ``t/2``
+        times ``T`` entrywise, acting on ``V_N^dag x V_N``.
         """
         a, c = self._phases(rule.nodes / 2.0)
-        m, n = len(self.sigma), len(self.n_sigma)
         phases = (rule.weights[:, None] * c.reshape(len(c), -1)).T @ a.reshape(len(a), -1)
-        b = self.b_row.reshape(m, -1, n)  # b[i, k, p] = B_k[i, p]
-        kernel = np.einsum("ikp,jkq->ijpq", b, b.conj()).reshape(m * m, n * n)
-        vn, vs = self.m_sys[1], self.s_sys[1]
-        xs = (vn.conj().T @ x @ vn).reshape(x.shape[:-2] + (n * n,))
-        return vs @ (xs @ (phases * kernel).T).reshape(x.shape[:-2] + (m, m)) @ vs.conj().T
+        y = self._rotate_input(x) @ (phases * self.kernel).T
+        vs = self.s_sys[1]
+        return vs @ y.reshape(x.shape[:-2] + c.shape[1:]) @ vs.conj().T
+
+    def recovery_map(self, kind: str, ops, **meta) -> RecoveryMap:
+        """The ``RecoveryMap`` of the pair with the ``(k, d_in, d_out)`` Kraus
+        stack ``ops``, checked against ``tni_budget``."""
+        return RecoveryMap(kind, ops, self.sigma, self.channel, _atol=self.tni_budget, **meta)
 
     def mixture(self, stack: np.ndarray, nodes, weights) -> RecoveryMap:
         """The mixture map of the pair whose Kraus stack is the weighted
         ``(T, k, d_in, d_out)`` rotated-map stack ``stack``."""
         ops = stack.reshape(-1, self.channel.dim_in, self.channel.dim_out)
-        return RecoveryMap("mixture", ops, self.sigma, self.channel, nodes=nodes, weights=weights)
+        return self.recovery_map("mixture", ops, nodes=nodes, weights=weights)
 
 
 def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
@@ -265,7 +294,7 @@ def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
     recovers ``sigma`` from ``channel(sigma)``.
     """
     pair = _PetzFactory(_checked(sigma), channel)
-    return RecoveryMap("petz", pair.kraus_stack([0.0])[0], sigma, channel, t=0.0)
+    return pair.recovery_map("petz", pair.kraus_stack([0.0])[0], t=0.0)
 
 
 def rotated_petz(sigma: np.ndarray, channel: Channel, t: float) -> RecoveryMap:
@@ -280,9 +309,9 @@ def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"ts must be finite, got {ts}")
-    stack = _PetzFactory(_checked(sigma), channel).kraus_stack(ts)
+    pair = _PetzFactory(_checked(sigma), channel)
     return [
-        RecoveryMap("rotated", ops, sigma, channel, t=float(t)) for t, ops in zip(ts, stack)
+        pair.recovery_map("rotated", ops, t=float(t)) for t, ops in zip(ts, pair.kraus_stack(ts))
     ]
 
 
@@ -340,9 +369,7 @@ def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> Recov
     a *= _eigenspace_phases(pair.m_sys[0], phi)
     c *= _eigenspace_phases(pair.s_sys[0], theta)
     ops = pair.s_sys[1] @ pair.cores(c, a)[0] @ pair.m_sys[1].conj().T
-    return RecoveryMap(
-        "phase-rotated", ops, pair.sigma, channel, phases=(np.asarray(phi), np.asarray(theta))
-    )
+    return pair.recovery_map("phase-rotated", ops, phases=(np.asarray(phi), np.asarray(theta)))
 
 
 def _check_simplex(weights) -> np.ndarray:
@@ -371,7 +398,7 @@ def convex_mixture(maps, weights) -> RecoveryMap:
     if all(m.kind in ("petz", "rotated") for m in maps):
         nodes = np.array([m.t for m in maps], dtype=float)
     return RecoveryMap("mixture", ops, maps[0].sigma, maps[0].channel, nodes=nodes,
-                       weights=weights)
+                       weights=weights, _atol=max(m._atol for m in maps))
 
 
 __all__ = [

@@ -164,14 +164,22 @@ def alpha_bound_check(
     vals, vecs = rho_sys = _psd_eigensystem(rho)
     # the recovered states are in sigma's eigenbasis, and so is this root of rho
     rotated = (vals, dagger(pair.s_sys[1]) @ vecs)
+
+    def fidelities(ts):
+        return _root_fidelities(rotated, pair.recovered(ts, out_rho))
+
+    # each node is recovered once: t = 0 for alpha = 1/2, and one grid for the
+    # rest, since the beta_theta rules of one size differ only in their weights
+    theta_rules = {alpha: beta_quadrature(2 * len(rule) - 1, (1.0 - alpha) / alpha)
+                   for alpha in alphas if alpha != 0.5}
+    grid = fidelities(next(iter(theta_rules.values())).nodes / 2.0) if theta_rules else None
+    petz_fid = fidelities(np.zeros(1)) if 0.5 in alphas else None
     results = []
     for alpha, lhs in zip(alphas, _renyi_delta(rho, rho_sys, pair, alphas)):
         if alpha == 0.5:
-            ts, weights = np.zeros(1), np.ones(1)
+            rhs = _neg2log_mean(np.ones(1), petz_fid)
         else:
-            theta_rule = beta_quadrature(2 * len(rule) - 1, (1.0 - alpha) / alpha)
-            ts, weights = theta_rule.nodes / 2.0, theta_rule.weights
-        rhs = _neg2log_mean(weights, _root_fidelities(rotated, pair.recovered(ts, out_rho)))
+            rhs = _neg2log_mean(theta_rules[alpha].weights, grid)
         results.append(AlphaBoundResult(alpha=alpha, lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs)))
     return results
 

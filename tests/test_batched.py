@@ -1,6 +1,8 @@
-"""The batched quadrature engine: the phase-sandwich kernel and the universal
-map's superoperator of the reference pair, one rotated-Kraus stack per built
+"""The batched quadrature engine: the reference pair's one application kernel
+(node phases around the Petz superoperator), one rotated-Kraus stack per built
 map, one stacked fidelity."""
+
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from petzlab.entropy import (
     conditional_mutual_information,
     fidelity,
     relative_entropy,
+    renyi_delta,
     von_neumann_entropy,
 )
 from petzlab.linalg import (
@@ -477,6 +480,64 @@ def counting(monkeypatch, name, modules):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def patch_kernel(monkeypatch, form):
+    """Replace the pair's cached ``kernel`` by ``form(pair, original)``."""
+    original = recovery._PetzFactory.kernel.func
+    prop = cached_property(lambda pair: form(pair, original))
+    prop.__set_name__(recovery._PetzFactory, "kernel")
+    monkeypatch.setattr(recovery._PetzFactory, "kernel", prop)
+
+
+class TestOneKernel:
+    """``recovered`` and ``universal_apply`` read one superoperator per pair,
+    formed by the first application and never by a map builder."""
+
+    def test_a_check_forms_the_kernel_once(self, monkeypatch):
+        calls = []
+
+        def form(pair, original):
+            calls.append(pair)
+            return original(pair)
+
+        patch_kernel(monkeypatch, form)
+        rho, sigma, chan = random_dpi_instance(8)
+        alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], beta0_quadrature(129))
+        assert len(calls) == 1
+        states = [rho, random_density(sigma.shape[0], 17)]
+        finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
+    def test_map_builders_form_no_kernel(self, monkeypatch):
+        def refuse(pair, original):
+            raise AssertionError("a map builder formed the superoperator")
+
+        patch_kernel(monkeypatch, refuse)
+        rho, sigma, chan = random_dpi_instance(13)
+        n_out, n_in = count_eigenspaces(chan.apply(sigma)), count_eigenspaces(sigma)
+        maps = [
+            petz(sigma, chan),
+            rotated_petz(sigma, chan, 0.7),
+            *rotated_petz_family(sigma, chan, [-1.0, 0.0, 2.0]),
+            universal_recovery(sigma, chan, beta0_quadrature(33)),
+            phase_rotated_petz(sigma, chan, np.ones(n_out), np.ones(n_in)),
+        ]
+        assert all(isinstance(m, RecoveryMap) for m in maps)
+        assert np.isfinite(renyi_delta(rho, sigma, chan, 0.75))
+
+    def test_alpha_check_recovers_each_node_once(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(8)
+        rule = beta0_quadrature(65)
+        alphas = [0.5, 0.6, 0.75, 0.9]
+        alone = [alpha_bound_check(rho, sigma, chan, [alpha], rule)[0] for alpha in alphas]
+        calls = counting(monkeypatch, "recovered", (recovery._PetzFactory,))
+        together = alpha_bound_check(rho, sigma, chan, alphas, rule)
+        # the t = 0 node for alpha = 1/2, then one grid for every other alpha
+        assert len(calls) <= 2
+        for got, want in zip(together, alone):
+            assert (got.alpha, got.lhs, got.rhs, got.slack) == (
+                want.alpha, want.lhs, want.rhs, want.slack)
 
 
 class TestWorkPerInstance:

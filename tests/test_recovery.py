@@ -16,8 +16,9 @@ from petzlab.channels import (
     random_unitary,
     unitary_channel,
 )
+from petzlab import recovery
 from petzlab.entropy import trace_distance
-from petzlab.linalg import dagger, sqrtm_psd, support_projector, tensor_product
+from petzlab.linalg import _checked, dagger, sqrtm_psd, support_projector, tensor_product
 from petzlab.recovery import (
     RecoveryMap,
     beta0_density,
@@ -404,3 +405,55 @@ class TestConvexMixture:
         base = petz(random_density(2, rng), identity_channel(2))
         with pytest.raises(ValueError, match="weights must be finite"):
             convex_mixture([base, base], [bad, 1.0])
+
+
+def ill_conditioned_unitary_instance(dim, seed):
+    """``sigma`` of condition 1e10 and a random unitary channel, so that
+    ``N(sigma)`` has condition 1e10 too."""
+    gen = np.random.default_rng(seed)
+    u = random_unitary(dim, gen)
+    vals = np.logspace(0.0, -10.0, dim)
+    return (u * (vals / vals.sum())) @ u.conj().T, unitary_channel(random_unitary(dim, gen))
+
+
+class TestTraceNonIncreaseBudget:
+    """A map of the pair may exceed trace non-increase by the rounding that
+    ``N(sigma)^{-1/2}`` amplifies, and by no more."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_unitary_channel_builds(self, dim, seed):
+        sigma, chan = ill_conditioned_unitary_instance(dim, seed)
+        out = chan.apply(sigma)
+        maps = [petz(sigma, chan), rotated_petz(sigma, chan, 0.7),
+                universal_recovery(sigma, chan, beta0_quadrature(33))]
+        maps.append(convex_mixture(maps[:2], [0.5, 0.5]))
+        for rec in maps:
+            assert trace_distance(rec.apply(out), sigma) <= 1e-12
+
+    def test_budget_grows_with_the_condition_of_n_sigma(self, rng):
+        well = recovery._PetzFactory(_checked(random_density(3, rng)), random_channel(3, 3, 2, rng))
+        assert well.tni_budget < 2e-9
+        sigma, chan = ill_conditioned_unitary_instance(4, 0)
+        ill = recovery._PetzFactory(_checked(sigma), chan)
+        assert ill.tni_budget == pytest.approx(4 * np.finfo(float).eps * 1e10, rel=1e-3)
+        assert petz(sigma, chan)._atol == ill.tni_budget
+
+    @pytest.mark.parametrize("ill", [False, True], ids=["well-conditioned", "condition-1e10"])
+    def test_stack_above_the_budget_is_refused(self, rng, ill):
+        if ill:
+            sigma, chan = ill_conditioned_unitary_instance(4, 0)
+        else:
+            sigma, chan = random_density(3, rng), random_channel(3, 3, 2, rng)
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        ops = pair.kraus_stack([0.0])[0]
+        pair.recovery_map("petz", ops, t=0.0)
+        with pytest.raises(ValueError, match="trace non-increasing violated"):
+            pair.recovery_map("petz", np.sqrt(1.0 + 3.0 * pair.tni_budget) * ops, t=0.0)
+
+    def test_mixture_takes_the_largest_budget(self, rng):
+        sigma, chan = ill_conditioned_unitary_instance(4, 0)
+        ill = petz(sigma, chan)
+        well = petz(random_density(4, rng), random_channel(4, 4, 2, rng))
+        mix = convex_mixture([well, ill], [0.5, 0.5])
+        assert mix._atol == ill._atol > well._atol
