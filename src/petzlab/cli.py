@@ -266,7 +266,9 @@ def _cmd_sweep(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--nodes", type=int, default=129,
-                        help="quadrature nodes (default 129)")
+                        help="quadrature nodes of the per-node averages: the DPI rhs_strong "
+                             "and the quadrature-info rule; the universal map is exact "
+                             "(default 129)")
     parser.add_argument("--unit", choices=("nats", "bits"), default="nats")
     parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)

@@ -3,7 +3,8 @@
 The universal map is a weighted mixture of rotated Petz maps; the mixing
 density ``beta0(t) = (pi/2) / (cosh(pi t) + 1)`` is discretized by an
 exactly normalized rule so that the mixture is itself a channel on the
-support of the reference output state.
+support of the reference output state.  The checks apply the exact
+mixture instead, in closed form (``_PetzFactory.universal_apply``).
 """
 
 from __future__ import annotations
@@ -163,10 +164,12 @@ class _PetzFactory:
     of the pair: ``kernel``, the ``(m m, n n)`` superoperator ``T_{ijpq} =
     sum_k B_k[i,p] conj(B_k[j,q])`` on ``V_N^dag x V_N``.  The rotated map
     ``R_t = U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map, ``U_{h,t}(x)
-    = h^{-it} x h^{it}``) is ``T`` between the node phases of ``_phases``:
-    ``recovered`` applies it at every node, and ``universal_apply`` folds the
-    rule's weighted node sum into the phases.  ``T`` is formed at most once,
-    by the first application; the map builders read only ``cores``.
+    = h^{-it} x h^{it}``) is ``T`` between the node phases of ``_phases``, and
+    ``recovered`` applies it at every node.  ``universal_apply`` applies the
+    exact universal map ``int beta0(t) R_{t/2} dt``: the integral over the
+    nodes is folded into one closed-form phase array, ``universal_phases``, so
+    it reads no rule.  ``T`` is formed at most once, by the first application;
+    the map builders read only ``cores``.
 
     ``tni_budget`` is the trace-non-increase tolerance of the pair's maps:
     ``N(sigma)^{-1/2}`` amplifies the rounding of the small eigenvalues of
@@ -205,9 +208,13 @@ class _PetzFactory:
         # a real exponent (t = 0, the Renyi term) takes the real exp, which may
         # differ in the last bit from the complex one
         real = exponents.imag == 0.0
-        powers = np.empty((len(exponents), len(logs)), dtype=complex)
-        powers[real] = np.exp(np.multiply.outer(exponents[real].real, logs))
-        powers[~real] = np.exp(np.multiply.outer(exponents[~real], logs))
+        if real.all():
+            powers = np.exp(np.multiply.outer(exponents.real, logs)).astype(complex)
+        else:
+            powers = np.exp(np.multiply.outer(exponents, logs))
+            powers[real] = np.exp(np.multiply.outer(exponents[real].real, logs))
+        if pos.all():
+            return powers
         f = np.zeros((len(exponents), len(pos)), dtype=complex)
         f[:, pos] = powers
         return f
@@ -256,23 +263,61 @@ class _PetzFactory:
         phases of ``_phases``, that is ``(c_t c_t^dag) * T((a_t a_t^dag) *
         V_N^dag x V_N)``: one product with ``T`` over every node and input.
         """
+        return self._recovered(ts, self._rotate_input(x))
+
+    def _recovered(self, ts, z) -> np.ndarray:
+        """``recovered`` on the rotated input ``z = _rotate_input(x)``."""
         a, c = self._phases(ts)
-        z = a.reshape(len(a), -1) * self._rotate_input(x)[..., None, :]
+        z = a.reshape(len(a), -1) * z[..., None, :]
         return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
-    def universal_apply(self, rule: QuadratureRule, x) -> np.ndarray:
-        """The universal map of ``rule`` on one ``(n, n)`` input ``x`` or a
-        stack ``(..., n, n)``, as ``(..., m, m)`` in the standard basis.
+    @staticmethod
+    def _half_logs(vals):
+        """``log(vals) / 2`` on the support of the clamped spectrum ``vals``,
+        0 on the kernel, and the support mask."""
+        pos = vals > 0.0
+        half = np.zeros(len(vals))
+        half[pos] = 0.5 * np.log(vals[pos])
+        return half, pos
 
-        The weighted node sum is one ``(m m, n n)`` superoperator, ``phases
-        = sum_t w_t (c_t c_t^dag) (x) (a_t a_t^dag)`` over the nodes ``t/2``
-        times ``T`` entrywise, acting on ``V_N^dag x V_N``.
+    def universal_phases(self) -> np.ndarray:
+        """The exact universal map's phases, the ``(m m, n n)`` array
+        ``lam_i^{1/2} lam_j^{1/2} mu_p^{-1/2} mu_q^{-1/2} g(Delta_{ijpq} / 2)``.
+
+        ``lam`` and ``mu`` are the clamped spectra of ``sigma`` and
+        ``N(sigma)``, ``Delta_{ijpq} = log lam_i - log lam_j - log mu_p + log
+        mu_q`` and ``g(h) = h / sinh h``, the Fourier transform of ``beta0``:
+        ``int beta0(t) exp(-i t Delta / 2) dt`` is the rule's node sum of the
+        phases of ``_phases`` at every ``t / 2``, in closed form.  Entries on
+        the kernel of ``sigma`` or ``N(sigma)`` are 0.  Positive eigenvalues lie
+        above the rank cutoff, so ``|Delta / 2| < 40`` and ``sinh`` is finite.
         """
-        a, c = self._phases(rule.nodes / 2.0)
-        phases = (rule.weights[:, None] * c.reshape(len(c), -1)).T @ a.reshape(len(a), -1)
-        y = self._rotate_input(x) @ (phases * self.kernel).T
+        hs, ps = self._half_logs(self.s_sys[0])
+        hm, pm = self._half_logs(self.m_sys[0])
+        amp_s = np.where(ps, np.exp(hs), 0.0)
+        amp_m = np.where(pm, np.exp(-hm), 0.0)
+        h = np.subtract.outer(np.subtract.outer(hs, hs).ravel(), np.subtract.outer(hm, hm).ravel())
+        g = np.divide(h, np.sinh(h), out=np.ones_like(h), where=h != 0.0)
+        return np.outer(np.outer(amp_s, amp_s), np.outer(amp_m, amp_m)) * g
+
+    def _universal(self, z) -> np.ndarray:
+        """The exact universal map on the rotated input ``z = _rotate_input(x)``,
+        ``(..., m, m)`` in the eigenbasis of ``sigma``."""
+        m = len(self.sigma)
+        y = z @ (self.universal_phases() * self.kernel).T
+        return y.reshape(z.shape[:-1] + (m, m))
+
+    def universal_apply(self, x) -> np.ndarray:
+        """The exact universal map ``int beta0(t) R_{t/2} dt`` on one ``(n, n)``
+        input ``x`` or a stack ``(..., n, n)``, as ``(..., m, m)`` in the
+        standard basis.
+
+        One ``(m m, n n)`` superoperator, ``universal_phases`` times ``T``
+        entrywise, acts on ``V_N^dag x V_N``: a quadrature rule's weighted
+        node sum is folded into the closed-form phases, so no rule is read.
+        """
         vs = self.s_sys[1]
-        return vs @ y.reshape(x.shape[:-2] + c.shape[1:]) @ vs.conj().T
+        return vs @ self._universal(self._rotate_input(x)) @ vs.conj().T
 
     def recovery_map(self, kind: str, ops, **meta) -> RecoveryMap:
         """The ``RecoveryMap`` of the pair with the ``(k, d_in, d_out)`` Kraus

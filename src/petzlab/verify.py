@@ -70,10 +70,11 @@ class DpiReport:
     """Both sides of the remainder-term data processing inequality.
 
     ``lhs`` is the relative entropy difference; ``rhs_mixture`` uses the
-    fidelity with the mixed universal map, ``rhs_strong`` averages the
-    per-node log-fidelities (never smaller than ``rhs_mixture`` up to
-    rounding, by concavity).  ``exploratory_relative_entropy`` is
-    ``D(rho || recovered)``, reported as data only; no proven bound uses it.
+    fidelity with the exact universal map, ``rhs_strong`` averages the
+    per-node log-fidelities of the rule (never smaller than ``rhs_mixture``
+    up to rounding and the rule's error, by concavity).
+    ``exploratory_relative_entropy`` is ``D(rho || recovered)``, reported as
+    data only; no proven bound uses it.
     """
 
     lhs: float
@@ -93,7 +94,12 @@ def dpi_remainder(
     channel: Channel,
     rule: QuadratureRule,
 ) -> DpiReport:
-    """Evaluate the universal-recovery remainder bound on one instance."""
+    """Evaluate the universal-recovery remainder bound on one instance.
+
+    ``rhs_mixture`` and ``recovered_state`` read the exact universal map, in
+    closed form; ``rhs_strong`` and ``per_node_fidelities`` read the rotated
+    Petz maps at the nodes of ``rule``.
+    """
     return _dpi(_checked(rho), _checked(sigma), channel, rule)[0]
 
 
@@ -103,10 +109,10 @@ def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
     out_rho = channel.apply(rho)
     vals, vecs = _psd_eigensystem(rho)
 
-    # R_t(N(rho)) at every node and the universal map's mixture of them, in
+    # R_t(N(rho)) at every node and the exact universal map's R(N(rho)), in
     # sigma's eigenbasis: one stacked fidelity call against rho rotated there
-    recs = pair.recovered(rule.nodes / 2.0, out_rho)
-    recs = np.concatenate([recs, np.tensordot(rule.weights, recs, axes=1)[None]])
+    z = pair._rotate_input(out_rho)
+    recs = np.concatenate([pair._recovered(rule.nodes / 2.0, z), pair._universal(z)[None]])
     fids = _root_fidelities((vals, dagger(pair.s_sys[1]) @ vecs), recs)
     fids, mixture_fid = fids[:-1], float(fids[-1])
     mixture_rec = pair.s_sys[1] @ recs[-1] @ dagger(pair.s_sys[1])
@@ -201,8 +207,8 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
     """Strong subadditivity with a recovery remainder.
 
     Rebuilds the C part of a tripartite state from its B part alone with
-    the universal map of ``(rho_BC, tr_C)`` and compares ``I(A:C|B)``
-    against ``-2 log F`` of the reconstruction.
+    the exact universal map of ``(rho_BC, tr_C)`` and compares ``I(A:C|B)``
+    against ``-2 log F`` of the reconstruction.  ``rule`` is not read.
     """
     da, db, dc = (int(d) for d in dims)
     rho_abc = np.asarray(rho_abc, dtype=complex)
@@ -216,7 +222,7 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
 
     # id_A (x) R acts on each B block (a, a') of rho_AB
     blocks = rho_ab.reshape(da, db, da, db).swapaxes(1, 2)
-    rec = pair.universal_apply(rule, blocks).swapaxes(1, 2).reshape(rho_abc.shape)
+    rec = pair.universal_apply(blocks).swapaxes(1, 2).reshape(rho_abc.shape)
     f = float(_root_fidelities(abc_sys, rec[None])[0])
     rhs = _neg2log(f)
     return SsaReport(cmi=cmi, rhs=rhs, slack=_slack(cmi, rhs), recovered_fidelity=f,
@@ -247,8 +253,8 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
 
     ``ensemble`` is a sequence of ``(weight, rho_AB)`` pairs on the space
     with factor dimensions ``dims = (dA, dB)``.  Each member's A part is
-    rebuilt from its B marginal with the universal map of the average
-    state, ``(rho_bar_AB, tr_A)``.
+    rebuilt from its B marginal with the exact universal map of the average
+    state, ``(rho_bar_AB, tr_A)``.  ``rule`` is not read.
     """
     da, db = (int(d) for d in dims)
     weights = _check_simplex([w for w, _ in ensemble])
@@ -261,7 +267,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     cond = _von_neumann(states_sys[0]) - _von_neumann(_psd_eigensystem(marginals)[0])
     lhs = _von_neumann(pair.s_sys[0]) - _von_neumann(pair.m_sys[0]) - float(np.dot(weights, cond))
 
-    fids = _root_fidelities(states_sys, pair.universal_apply(rule, marginals))
+    fids = _root_fidelities(states_sys, pair.universal_apply(marginals))
     rhs = _neg2log(float(np.dot(weights, fids)))
     return EnsembleReport(lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs), member_fidelities=fids)
 
@@ -271,10 +277,10 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
 
     ``ensemble`` is a sequence of ``(weight, rho_x, sigma_x)`` triples on a
     common space.  The classical label is embedded as a block index, the
-    universal map of ``(sigma_XA, tr_X)`` re-inflates the averaged state,
-    and the remainder compares against the fidelity with the labeled state.
-    That map is block diagonal, so the fidelity is the weighted sum of the
-    member fidelities ``F(rho_x, rec_x / w_x)``.
+    exact universal map of ``(sigma_XA, tr_X)`` re-inflates the averaged
+    state, and the remainder compares against the fidelity with the labeled
+    state.  That map is block diagonal, so the fidelity is the weighted sum
+    of the member fidelities ``F(rho_x, rec_x / w_x)``.  ``rule`` is not read.
     """
     weights = _check_simplex([w for w, _, _ in ensemble])
     rhos = _members([r for _, r, _ in ensemble])
@@ -293,7 +299,7 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     rho_avg = np.tensordot(weights, rhos, axes=1)
     lhs = float(np.dot(weights, member_d)) - _relative_entropy(rho_avg, pair.m_sys)
 
-    rec = pair.universal_apply(rule, rho_avg).reshape(nx, dim, nx, dim)
+    rec = pair.universal_apply(rho_avg).reshape(nx, dim, nx, dim)
     live = weights > 0.0
     member_fids = np.full(nx, np.nan)
     member_fids[live] = _root_fidelities(
@@ -341,8 +347,9 @@ def qec_analyze(
 
     Samples codespace states (alternating full-rank and pure), records the
     distinguishability gap ``D(rho||Pi) - D(N(rho)||N(Pi))`` and the
-    fidelity of the universal recovery, and evaluates the forward bound
-    ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound.
+    fidelity of the exact universal recovery, and evaluates the forward
+    bound ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound.
+    ``rule`` is not read.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -371,7 +378,7 @@ def qec_analyze(
     rho_sys, out_vals = _psd_eigensystem(rhos), _psd_eigensystem(outs)[0]
     gaps = (_relative_entropy(rhos, pair.s_sys, rho_sys[0])
             - _relative_entropy(outs, pair.m_sys, out_vals))
-    fids = _root_fidelities(rho_sys, pair.universal_apply(rule, outs))
+    fids = _root_fidelities(rho_sys, pair.universal_apply(outs))
 
     max_gap = float(np.max(gaps, initial=0.0))
     min_fid = float(np.min(fids, initial=1.0))

@@ -2,6 +2,7 @@
 (node phases around the Petz superoperator), one rotated-Kraus stack per built
 map, one stacked fidelity."""
 
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import random_dpi_instance
 from petzlab import channels, entropy, linalg, recovery, verify
 from petzlab.channels import (
+    Channel,
     dephasing_channel,
     identity_channel,
     partial_trace_channel,
@@ -19,6 +21,7 @@ from petzlab.channels import (
     random_unitary,
     single_bit_flip_channel,
     three_qubit_bit_flip_code,
+    unitary_channel,
 )
 from petzlab.entropy import (
     _root_fidelities,
@@ -388,6 +391,27 @@ def kernel_regimes():
     yield "d_in-ne-d_out", random_density(5, gen), chan, chan.apply(random_density(5, gen))
 
 
+def exact_map_regimes():
+    """``kernel_regimes`` and the pairs where the universal map is hardest to
+    evaluate: a classical stochastic channel on diagonal states, and a
+    unitary and an isometric channel at condition 1e10."""
+    yield from kernel_regimes()
+    gen = np.random.default_rng(4242)
+    p = gen.dirichlet(np.ones(4), size=3).T  # column-stochastic, 3 letters to 4
+    eye_in, eye_out = np.eye(3), np.eye(4)
+    chan = Channel([np.sqrt(p[y, x]) * np.outer(eye_out[y], eye_in[x])
+                    for y in range(4) for x in range(3)])
+    sigma = np.diag(gen.dirichlet(np.ones(3))).astype(complex)
+    rho = np.diag(gen.dirichlet(np.ones(3))).astype(complex)
+    yield "classical-diagonal", sigma, chan, chan.apply(rho)
+    chan = unitary_channel(random_unitary(4, gen))
+    sigma = rotated_unitarily(np.logspace(0.0, -10.0, 4), gen)
+    yield "unitary-1e10", sigma, chan, chan.apply(random_density(4, gen))
+    chan = random_channel(3, 5, 1, gen)
+    sigma = rotated_unitarily(np.logspace(0.0, -10.0, 3), gen)
+    yield "isometric-1e10", sigma, chan, chan.apply(random_density(3, gen))
+
+
 def relative_error(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -412,7 +436,7 @@ class TestPhaseSandwichKernel:
         for t, state in zip(self.TS, got):
             assert relative_error(state, rotated_petz(sigma, chan, t).apply(x)) <= 1e-13
 
-    @pytest.mark.parametrize("case", list(kernel_regimes()), ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", list(exact_map_regimes()), ids=lambda c: c[0])
     def test_weighted_sum_is_the_universal_map(self, case):
         _, sigma, chan, x = case
         rule = beta0_quadrature(65)
@@ -420,7 +444,9 @@ class TestPhaseSandwichKernel:
         mixture = np.tensordot(rule.weights, pair.recovered(rule.nodes / 2.0, x), axes=1)
         want = universal_recovery(sigma, chan, rule).apply(x)
         assert relative_error(self.standard_basis(pair, mixture), want) <= 1e-13
-        assert relative_error(pair.universal_apply(rule, x), want) <= 1e-13
+        # the exact map, against a rule fine enough to reach rounding
+        want = universal_recovery(sigma, chan, beta0_quadrature(1025)).apply(x)
+        assert relative_error(pair.universal_apply(x), want) <= 1e-13
 
     def test_isometric_channel_recovers_sigma_at_every_node(self):
         _, sigma, chan, _ = next(c for c in kernel_regimes() if c[0] == "isometric")
@@ -439,12 +465,10 @@ class TestPhaseSandwichKernel:
         assert stacked.shape == (4, len(self.TS), chan.dim_in, chan.dim_in)
         for member, one in zip(stacked, xs):
             np.testing.assert_allclose(member, pair.recovered(self.TS, one), rtol=0.0, atol=1e-15)
-        rule = beta0_quadrature(65)
-        universal = pair.universal_apply(rule, xs)
+        universal = pair.universal_apply(xs)
         assert universal.shape == (4, chan.dim_in, chan.dim_in)
         for member, one in zip(universal, xs):
-            np.testing.assert_allclose(member, pair.universal_apply(rule, one), rtol=0.0,
-                                       atol=1e-15)
+            np.testing.assert_allclose(member, pair.universal_apply(one), rtol=0.0, atol=1e-15)
 
     def test_quadrature_checks_build_no_kraus_stack(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -488,6 +512,72 @@ def patch_kernel(monkeypatch, form):
     prop = cached_property(lambda pair: form(pair, original))
     prop.__set_name__(recovery._PetzFactory, "kernel")
     monkeypatch.setattr(recovery._PetzFactory, "kernel", prop)
+
+
+class TestExactUniversalMap:
+    """``universal_apply`` is the exact map ``int beta0(t) R_{t/2} dt``: the
+    closed-form phases ``universal_phases`` times the pair's kernel."""
+
+    @staticmethod
+    def superoperator(pair):
+        """``universal_phases * T`` as an ``(m, m, n, n)`` array."""
+        m, n = len(pair.sigma), len(pair.n_sigma)
+        return (pair.universal_phases() * pair.kernel).reshape(m, m, n, n)
+
+    @pytest.mark.parametrize("case", list(exact_map_regimes()), ids=lambda c: c[0])
+    def test_recovers_sigma(self, case):
+        _, sigma, chan, _ = case
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        assert relative_error(pair.universal_apply(chan.apply(sigma)), sigma) <= 1e-13
+
+    @pytest.mark.parametrize("case", list(exact_map_regimes()), ids=lambda c: c[0])
+    def test_choi_matrix_is_psd(self, case):
+        _, sigma, chan, _ = case
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        sup = self.superoperator(pair)
+        m, n = sup.shape[1:3]
+        # C_{(i p), (j q)} = S_{ij, pq}: the Choi matrix in the pair's eigenbases
+        choi = sup.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        atol = 1e-15 * np.abs(choi).max()
+        np.testing.assert_allclose(choi, choi.conj().T, rtol=0.0, atol=atol)
+        vals = np.linalg.eigvalsh(choi)
+        assert vals[0] >= -1e-13 * vals[-1]
+
+    @pytest.mark.parametrize("case", list(exact_map_regimes()), ids=lambda c: c[0])
+    def test_trace_preserving_on_the_support(self, case):
+        _, sigma, chan, _ = case
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        # the dual map on the identity is the projector onto supp N(sigma)
+        dual = np.einsum("iipq->pq", self.superoperator(pair))
+        mu = pair.m_sys[0]
+        support = np.diag((mu > 0.0).astype(float))
+        # N(sigma)^{-1/2} amplifies rounding by the condition number, as in
+        # the Petz map's own trace-non-increase budget
+        pos = mu[mu > 0.0]
+        tol = 1e-13 + len(mu) * np.finfo(float).eps * pos[0] / pos[-1]
+        assert np.abs(dual - support).max() <= tol
+
+    def test_condition_1e12_raises_no_warning(self):
+        gen = np.random.default_rng(1012)
+        sigma = rotated_unitarily(np.logspace(0.0, -12.0, 4), gen)
+        chan = random_channel(4, 3, 2, gen)
+        x = chan.apply(random_density(4, gen))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = recovery._PetzFactory(_checked(sigma), chan)
+            got = pair.universal_apply(x)
+            back = pair.universal_apply(chan.apply(sigma))
+        assert np.all(np.isfinite(got))
+        assert relative_error(back, sigma) <= 1e-13
+
+    @pytest.mark.parametrize("seed", [4, 9, 21])
+    def test_dpi_mixture_reads_the_exact_map(self, seed):
+        rho, sigma, chan = random_dpi_instance(seed)
+        rep = dpi_remainder(rho, sigma, chan, beta0_quadrature(129))
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        want = pair.universal_apply(chan.apply(rho))
+        np.testing.assert_allclose(rep.recovered_state, want, rtol=0.0, atol=1e-15)
+        assert rep.rhs_mixture == pytest.approx(-2.0 * np.log(fidelity(rho, want)), abs=1e-12)
 
 
 class TestOneKernel:
@@ -580,12 +670,21 @@ class TestWorkPerInstance:
         assert 0 < len(eigs) <= 2 + 2 * samples
         assert len(residuals) == 1  # the caller's projector
 
-    def test_qec_computes_the_phases_once(self, monkeypatch):
-        calls = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
-        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20,
-                    beta0_quadrature(129))
-        # the universal map is applied to every sample's output in one call
-        assert len(calls) == 1
+    def test_qec_computes_the_phases_once(self, rng, monkeypatch):
+        nodes = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
+        powers = counting(monkeypatch, "_powers", (recovery._PetzFactory,))
+        closed = counting(monkeypatch, "universal_phases", (recovery._PetzFactory,))
+        rule = beta0_quadrature(129)
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20, rule)
+        # the exact map is applied to every sample's output in one call
+        assert (len(nodes), len(powers), len(closed)) == (0, 0, 1)
+        ssa_remainder(random_density(12, rng), (2, 3, 2), rule)
+        concavity_remainder([(0.5, random_density(6, rng)), (0.5, random_density(6, rng))],
+                            (2, 3), rule)
+        joint_convexity_remainder([(w, random_density(3, rng), random_density(3, rng))
+                                   for w in (0.3, 0.7)], rule)
+        # no node phases, and one closed-form phase array per reference pair
+        assert (len(nodes), len(powers), len(closed)) == (0, 0, 4)
 
     def test_ssa_decompositions(self, rng, monkeypatch):
         rho = random_density(12, rng)
@@ -750,14 +849,17 @@ def ensemble_regimes():
 
 
 class TestMixtureParity:
-    """The stacked mixture checks against public per-member calls."""
+    """The stacked mixture checks against public per-member calls; the
+    checks read the exact universal map, so the reference map's rule is
+    fine enough to reach rounding."""
 
     RULE = beta0_quadrature(65)
+    REFERENCE = beta0_quadrature(1025)
 
     @pytest.mark.parametrize("case", list(ensemble_regimes()), ids=lambda c: c[0])
     def test_concavity(self, case):
         rep = concavity_remainder(case[1], (2, 3), self.RULE)
-        lhs, rhs, fids = reference_concavity(case[1], (2, 3), self.RULE)
+        lhs, rhs, fids = reference_concavity(case[1], (2, 3), self.REFERENCE)
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         assert rep.rhs == pytest.approx(rhs, abs=1e-12)
         np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
@@ -770,7 +872,7 @@ class TestMixtureParity:
             ensemble = [(w, s, np.diag(gen.dirichlet(np.ones(6))).astype(complex))
                         for w, s in case[1]]
         rep = joint_convexity_remainder(ensemble, self.RULE)
-        lhs, rhs, fids = reference_joint(ensemble, self.RULE)
+        lhs, rhs, fids = reference_joint(ensemble, self.REFERENCE)
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         # the block sum of member fidelities against the full labeled state
         assert rep.rhs == pytest.approx(rhs, abs=1e-13)
@@ -810,7 +912,7 @@ class TestMixtureParity:
         rep = joint_convexity_remainder([inside, outside], self.RULE)
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf and rep.slack == np.inf
-        _, rhs, fids = reference_joint([inside, outside], self.RULE)
+        _, rhs, fids = reference_joint([inside, outside], self.REFERENCE)
         assert rep.rhs == pytest.approx(rhs, abs=1e-13)
         np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
 
@@ -847,8 +949,9 @@ class TestSsaReshape:
             rep = ssa_remainder(rho, dims, rule)
             rho_ab = partial_trace(rho, dims, keep=(0, 1))
             rho_bc = partial_trace(rho, dims, keep=(1, 2))
+            # the check reads the exact map; this rule reaches rounding
             rec_map = universal_recovery(
-                rho_bc, partial_trace_channel((db, dc), keep=(0,)), rule
+                rho_bc, partial_trace_channel((db, dc), keep=(0,)), beta0_quadrature(1025)
             )
             lifted = identity_channel(da).tensor(rec_map).apply(rho_ab)
             np.testing.assert_allclose(rep.recovered_state, lifted, rtol=0.0, atol=1e-14)
