@@ -27,6 +27,11 @@ from .recovery import _PetzFactory
 LN2 = float(np.log(2.0))
 # Absolute slack of a POVM's effect eigenvalues and of its sum's distance to id.
 POVM_TOL = 1e-10
+# Smallest eigenvalue, relative to the trace, at which a Cholesky factor
+# stands in for the square root in a fidelity: about 1e7 times the rank
+# cutoff, so the clamp would change nothing, and the two routes' backward
+# errors (about d eps lambda_max) move F by at most about 1e-11 above it.
+CHOLESKY_FLOOR = 1e-8
 
 
 def nats_to_bits(x: float) -> float:
@@ -91,18 +96,55 @@ def _root_fidelities(rho_sys, stack: np.ndarray) -> np.ndarray:
     A stack of ``T`` eigensystems ``rho_sys`` broadcasts: member ``t`` of the
     stack is then paired with ``rho_t``.
 
-    ``sqrt(rho)`` is taken once; the stack goes through one batched ``eigh``
-    and one batched singular-value call, each member held to the rank
+    ``sqrt(rho)`` is taken once.  Each member's Cholesky factor ``C`` stands
+    in for ``sqrt(x)``: ``C = sqrt(x) V`` with ``V`` unitary, so the singular
+    values of ``sqrt(rho) C`` are those of ``sqrt(rho) sqrt(x)``, from one
+    batched ``cholesky`` and one batched singular-value call.  That result is
+    used when every member provably has ``lambda_min(x) > CHOLESKY_FLOOR tr x``;
+    otherwise (a singular or ill-conditioned member, or rounding negativity)
+    the stack goes through one batched ``eigh``, each member held to the rank
     cutoff, clamp and PSD rule of ``_psd_eigensystem``.  No hermiticity
     residual is computed: callers pass matrices they have checked or built.
     """
     root = _on_support(*rho_sys, np.sqrt)
+    fast = _cholesky_fidelities(rho_sys[0][..., 0], root, stack)
+    if fast is not None:
+        return fast
     roots = _on_support(*_psd_eigensystem(stack), np.sqrt)
     return np.linalg.svd(root @ roots, compute_uv=False).sum(axis=-1)
 
 
+def _cholesky_fidelities(rho_top, root, stack):
+    """``_root_fidelities`` from the Cholesky factors of the stack, or None
+    unless every member is certified above ``CHOLESKY_FLOOR``.
+
+    Two free lower bounds on ``lambda_min(x)`` certify a member:
+    ``det x / tr(x)^(d-1)``, since ``det x <= lambda_min lambda_max^(d-1)``,
+    and ``s_min^2 / lambda_max(rho)``, since the smallest singular value of
+    ``sqrt(rho) C`` is at most ``||sqrt(rho)|| sigma_min(C)``; ``rho_top`` is
+    ``lambda_max(rho)``, one per member when ``rho`` is a stack.
+    """
+    x = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    try:
+        chol = np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return None
+    s = np.linalg.svd(root @ chol, compute_uv=False)
+    tr = np.trace(x, axis1=-2, axis2=-1).real
+    # det x / tr^d as a product of factors |C_ii|^2 / tr <= 1, which cannot overflow
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    by_det = np.prod(diag**2 / tr[..., None], axis=-1) > CHOLESKY_FLOOR
+    # multiplied out, so a pure rho (s_min = 0) or rho = 0 divides by nothing
+    by_svd = s[..., -1] ** 2 > CHOLESKY_FLOOR * tr * rho_top
+    if not np.all(by_det | by_svd):
+        return None
+    return s.sum(axis=-1)
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Root fidelity ``|| sqrt(rho) sqrt(sigma) ||_1`` of two PSD operators."""
+    """Root fidelity ``|| sqrt(rho) sqrt(sigma) ||_1`` of two PSD operators,
+    through ``_root_fidelities`` on a stack of one (a Cholesky factor of
+    ``sigma`` when it is well conditioned, its clamped square root otherwise)."""
     return float(_root_fidelities(_psd_eigensystem(_checked(rho)), _checked(sigma)[None])[0])
 
 

@@ -33,6 +33,7 @@ from petzlab.entropy import (
 )
 from petzlab.linalg import (
     _checked,
+    _on_support,
     _psd_eigensystem,
     dagger,
     imaginary_power,
@@ -75,6 +76,28 @@ def reference_fidelity(rho, x):
     return float(np.linalg.svd(clipped_sqrt(rho) @ clipped_sqrt(x), compute_uv=False).sum())
 
 
+def eigh_root_fidelities(rho_sys, stack):
+    """The stacked fidelity through one batched ``eigh`` of the members and
+    their clamped square roots: the route the Cholesky factors replace."""
+    root = _on_support(*rho_sys, np.sqrt)
+    roots = _on_support(*_psd_eigensystem(stack), np.sqrt)
+    return np.linalg.svd(root @ roots, compute_uv=False).sum(axis=-1)
+
+
+def cholesky_routes(monkeypatch):
+    """Record, per ``_root_fidelities`` call, whether the Cholesky route was taken."""
+    routes = []
+    original = entropy._cholesky_fidelities
+
+    def wrapper(*args):
+        fids = original(*args)
+        routes.append(fids is not None)
+        return fids
+
+    monkeypatch.setattr(entropy, "_cholesky_fidelities", wrapper)
+    return routes
+
+
 def recovered_stack(rho, sigma, chan, ts):
     out = chan.apply(rho)
     return np.array([m.apply(out) for m in rotated_petz_family(sigma, chan, ts)])
@@ -112,6 +135,64 @@ class TestStackedFidelity:
         reference = np.array([reference_fidelity(rho, x) for x in stack])
         np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-12)
+        eigh_route = eigh_root_fidelities(_psd_eigensystem(rho), stack)
+        np.testing.assert_allclose(batched, eigh_route, rtol=0.0, atol=1e-12)
+
+    def test_cholesky_route_on_exact_map_regimes(self, monkeypatch):
+        # sigma against its recovered states, in every regime of the exact
+        # map, the condition-1e10 unitary and isometric channels included
+        routes = cholesky_routes(monkeypatch)
+        ts = np.linspace(-3.0, 3.0, 9)
+        for name, sigma, chan, x in exact_map_regimes():
+            pair = recovery._PetzFactory(_checked(sigma), chan)
+            stack = np.concatenate([pair.recovered(ts, x), pair.universal_apply(x)[None]])
+            sigma_sys = _psd_eigensystem(sigma)
+            np.testing.assert_allclose(_root_fidelities(sigma_sys, stack),
+                                       eigh_root_fidelities(sigma_sys, stack),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+        # only the rank-deficient sigma's recovered states fall back
+        assert sum(routes) == len(routes) - 1
+
+    def test_cholesky_route_on_dpi_stacks(self, monkeypatch):
+        stacks = []
+        original = verify._root_fidelities
+
+        def capture(rho_sys, stack):
+            stacks.append((rho_sys, stack))
+            return original(rho_sys, stack)
+
+        monkeypatch.setattr(verify, "_root_fidelities", capture)
+        rule = beta0_quadrature(33)
+        for seed in range(200):
+            dpi_remainder(*random_dpi_instance(seed), rule)
+        routes = cholesky_routes(monkeypatch)
+        for rho_sys, stack in stacks:
+            np.testing.assert_allclose(_root_fidelities(rho_sys, stack),
+                                       eigh_root_fidelities(rho_sys, stack), rtol=0.0, atol=1e-12)
+        assert routes == [True] * 200
+
+    @pytest.mark.parametrize("case", ["rank-d-1", "condition-1e12", "pure-rho", "zero-rho"])
+    def test_fallback_is_the_eigh_route_bit_for_bit(self, monkeypatch, case):
+        gen = np.random.default_rng(31)
+        rho = random_density(4, gen)
+        members = [random_density(4, gen), random_density(4, gen)]
+        if case == "rank-d-1":
+            members.append(rotated_unitarily([1.0, 0.5, 0.2, 0.0], gen))
+        elif case == "condition-1e12":
+            members.append(rotated_unitarily([1.0, 0.5, 0.2, 1e-12], gen))
+        elif case == "pure-rho":
+            rho = random_density(4, gen, ensemble="rank-k", rank=1)
+            members.append(random_density(4, gen, ensemble="rank-k", rank=2))
+        else:  # the Cholesky factors exist; rho's largest eigenvalue is 0
+            rho = np.zeros((4, 4), dtype=complex)
+            members.append(rotated_unitarily([1.0, 0.5, 0.2, 1e-12], gen))
+        stack = np.array(members)
+        routes = cholesky_routes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _root_fidelities(_psd_eigensystem(rho), stack)
+        np.testing.assert_array_equal(got, eigh_root_fidelities(_psd_eigensystem(rho), stack))
+        assert routes == [False]
 
     def test_member_with_relative_negativity_raises(self, rng):
         rho = random_density(3, rng)
@@ -669,6 +750,23 @@ class TestWorkPerInstance:
         # once (entropy and fidelity root) and its output once
         assert 0 < len(eigs) <= 2 + 2 * samples
         assert len(residuals) == 1  # the caller's projector
+
+    def test_fidelities_take_no_stacked_eigh(self, monkeypatch):
+        shapes = []
+        original = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        rho, sigma, chan = random_dpi_instance(5)
+        rule = beta0_quadrature(129)
+        dpi_remainder(rho, sigma, chan, rule)
+        alpha_bound_check(rho, sigma, chan, [0.6], rule)
+        # the recovered states' fidelities come from their Cholesky factors;
+        # every decomposition left is of one matrix
+        assert shapes and all(len(shape) == 2 for shape in shapes)
 
     def test_qec_computes_the_phases_once(self, rng, monkeypatch):
         nodes = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
