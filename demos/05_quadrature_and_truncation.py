@@ -53,8 +53,7 @@ print("\ntruncation study on a dim-12 instance (common projector from sigma):")
 rho = pl.random_density(12, gen)
 sigma = pl.random_density(12, gen)
 channel = pl.random_channel(12, 4, 3, gen)
-rep = truncation_convergence(rho, sigma, channel, [2, 4, 6, 8, 10, 12],
-                             pl.beta0_quadrature(65))
+rep = truncation_convergence(rho, sigma, channel, [2, 4, 6, 8, 10, 12])
 print(f"  D(rho||sigma) full: {rep.full_relative_entropy:.9f}")
 for k, d, slack in zip(rep.ks, rep.truncated_relative_entropies, rep.slacks):
     print(f"  rank {k:2d}: D_k = {d:.9f}   remainder slack = {slack:.6f}")

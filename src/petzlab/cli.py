@@ -31,6 +31,7 @@ from .recovery import beta_quadrature
 from .verify import (
     SWEEP_KINDS,
     SweepConfig,
+    _check_tolerance,
     _dpi_row,
     _ssa_row,
     dpi_remainder,
@@ -129,8 +130,8 @@ def _cmd_quadrature_info(args) -> int:
 
 def _swept(args, kind: str, **config):
     """``args.random`` rows of a ``kind`` sweep, each with its label."""
-    result = sweep(SweepConfig(seed=args.seed, count=args.random, nodes=args.nodes,
-                               tolerance=args.tolerance, kind=kind, **config))
+    result = sweep(SweepConfig(seed=args.seed, count=args.random, tolerance=args.tolerance,
+                               kind=kind, **config))
     return [(f"{kind}-{row['instance']}", row) for row in result.rows]
 
 
@@ -150,6 +151,7 @@ def _report_checks(args, labelled) -> int:
 
 
 def _cmd_verify_dpi(args) -> int:
+    _check_tolerance(args.tolerance)
     if args.example == "classical":
         name = "classical"
         rho = serialize.load_state(_bundled("classical_rho.txt"))
@@ -165,7 +167,7 @@ def _cmd_verify_dpi(args) -> int:
         raise ValueError("--dump-recovered needs --example or --rho/--sigma/--channel")
     else:
         return _report_checks(args, _swept(args, "dpi", dims=_parse_dims(args.dims),
-                                           env_max=args.env_max))
+                                           env_max=args.env_max, nodes=args.nodes))
     rep = dpi_remainder(rho, sigma, chan, beta_quadrature(args.nodes))
     if args.dump_recovered:
         state = rep.recovered_state
@@ -176,6 +178,7 @@ def _cmd_verify_dpi(args) -> int:
 
 
 def _cmd_verify_ssa(args) -> int:
+    _check_tolerance(args.tolerance)
     if args.state:
         name, rho = "file", serialize.load_state(args.state)
         dims = tuple(int(d) for d in args.state_dims.split(","))
@@ -183,7 +186,7 @@ def _cmd_verify_ssa(args) -> int:
         name, rho, dims = "ghz", ghz_state(3), (2, 2, 2)
     else:
         return _report_checks(args, _swept(args, "ssa", dims=(2, 2)))
-    rep = ssa_remainder(rho, dims, beta_quadrature(args.nodes))
+    rep = ssa_remainder(rho, dims)
     return _report_checks(args, [(name, {"instance": name, **_ssa_row(rep, dims)})])
 
 
@@ -195,7 +198,6 @@ def _cmd_verify_corollaries(args) -> int:
 
 
 def _cmd_qec(args) -> int:
-    rule = beta_quadrature(args.nodes)
     if args.code == "bitflip3":
         projector = three_qubit_bit_flip_code()
         channel = single_bit_flip_channel(args.p)
@@ -205,8 +207,7 @@ def _cmd_qec(args) -> int:
         cols = dec[:, : args.code_dim]
         projector = cols @ cols.conj().T
         channel = random_channel(args.dim, args.dim, args.env_max, rng)
-    rep = qec_analyze(projector, channel, args.samples, rule, seed=args.seed,
-                      tol=args.tolerance)
+    rep = qec_analyze(projector, channel, args.samples, seed=args.seed, tol=args.tolerance)
     _print_values(
         [
             ("dim_code", rep.dim_code, False),
@@ -265,10 +266,6 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(parser):
-    parser.add_argument("--nodes", type=int, default=129,
-                        help="quadrature nodes of the per-node averages: the DPI rhs_strong "
-                             "and the quadrature-info rule; the universal map is exact "
-                             "(default 129)")
     parser.add_argument("--unit", choices=("nats", "bits"), default="nats")
     parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
@@ -276,6 +273,17 @@ def _add_common(parser):
                         help="report file path (table; .summary JSON alongside)")
     parser.add_argument("--config", default=None,
                         help="JSON file with flag defaults; flags override")
+
+
+def _add_nodes(parser, text: str):
+    parser.add_argument("--nodes", type=int, default=129, help=text + " (default 129)")
+
+
+def _add_unread_nodes(parser):
+    """The deprecated ``--nodes`` of a command that applies the exact universal
+    map: accepted, hidden from the help, and not read."""
+    parser.add_argument("--nodes", dest="unread_nodes", type=int, default=None,
+                        help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-dpi", help="data processing inequality remainder")
     _add_common(p)
+    _add_nodes(p, "quadrature nodes of the per-node average rhs_strong; rhs_mixture "
+                  "reads the exact universal map")
     p.add_argument("--rho", help="state file")
     p.add_argument("--sigma", help="reference state file")
     p.add_argument("--channel", help="channel file")
@@ -303,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ssa", help="strong subadditivity remainder")
     _add_common(p)
+    _add_unread_nodes(p)
     p.add_argument("--state", help="tripartite state file")
     p.add_argument("--state-dims", default="2,2,2", help="factor dims dA,dB,dC")
     p.add_argument("--ghz", action="store_true", help="use the three-qubit GHZ state")
@@ -312,12 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-corollaries",
                        help="concavity and joint convexity remainders")
     _add_common(p)
+    _add_unread_nodes(p)
     p.add_argument("--random", type=int, default=1)
     p.add_argument("--dims", default="2..2")
     p.set_defaults(func=_cmd_verify_corollaries)
 
     p = sub.add_parser("qec", help="approximate error correction bounds")
     _add_common(p)
+    _add_unread_nodes(p)
     p.add_argument("--code", choices=("bitflip3", "random"), default="bitflip3")
     p.add_argument("--p", type=float, default=0.1, help="bitflip3 noise weight")
     p.add_argument("--dim", type=int, default=4, help="random code ambient dimension")
@@ -328,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="seeded random verification sweep")
     _add_common(p)
+    _add_nodes(p, "quadrature nodes of the DPI kind's per-node average rhs_strong; the "
+                  "other kinds read the exact universal map and ignore it, but the "
+                  ".summary records it")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--dims", default="2..5")
     p.add_argument("--env-max", type=int, default=4)
@@ -338,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quadrature-info", help="print a quadrature rule")
     _add_common(p)
+    _add_nodes(p, "quadrature nodes of the printed rule")
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=_cmd_quadrature_info)
 
@@ -375,6 +392,9 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if getattr(args, "unread_nodes", None) is not None:
+            print(f"warning: {args.command} ignores --nodes, which is deprecated there: "
+                  "it applies the exact universal map", file=sys.stderr)
         return args.func(args)
     except ValueError as exc:
         # bad arguments or input the library cannot use

@@ -268,7 +268,7 @@ class _PetzFactory:
     def _recovered(self, ts, z) -> np.ndarray:
         """``recovered`` on the rotated input ``z = _rotate_input(x)``."""
         a, c = self._phases(ts)
-        z = a.reshape(len(a), -1) * z[..., None, :]
+        z = a.reshape(len(a), z.shape[-1]) * z[..., None, :]
         return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
     @staticmethod

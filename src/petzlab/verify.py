@@ -7,8 +7,10 @@ floating-point tolerance whenever the underlying theorem applies.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,21 @@ def _slack(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
+def _check_tolerance(tol) -> None:
+    """Refuse a verdict tolerance that is not finite and nonnegative
+    (``slack < -nan`` is never true, so a NaN would pass every check)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _unread_rule(rule, name: str) -> None:
+    """Warn that ``name``, which applies the exact universal map, was passed
+    a quadrature ``rule``: it is not read, and the argument is deprecated."""
+    if rule is not None:
+        warnings.warn(f"{name}: the rule argument is deprecated and not read; "
+                      "the universal map is applied exactly", DeprecationWarning, stacklevel=3)
+
+
 # ---------------------------------------------------------------------------
 # data processing inequality
 # ---------------------------------------------------------------------------
@@ -100,11 +117,13 @@ def dpi_remainder(
     closed form; ``rhs_strong`` and ``per_node_fidelities`` read the rotated
     Petz maps at the nodes of ``rule``.
     """
-    return _dpi(_checked(rho), _checked(sigma), channel, rule)[0]
+    return _dpi(_checked(rho), _checked(sigma), channel, rule.nodes / 2.0, rule.weights)[0]
 
 
-def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
-    """``dpi_remainder`` on checked input, with ``D(rho || sigma)``."""
+def _dpi(rho, sigma, channel: Channel, ts, weights):
+    """``dpi_remainder`` on checked input, with ``D(rho || sigma)``; the
+    per-node fidelities are those of the rotated maps ``R_t`` at every ``t`` of
+    ``ts``, and ``rhs_strong`` is their ``weights`` average."""
     pair = _PetzFactory(sigma, channel)
     out_rho = channel.apply(rho)
     vals, vecs = _psd_eigensystem(rho)
@@ -112,11 +131,11 @@ def _dpi(rho, sigma, channel: Channel, rule: QuadratureRule):
     # R_t(N(rho)) at every node and the exact universal map's R(N(rho)), in
     # sigma's eigenbasis: one stacked fidelity call against rho rotated there
     z = pair._rotate_input(out_rho)
-    recs = np.concatenate([pair._recovered(rule.nodes / 2.0, z), pair._universal(z)[None]])
+    recs = np.concatenate([pair._recovered(ts, z), pair._universal(z)[None]])
     fids = _root_fidelities((vals, dagger(pair.s_sys[1]) @ vecs), recs)
     fids, mixture_fid = fids[:-1], float(fids[-1])
     mixture_rec = pair.s_sys[1] @ recs[-1] @ dagger(pair.s_sys[1])
-    rhs_strong = _neg2log_mean(rule.weights, fids)
+    rhs_strong = _neg2log_mean(weights, fids)
     rhs_mixture = _neg2log(mixture_fid)
 
     # the relative entropy is infinite exactly when the support check fails
@@ -203,13 +222,17 @@ class SsaReport:
     recovered_state: np.ndarray
 
 
-def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule) -> SsaReport:
+def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule | None = None) -> SsaReport:
     """Strong subadditivity with a recovery remainder.
 
     Rebuilds the C part of a tripartite state from its B part alone with
     the exact universal map of ``(rho_BC, tr_C)`` and compares ``I(A:C|B)``
-    against ``-2 log F`` of the reconstruction.  ``rule`` is not read.
+    against ``-2 log F`` of the reconstruction.
+
+    ``rule`` is deprecated: the map is exact, so a rule is not read, and
+    passing one raises a ``DeprecationWarning``.
     """
+    _unread_rule(rule, "ssa_remainder")
     da, db, dc = (int(d) for d in dims)
     rho_abc = np.asarray(rho_abc, dtype=complex)
     rho_ab = partial_trace(rho_abc, (da, db, dc), keep=(0, 1))
@@ -248,14 +271,18 @@ def _members(states, dims=None) -> np.ndarray:
     return np.array(states)
 
 
-def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
+def concavity_remainder(ensemble, dims, rule: QuadratureRule | None = None) -> EnsembleReport:
     """Concavity of the conditional entropy with a recovery remainder.
 
     ``ensemble`` is a sequence of ``(weight, rho_AB)`` pairs on the space
     with factor dimensions ``dims = (dA, dB)``.  Each member's A part is
     rebuilt from its B marginal with the exact universal map of the average
-    state, ``(rho_bar_AB, tr_A)``.  ``rule`` is not read.
+    state, ``(rho_bar_AB, tr_A)``.
+
+    ``rule`` is deprecated: the map is exact, so a rule is not read, and
+    passing one raises a ``DeprecationWarning``.
     """
+    _unread_rule(rule, "concavity_remainder")
     da, db = (int(d) for d in dims)
     weights = _check_simplex([w for w, _ in ensemble])
     states = _members([s for _, s in ensemble], (da, db))
@@ -272,7 +299,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule) -> EnsembleReport:
     return EnsembleReport(lhs=lhs, rhs=rhs, slack=_slack(lhs, rhs), member_fidelities=fids)
 
 
-def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
+def joint_convexity_remainder(ensemble, rule: QuadratureRule | None = None) -> EnsembleReport:
     """Joint convexity of the relative entropy with a recovery remainder.
 
     ``ensemble`` is a sequence of ``(weight, rho_x, sigma_x)`` triples on a
@@ -280,8 +307,12 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule) -> EnsembleReport:
     exact universal map of ``(sigma_XA, tr_X)`` re-inflates the averaged
     state, and the remainder compares against the fidelity with the labeled
     state.  That map is block diagonal, so the fidelity is the weighted sum
-    of the member fidelities ``F(rho_x, rec_x / w_x)``.  ``rule`` is not read.
+    of the member fidelities ``F(rho_x, rec_x / w_x)``.
+
+    ``rule`` is deprecated: the map is exact, so a rule is not read, and
+    passing one raises a ``DeprecationWarning``.
     """
+    _unread_rule(rule, "joint_convexity_remainder")
     weights = _check_simplex([w for w, _, _ in ensemble])
     rhos = _members([r for _, r, _ in ensemble])
     sigmas = _members([s for _, _, s in ensemble], rhos.shape[1:2])
@@ -339,7 +370,7 @@ def qec_analyze(
     projector: np.ndarray,
     channel: Channel,
     samples: int,
-    rule: QuadratureRule,
+    rule: QuadratureRule | None = None,
     seed=0,
     tol: float = 1e-8,
 ) -> QecReport:
@@ -348,9 +379,14 @@ def qec_analyze(
     Samples codespace states (alternating full-rank and pure), records the
     distinguishability gap ``D(rho||Pi) - D(N(rho)||N(Pi))`` and the
     fidelity of the exact universal recovery, and evaluates the forward
-    bound ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound.
-    ``rule`` is not read.
+    bound ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound,
+    each judged with the finite, nonnegative tolerance ``tol``.
+
+    ``rule`` is deprecated: the map is exact, so a rule is not read, and
+    passing one raises a ``DeprecationWarning``.
     """
+    _unread_rule(rule, "qec_analyze")
+    _check_tolerance(tol)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     pi = _checked(projector)
@@ -548,7 +584,7 @@ def truncation_convergence(
     sigma: np.ndarray,
     channel: Channel,
     k_list,
-    rule: QuadratureRule,
+    rule: QuadratureRule | None = None,
     reference: np.ndarray | None = None,
 ) -> TruncationReport:
     """Finite-rank compression study of a relative entropy pair.
@@ -561,7 +597,12 @@ def truncation_convergence(
     The compressed states are subnormalized, so the per-rank remainder
     slacks are convergence diagnostics: they approach the true slack as
     the rank grows but carry no sign guarantee at intermediate ranks.
+    They read the exact universal map, and no per-node state is built.
+
+    ``rule`` is deprecated: it is not read, and passing one raises a
+    ``DeprecationWarning``.
     """
+    _unread_rule(rule, "truncation_convergence")
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     ks = tuple(int(k) for k in k_list)
@@ -580,7 +621,7 @@ def truncation_convergence(
         pi = cols @ dagger(cols)
         rho_k = pi @ rho @ pi
         sigma_k = pi @ sigma @ pi
-        rep, d_k = _dpi(rho_k, sigma_k, channel, rule)
+        rep, d_k = _dpi(rho_k, sigma_k, channel, np.zeros(0), np.zeros(0))
         d_trunc.append(d_k)
         gaps.append(rep.lhs)
         slacks.append(rep.slack_mixture)
@@ -612,8 +653,8 @@ class SweepConfig:
     count: int = 100
     dims: tuple = (2, 5)
     env_max: int = 4
-    nodes: int = 129
-    tolerance: float = 1e-8
+    nodes: int = 129  # the DPI kind's rhs_strong rule; the other kinds ignore it
+    tolerance: float = 1e-8  # finite and nonnegative
     kind: str = "dpi"  # a key of SWEEP_KINDS
     include_timings: bool = False
 
@@ -622,6 +663,7 @@ class SweepConfig:
         lo, hi = self.dims
         if self.count < 0 or lo < 1 or hi < lo or self.nodes < 3:
             raise ValueError("invalid sweep configuration")
+        _check_tolerance(self.tolerance)
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
 
@@ -691,29 +733,30 @@ def _ensemble_row(rep: EnsembleReport, **dims) -> dict:
 
 
 # Each sweep kind draws one instance from ``rng`` and checks it:
-# ``(rng, config, rule) -> (row, regenerations)``.
+# ``(rng, config) -> (row, regenerations)``.  The DPI kind, the one that
+# integrates over nodes, also takes the rule of ``config.nodes``.
 
 def _sweep_dpi(rng, config: SweepConfig, rule: QuadratureRule):
     rho, sigma, chan, regen = _random_dpi_instance(rng, config.dims, config.env_max)
     return _dpi_row(dpi_remainder(rho, sigma, chan, rule), chan), regen
 
 
-def _sweep_ssa(rng, config: SweepConfig, rule: QuadratureRule):
+def _sweep_ssa(rng, config: SweepConfig):
     dims = _small_factors(rng, config.dims, 3)
     rho_abc = random_density(int(np.prod(dims)), rng)
-    return _ssa_row(ssa_remainder(rho_abc, dims, rule), dims), 0
+    return _ssa_row(ssa_remainder(rho_abc, dims), dims), 0
 
 
-def _sweep_concavity(rng, config: SweepConfig, rule: QuadratureRule):
+def _sweep_concavity(rng, config: SweepConfig):
     da, db = _small_factors(rng, config.dims, 2)
     size = int(rng.integers(2, 4))
     w = rng.dirichlet(np.ones(size))
     members = [(w[x], random_density(da * db, rng)) for x in range(size)]
-    rep = concavity_remainder(members, (da, db), rule)
+    rep = concavity_remainder(members, (da, db))
     return _ensemble_row(rep, dim_a=da, dim_b=db, size=size), 0
 
 
-def _sweep_joint_convexity(rng, config: SweepConfig, rule: QuadratureRule):
+def _sweep_joint_convexity(rng, config: SweepConfig):
     lo, hi = config.dims
     dim = int(rng.integers(lo, hi + 1))
     size = int(rng.integers(2, 4))
@@ -724,7 +767,7 @@ def _sweep_joint_convexity(rng, config: SweepConfig, rule: QuadratureRule):
         s, regen = _well_conditioned_density(dim, rng)
         regenerated += regen
         members.append((w[x], random_density(dim, rng), s))
-    rep = joint_convexity_remainder(members, rule)
+    rep = joint_convexity_remainder(members)
     return _ensemble_row(rep, dim=dim, size=size), regenerated
 
 
@@ -743,14 +786,15 @@ def sweep(config: SweepConfig) -> SweepResult:
     spawned seed sequences, so reruns reproduce every row exactly.
     """
     check = SWEEP_KINDS[config.kind]
+    if check is _sweep_dpi:
+        check = functools.partial(_sweep_dpi, rule=beta_quadrature(config.nodes))
     children = np.random.SeedSequence(config.seed).spawn(max(config.count, 1))
-    rule = beta_quadrature(config.nodes)
     rows = []
     regenerated = 0
     for i in range(config.count):
         rng = np.random.default_rng(children[i])
         t0 = time.perf_counter()
-        columns, regen = check(rng, config, rule)
+        columns, regen = check(rng, config)
         regenerated += regen
         row = {"instance": i, "seed": config.seed, **columns}
         if config.include_timings:

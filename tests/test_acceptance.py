@@ -231,18 +231,17 @@ def test_criterion_07_quadrature():
 
 
 def test_criterion_08_strong_subadditivity():
-    rule = beta0_quadrature(129)
     gen = np.random.default_rng(20240608)
     prod = tensor_product(random_density(4, gen), random_density(2, gen))
-    rep = ssa_remainder(prod, (2, 2, 2), rule)
+    rep = ssa_remainder(prod, (2, 2, 2))
     markov_ok = abs(rep.recovered_fidelity - 1.0) <= 1e-8 and abs(rep.cmi) <= 1e-9
 
-    ghz_rep = ssa_remainder(ghz_state(3), (2, 2, 2), rule)
+    ghz_rep = ssa_remainder(ghz_state(3), (2, 2, 2))
     ghz_ok = abs(ghz_rep.cmi - math.log(2.0)) <= 1e-9
 
     worst = np.inf
     for _ in range(200):
-        rep = ssa_remainder(random_density(8, gen), (2, 2, 2), rule)
+        rep = ssa_remainder(random_density(8, gen), (2, 2, 2))
         worst = min(worst, rep.slack)
     ok = markov_ok and ghz_ok and worst >= -1e-8
     report(
@@ -254,13 +253,12 @@ def test_criterion_08_strong_subadditivity():
 
 
 def test_criterion_09_concavity_and_joint_convexity():
-    rule = beta0_quadrature(129)
     gen = np.random.default_rng(20240609)
 
-    single_c = concavity_remainder([(1.0, random_density(4, gen))], (2, 2), rule)
+    single_c = concavity_remainder([(1.0, random_density(4, gen))], (2, 2))
     rho1 = random_density(3, gen)
     sig1 = random_density(3, gen)
-    single_j = joint_convexity_remainder([(1.0, rho1, sig1)], rule)
+    single_j = joint_convexity_remainder([(1.0, rho1, sig1)])
     singleton_ok = (
         abs(single_c.lhs) <= 1e-10
         and abs(single_c.rhs) <= 1e-10
@@ -274,14 +272,14 @@ def test_criterion_09_concavity_and_joint_convexity():
         size = int(gen.integers(2, 4))
         w = gen.dirichlet(np.ones(size))
         members = [(w[x], random_density(4, gen)) for x in range(size)]
-        worst_c = min(worst_c, concavity_remainder(members, (2, 2), rule).slack)
+        worst_c = min(worst_c, concavity_remainder(members, (2, 2)).slack)
 
         w = gen.dirichlet(np.ones(size))
         triple = [
             (w[x], random_density(2, gen), random_density(2, gen))
             for x in range(size)
         ]
-        worst_j = min(worst_j, joint_convexity_remainder(triple, rule).slack)
+        worst_j = min(worst_j, joint_convexity_remainder(triple).slack)
     ok = singleton_ok and worst_c >= -1e-8 and worst_j >= -1e-8
     report(
         9,
@@ -292,10 +290,9 @@ def test_criterion_09_concavity_and_joint_convexity():
 
 
 def test_criterion_10_qec():
-    rule = beta0_quadrature(129)
     pi = three_qubit_bit_flip_code()
 
-    uni = qec_analyze(pi, unitary_channel(random_unitary(8, 20240610)), 6, rule, seed=1)
+    uni = qec_analyze(pi, unitary_channel(random_unitary(8, 20240610)), 6, seed=1)
     unitary_ok = uni.sampled_max_gap <= 1e-8 and uni.min_recovered_fidelity >= 1 - 1e-8
 
     flip_chan = single_bit_flip_channel(0.1)
@@ -305,7 +302,7 @@ def test_criterion_10_qec():
             block = pi @ dagger(a) @ b @ pi
             coeff = np.trace(block) / np.trace(pi)
             kl_ok &= np.linalg.norm(block - coeff * pi, 2) <= 1e-10
-    code_rep = qec_analyze(pi, flip_chan, 8, rule, seed=2)
+    code_rep = qec_analyze(pi, flip_chan, 8, seed=2)
     code_ok = kl_ok and code_rep.min_recovered_fidelity >= 1.0 - 1e-8
 
     gen = np.random.default_rng(20240610)
@@ -316,7 +313,7 @@ def test_criterion_10_qec():
         basis = np.linalg.eigh(random_density(dim, gen))[1]
         proj = basis[:, :code_dim] @ dagger(basis[:, :code_dim])
         chan = random_channel(dim, dim, int(gen.integers(1, 3)), gen)
-        rep = qec_analyze(proj, chan, 6, rule, seed=int(gen.integers(0, 2**31)))
+        rep = qec_analyze(proj, chan, 6, seed=int(gen.integers(0, 2**31)))
         pairs_ok &= rep.forward_ok and rep.converse_ok
     ok = unitary_ok and code_ok and pairs_ok
     report(

@@ -564,12 +564,12 @@ class TestPhaseSandwichKernel:
         assert len(results) == 4 and all(r.slack >= -1e-7 for r in results)
         # the mixture checks read the universal map's superoperator
         gen = np.random.default_rng(21)
-        assert ssa_remainder(random_density(12, gen), (2, 3, 2), rule).slack >= -1e-9
+        assert ssa_remainder(random_density(12, gen), (2, 3, 2)).slack >= -1e-9
         members = [(0.5, random_density(6, gen)), (0.5, random_density(6, gen))]
-        assert concavity_remainder(members, (2, 3), rule).slack >= -1e-9
+        assert concavity_remainder(members, (2, 3)).slack >= -1e-9
         members = [(w, random_density(3, gen), random_density(3, gen)) for w in (0.3, 0.7)]
-        assert joint_convexity_remainder(members, rule).slack >= -1e-9
-        rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 4, rule)
+        assert joint_convexity_remainder(members).slack >= -1e-9
+        rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 4)
         assert rep.forward_ok and rep.converse_ok
 
 
@@ -744,8 +744,7 @@ class TestWorkPerInstance:
         eigs = counting(monkeypatch, "eig_hermitian", modules)
         residuals = counting(monkeypatch, "hermiticity_residual", modules)
         samples = 20
-        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), samples,
-                    beta0_quadrature(129))
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), samples)
         # the codespace projector and its output once; per sample the state
         # once (entropy and fidelity root) and its output once
         assert 0 < len(eigs) <= 2 + 2 * samples
@@ -772,22 +771,21 @@ class TestWorkPerInstance:
         nodes = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
         powers = counting(monkeypatch, "_powers", (recovery._PetzFactory,))
         closed = counting(monkeypatch, "universal_phases", (recovery._PetzFactory,))
-        rule = beta0_quadrature(129)
-        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20, rule)
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20)
         # the exact map is applied to every sample's output in one call
         assert (len(nodes), len(powers), len(closed)) == (0, 0, 1)
-        ssa_remainder(random_density(12, rng), (2, 3, 2), rule)
+        ssa_remainder(random_density(12, rng), (2, 3, 2))
         concavity_remainder([(0.5, random_density(6, rng)), (0.5, random_density(6, rng))],
-                            (2, 3), rule)
+                            (2, 3))
         joint_convexity_remainder([(w, random_density(3, rng), random_density(3, rng))
-                                   for w in (0.3, 0.7)], rule)
+                                   for w in (0.3, 0.7)])
         # no node phases, and one closed-form phase array per reference pair
         assert (len(nodes), len(powers), len(closed)) == (0, 0, 4)
 
     def test_ssa_decompositions(self, rng, monkeypatch):
         rho = random_density(12, rng)
         eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
-        ssa_remainder(rho, (2, 3, 2), beta0_quadrature(129))
+        ssa_remainder(rho, (2, 3, 2))
         # rho_ABC (entropy and fidelity root), rho_AB, the reference pair
         # (rho_BC and rho_B, which serve their entropies too), the recovered state
         assert 0 < len(eigs) <= 5
@@ -796,7 +794,7 @@ class TestWorkPerInstance:
     def test_concavity_decompositions(self, rng, monkeypatch, members):
         ensemble = [(w, random_density(6, rng)) for w in rng.dirichlet(np.ones(members))]
         eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
-        concavity_remainder(ensemble, (2, 3), beta0_quadrature(129))
+        concavity_remainder(ensemble, (2, 3))
         # the pair (the average and its marginal), then the members, their
         # marginals and their recovered states, each stack in one call
         assert 0 < len(eigs) <= 5
@@ -806,23 +804,21 @@ class TestWorkPerInstance:
         ensemble = [(w, random_density(3, rng), random_density(3, rng))
                     for w in rng.dirichlet(np.ones(members))]
         eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
-        joint_convexity_remainder(ensemble, beta0_quadrature(129))
+        joint_convexity_remainder(ensemble)
         # the rho_x and the sigma_x stacks, the pair (sigma_XA and the average
         # sigma), the average rho, and the recovered blocks
         assert 0 < len(eigs) <= 6
 
     def test_qec_stacked_decompositions(self, monkeypatch):
         eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery))
-        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20,
-                    beta0_quadrature(129))
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20)
         # the pair, then the samples, their outputs and their recovered states,
         # each stack in one call
         assert 0 < len(eigs) <= 5
 
     def test_qec_takes_two_stacked_entropies(self, monkeypatch):
         calls = counting(monkeypatch, "_relative_entropy", (verify,))
-        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20,
-                    beta0_quadrature(129))
+        qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20)
         # the samples against sigma and their outputs against N(sigma)
         assert len(calls) == 2
 
@@ -838,7 +834,7 @@ class TestWorkPerInstance:
         ensemble = [(w, random_density(3, rng), random_density(3, rng))
                     for w in rng.dirichlet(np.ones(members))]
         calls = counting(monkeypatch, "_relative_entropy", (verify,))
-        joint_convexity_remainder(ensemble, beta0_quadrature(129))
+        joint_convexity_remainder(ensemble)
         # the members against their sigma_x, then the averages
         assert len(calls) == 2
 
@@ -873,11 +869,26 @@ class TestWorkPerInstance:
         entropies = counting(monkeypatch, "_relative_entropy", (verify,))
         residuals = counting(monkeypatch, "hermiticity_residual",
                              (linalg, entropy, verify, channels, recovery))
-        truncation_convergence(rho, sigma, chan, [1, 2, 3, 4], beta0_quadrature(33))
+        truncation_convergence(rho, sigma, chan, [1, 2, 3, 4])
         # D(rho||sigma), then D(rho_k||sigma_k), D(N(rho_k)||N(sigma_k)) and
         # D(rho_k||recovered) per rank; only the caller's rho and sigma are checked
         assert len(entropies) <= 13
         assert len(residuals) <= 2
+
+    def test_truncation_study_recovers_no_node(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(11, dim_lo=4, dim_hi=4)
+        nodes = []
+        recovered = recovery._PetzFactory._recovered
+
+        def counting_recovered(pair, ts, z):
+            nodes.append(len(ts))
+            return recovered(pair, ts, z)
+
+        monkeypatch.setattr(recovery._PetzFactory, "_recovered", counting_recovered)
+        rep = truncation_convergence(rho, sigma, chan, [1, 2, 3, 4])
+        # the slacks read the exact universal map; no per-node state is built
+        assert sum(nodes) == 0
+        assert np.all(np.isfinite(rep.slacks))
 
     def test_alpha_chain_builds_no_map_per_node(self, rng, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)
@@ -951,12 +962,11 @@ class TestMixtureParity:
     checks read the exact universal map, so the reference map's rule is
     fine enough to reach rounding."""
 
-    RULE = beta0_quadrature(65)
     REFERENCE = beta0_quadrature(1025)
 
     @pytest.mark.parametrize("case", list(ensemble_regimes()), ids=lambda c: c[0])
     def test_concavity(self, case):
-        rep = concavity_remainder(case[1], (2, 3), self.RULE)
+        rep = concavity_remainder(case[1], (2, 3))
         lhs, rhs, fids = reference_concavity(case[1], (2, 3), self.REFERENCE)
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         assert rep.rhs == pytest.approx(rhs, abs=1e-12)
@@ -969,7 +979,7 @@ class TestMixtureParity:
         if case[0] == "classical":
             ensemble = [(w, s, np.diag(gen.dirichlet(np.ones(6))).astype(complex))
                         for w, s in case[1]]
-        rep = joint_convexity_remainder(ensemble, self.RULE)
+        rep = joint_convexity_remainder(ensemble)
         lhs, rhs, fids = reference_joint(ensemble, self.REFERENCE)
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         # the block sum of member fidelities against the full labeled state
@@ -980,7 +990,7 @@ class TestMixtureParity:
     def test_ssa(self, rank):
         gen = np.random.default_rng(rank)
         rho = random_density(12, gen, ensemble="rank-k", rank=rank)
-        rep = ssa_remainder(rho, (2, 3, 2), self.RULE)
+        rep = ssa_remainder(rho, (2, 3, 2))
         assert rep.cmi == pytest.approx(conditional_mutual_information(rho, (2, 3, 2)), abs=1e-12)
         assert rep.recovered_fidelity == pytest.approx(fidelity(rho, rep.recovered_state),
                                                        abs=1e-12)
@@ -989,13 +999,13 @@ class TestMixtureParity:
         states = [random_density(4, rng) for _ in range(3)]
         sigmas = [random_density(4, rng) for _ in range(3)]
         weights = [0.4, 0.0, 0.6]
-        rep = concavity_remainder(list(zip(weights, states)), (2, 2), self.RULE)
-        live = concavity_remainder([(0.4, states[0]), (0.6, states[2])], (2, 2), self.RULE)
+        rep = concavity_remainder(list(zip(weights, states)), (2, 2))
+        live = concavity_remainder([(0.4, states[0]), (0.6, states[2])], (2, 2))
         assert rep.rhs == pytest.approx(live.rhs, abs=1e-12)
         assert rep.lhs == pytest.approx(live.lhs, abs=1e-12)
-        rep = joint_convexity_remainder(list(zip(weights, states, sigmas)), self.RULE)
+        rep = joint_convexity_remainder(list(zip(weights, states, sigmas)))
         live = joint_convexity_remainder(
-            [(0.4, states[0], sigmas[0]), (0.6, states[2], sigmas[2])], self.RULE
+            [(0.4, states[0], sigmas[0]), (0.6, states[2], sigmas[2])]
         )
         assert np.isnan(rep.member_fidelities[1])
         assert rep.support_flags == (False, False, False)
@@ -1007,7 +1017,7 @@ class TestMixtureParity:
     def test_joint_member_outside_sigma_support(self, rng):
         inside = (0.5, random_density(3, rng), random_density(3, rng))
         outside = (0.5, pure_state([1, 0, 0]), np.diag([0.0, 0.5, 0.5]).astype(complex))
-        rep = joint_convexity_remainder([inside, outside], self.RULE)
+        rep = joint_convexity_remainder([inside, outside])
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf and rep.slack == np.inf
         _, rhs, fids = reference_joint([inside, outside], self.REFERENCE)
@@ -1018,33 +1028,32 @@ class TestMixtureParity:
         good, bad = random_density(6, rng), random_density(4, rng)
         for members in ([(0.5, good), (0.5, bad)], [(0.5, bad), (0.5, bad)]):
             with pytest.raises(ValueError, match=r"dims \(2, 3\) do not match"):
-                concavity_remainder(members, (2, 3), self.RULE)
+                concavity_remainder(members, (2, 3))
         with pytest.raises(ValueError, match="do not match"):
-            joint_convexity_remainder([(0.5, good, good), (0.5, good, bad)], self.RULE)
+            joint_convexity_remainder([(0.5, good, good), (0.5, good, bad)])
         with pytest.raises(ValueError, match="dims .* do not match"):
-            ssa_remainder(good, (2, 2, 2), self.RULE)
+            ssa_remainder(good, (2, 2, 2))
 
     def test_negative_member_eigenvalue_raises(self, rng):
         u = random_unitary(4, rng)
         bad = u @ np.diag([0.5 + 1e-6, 0.3, 0.2, -1e-6]).astype(complex) @ u.conj().T
         good = random_density(4, rng)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            concavity_remainder([(0.5, good), (0.5, bad)], (2, 2), self.RULE)
+            concavity_remainder([(0.5, good), (0.5, bad)], (2, 2))
         with pytest.raises(ValueError, match="positive semidefinite"):
-            joint_convexity_remainder([(0.5, good, good), (0.5, bad, good)], self.RULE)
+            joint_convexity_remainder([(0.5, good, good), (0.5, bad, good)])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            joint_convexity_remainder([(0.5, good, good), (0.5, good, bad)], self.RULE)
+            joint_convexity_remainder([(0.5, good, good), (0.5, good, bad)])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            ssa_remainder(np.kron(bad, random_density(2, rng)), (2, 2, 2), self.RULE)
+            ssa_remainder(np.kron(bad, random_density(2, rng)), (2, 2, 2))
 
 
 class TestSsaReshape:
     def test_recovered_state_matches_lifted_channel(self, rng):
-        rule = beta0_quadrature(33)
         for dims in ((2, 2, 2), (2, 3, 2), (3, 2, 3)):
             da, db, dc = dims
             rho = random_density(da * db * dc, rng)
-            rep = ssa_remainder(rho, dims, rule)
+            rep = ssa_remainder(rho, dims)
             rho_ab = partial_trace(rho, dims, keep=(0, 1))
             rho_bc = partial_trace(rho, dims, keep=(1, 2))
             # the check reads the exact map; this rule reaches rounding

@@ -113,13 +113,13 @@ CASES = {
         [RHO], h, CHAN, GRID, iterations=1
     ),
     "joint_convexity_remainder-rho": lambda h: joint_convexity_remainder(
-        [(0.5, h, SIGMA), (0.5, RHO, SIGMA)], RULE
+        [(0.5, h, SIGMA), (0.5, RHO, SIGMA)]
     ),
     "joint_convexity_remainder-sigma": lambda h: joint_convexity_remainder(
-        [(0.5, RHO, h), (0.5, RHO, SIGMA)], RULE
+        [(0.5, RHO, h), (0.5, RHO, SIGMA)]
     ),
-    "truncation_convergence-rho": lambda h: truncation_convergence(h, SIGMA, CHAN, [1, 3], RULE),
-    "truncation_convergence-sigma": lambda h: truncation_convergence(RHO, h, CHAN, [1, 3], RULE),
+    "truncation_convergence-rho": lambda h: truncation_convergence(h, SIGMA, CHAN, [1, 3]),
+    "truncation_convergence-sigma": lambda h: truncation_convergence(RHO, h, CHAN, [1, 3]),
     "truncate_project": lambda h: truncate_project(h, 2),
     "assert_positive": assert_positive,
 }
@@ -129,9 +129,9 @@ COMPOSITE_CASES = {
     "conditional_mutual_information": (
         lambda h: conditional_mutual_information(h, (2, 2, 2)), STATE8
     ),
-    "ssa_remainder": (lambda h: ssa_remainder(h, (2, 2, 2), RULE), STATE8),
+    "ssa_remainder": (lambda h: ssa_remainder(h, (2, 2, 2)), STATE8),
     "concavity_remainder": (
-        lambda h: concavity_remainder([(0.5, h), (0.5, STATE4)], (2, 2), RULE), STATE4
+        lambda h: concavity_remainder([(0.5, h), (0.5, STATE4)], (2, 2)), STATE4
     ),
 }
 
@@ -153,7 +153,7 @@ def test_qec_analyze_rejects_non_hermitian_projector():
     # idempotent, so only the residual rejects it
     projector = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="residual"):
-        qec_analyze(projector, bit_flip_channel(0.1), 2, RULE)
+        qec_analyze(projector, bit_flip_channel(0.1), 2)
 
 
 def test_unchecked_arguments_accept_non_hermitian_input():

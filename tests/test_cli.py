@@ -179,27 +179,26 @@ class TestVerifyDpi:
 
 class TestVerifySsa:
     def test_ghz(self, capsys):
-        assert run(["verify-ssa", "--ghz", "--nodes", "65"]) == 0
+        assert run(["verify-ssa", "--ghz"]) == 0
         out = capsys.readouterr().out
         assert "0.693147" in out
 
     def test_random(self):
-        assert run(["verify-ssa", "--random", "2", "--nodes", "33", "--seed", "2"]) == 0
+        assert run(["verify-ssa", "--random", "2", "--seed", "2"]) == 0
 
 
     def test_random_rows_match_sweep(self, tmp_path, capsys):
         report = tmp_path / "ssa.txt"
-        assert run(["verify-ssa", "--random", "3", "--seed", "2", "--nodes", "33",
-                    "-o", str(report)]) == 0
+        assert run(["verify-ssa", "--random", "3", "--seed", "2", "-o", str(report)]) == 0
         rows = parse_structured((tmp_path / "ssa.txt.summary").read_text())["rows"]
-        expected = sweep(SweepConfig(kind="ssa", dims=(2, 2), seed=2, count=3, nodes=33))
+        expected = sweep(SweepConfig(kind="ssa", dims=(2, 2), seed=2, count=3))
         assert rows == expected.rows
         assert "[ssa-2] lhs:" in capsys.readouterr().out
 
 
 class TestVerifyCorollaries:
     def test_runs_both(self, capsys):
-        assert run(["verify-corollaries", "--random", "2", "--nodes", "33"]) == 0
+        assert run(["verify-corollaries", "--random", "2"]) == 0
         out = capsys.readouterr().out
         assert "concavity-0" in out
         assert "joint-convexity-0" in out
@@ -208,13 +207,12 @@ class TestVerifyCorollaries:
     def test_rows_match_sweeps(self, tmp_path, capsys):
         report = tmp_path / "cor.txt"
         assert run(["verify-corollaries", "--random", "2", "--dims", "2..3", "--seed", "4",
-                    "--nodes", "33", "-o", str(report)]) == 0
+                    "-o", str(report)]) == 0
         rows = parse_structured((tmp_path / "cor.txt.summary").read_text())["rows"]
         expected = [
             row
             for kind in ("concavity", "joint-convexity")
-            for row in sweep(SweepConfig(kind=kind, dims=(2, 3), seed=4, count=2,
-                                         nodes=33)).rows
+            for row in sweep(SweepConfig(kind=kind, dims=(2, 3), seed=4, count=2)).rows
         ]
         assert rows == expected
         # one table holds both schemas; a cell a kind lacks reads "-"
@@ -230,19 +228,18 @@ class TestVerifyCorollaries:
 
 class TestQec:
     def test_bitflip_code(self, capsys):
-        assert run(["qec", "--code", "bitflip3", "--p", "0.1", "--samples", "4",
-                    "--nodes", "33"]) == 0
+        assert run(["qec", "--code", "bitflip3", "--p", "0.1", "--samples", "4"]) == 0
         out = capsys.readouterr().out
         assert "forward_ok: True" in out
         assert "converse_ok: True" in out
 
     def test_random_code(self):
         assert run(["qec", "--code", "random", "--dim", "4", "--code-dim", "2",
-                    "--samples", "4", "--nodes", "33", "--seed", "8"]) == 0
+                    "--samples", "4", "--seed", "8"]) == 0
 
     def test_bits_report_converts_gaps(self, tmp_path, capsys):
         # the table's gap column and the summary's max_gap follow --unit
-        base = ["qec", "--code", "random", "--samples", "3", "--nodes", "33"]
+        base = ["qec", "--code", "random", "--samples", "3"]
         docs = {}
         for unit in ("nats", "bits"):
             path = tmp_path / f"{unit}.txt"
@@ -307,6 +304,47 @@ class TestSweep:
         assert "wall_time" not in out.read_text().splitlines()[1]
 
 
+class TestDeprecatedNodes:
+    """``--nodes`` on a command that applies the exact universal map is
+    accepted, hidden from the help, announced once on stderr, and read by
+    nothing."""
+
+    @pytest.mark.parametrize("args", [
+        "qec --code bitflip3 --samples 4",
+        "qec --code random --seed 4 --samples 4",
+        "verify-ssa --ghz",
+        "verify-ssa --random 2 --seed 3",
+        "verify-corollaries --random 2 --seed 1",
+    ])
+    def test_nodes_changes_no_byte(self, args, tmp_path, monkeypatch, capsys):
+        base = args.split()
+        assert run(base + ["-o", str(tmp_path / "plain.txt")]) == 0
+        plain = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a quadrature rule")
+
+        monkeypatch.setattr("petzlab.cli.beta_quadrature", refuse)
+        monkeypatch.setattr("petzlab.verify.beta_quadrature", refuse)
+        assert run(base + ["--nodes", "33", "-o", str(tmp_path / "flagged.txt")]) == 0
+        flagged = capsys.readouterr()
+        assert plain.err == ""
+        assert flagged.err.count("\n") == 1
+        assert flagged.err.startswith(f"warning: {base[0]} ignores --nodes")
+        assert "deprecated" in flagged.err
+        assert flagged.out == plain.out
+        for suffix in ("", ".summary"):
+            assert (tmp_path / f"flagged.txt{suffix}").read_bytes() == (
+                tmp_path / f"plain.txt{suffix}"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("command", ["qec", "verify-ssa", "verify-corollaries"])
+    def test_nodes_hidden_from_help(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert "--nodes" not in capsys.readouterr().out
+
+
 class TestIoErrors:
     @pytest.mark.parametrize("missing_flag", ["--rho", "--sigma", "--channel"])
     def test_missing_input_file(self, missing_flag, tmp_path, capsys):
@@ -367,3 +405,32 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("args", [
+        "sweep --count 3",
+        "sweep --count 3 --kind ssa",
+        "qec --samples 2",
+        "verify-dpi --random 2",
+        "verify-dpi --example classical",
+        "verify-ssa --ghz",
+        "verify-ssa --random 1",
+        "verify-corollaries --random 1",
+    ])
+    def test_unusable_tolerance_exit_2(self, args, tol, capsys):
+        # a NaN would pass every check, since slack < -nan is never true
+        assert run(args.split() + ["--tolerance", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance must be finite and nonnegative")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_unusable_tolerance_on_file_input_exit_2(self, tol, tmp_path, capsys):
+        save_state(str(tmp_path / "state.txt"), random_density(2, 1))
+        save_channel(str(tmp_path / "chan.txt"), identity_channel(2))
+        assert run(["verify-dpi", "--rho", str(tmp_path / "state.txt"),
+                    "--sigma", str(tmp_path / "state.txt"),
+                    "--channel", str(tmp_path / "chan.txt"),
+                    "--dump-recovered", str(tmp_path / "rec.txt"),
+                    "--tolerance", tol]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+        assert not (tmp_path / "rec.txt").exists()

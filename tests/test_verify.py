@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dpi_instance
+from petzlab import verify
 from petzlab.channels import (
     Channel,
     depolarizing_channel,
@@ -175,36 +177,36 @@ class TestAlphaBound:
 class TestSsa:
     def test_markov_product(self, rng):
         rho = tensor_product(random_density(4, rng), random_density(2, rng))
-        rep = ssa_remainder(rho, (2, 2, 2), RULE65)
+        rep = ssa_remainder(rho, (2, 2, 2))
         assert rep.cmi == pytest.approx(0.0, abs=1e-10)
         assert rep.recovered_fidelity == pytest.approx(1.0, abs=1e-8)
 
     def test_ghz(self):
-        rep = ssa_remainder(ghz_state(3), (2, 2, 2), RULE129)
+        rep = ssa_remainder(ghz_state(3), (2, 2, 2))
         assert rep.cmi == pytest.approx(math.log(2.0), abs=1e-9)
         assert rep.slack >= -1e-8
 
     def test_random_three_qubit(self):
         gen = np.random.default_rng(13)
         for _ in range(10):
-            rep = ssa_remainder(random_density(8, gen), (2, 2, 2), RULE65)
+            rep = ssa_remainder(random_density(8, gen), (2, 2, 2))
             assert rep.slack >= -1e-8
 
     def test_dims_mismatch(self, rng):
         with pytest.raises(ValueError, match="dims"):
-            ssa_remainder(random_density(6, rng), (2, 2, 2), RULE65)
+            ssa_remainder(random_density(6, rng), (2, 2, 2))
 
 
 class TestConcavity:
     def test_singleton(self, rng):
         rho = random_density(4, rng)
-        rep = concavity_remainder([(1.0, rho)], (2, 2), RULE65)
+        rep = concavity_remainder([(1.0, rho)], (2, 2))
         assert abs(rep.lhs) <= 1e-10
         assert abs(rep.rhs) <= 1e-10
 
     def test_identical_members(self, rng):
         rho = random_density(4, rng)
-        rep = concavity_remainder([(0.3, rho), (0.7, rho)], (2, 2), RULE65)
+        rep = concavity_remainder([(0.3, rho), (0.7, rho)], (2, 2))
         assert abs(rep.lhs) <= 1e-10
         assert abs(rep.rhs) <= 1e-10
 
@@ -212,7 +214,6 @@ class TestConcavity:
         rep = concavity_remainder(
             [(0.3, random_density(4, rng)), (0.7, random_density(4, rng))],
             (2, 2),
-            RULE65,
         )
         assert rep.slack >= -1e-8
         assert rep.lhs >= -1e-10  # concavity itself
@@ -222,14 +223,13 @@ class TestConcavity:
             concavity_remainder(
                 [(0.6, random_density(4, rng)), (0.6, random_density(4, rng))],
                 (2, 2),
-                RULE65,
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, rng, bad):
         members = [(bad, random_density(4, rng)), (1.0, random_density(4, rng))]
         with pytest.raises(ValueError, match="weights must be finite"):
-            concavity_remainder(members, (2, 2), RULE65)
+            concavity_remainder(members, (2, 2))
 
 
 class TestJointConvexity:
@@ -237,7 +237,7 @@ class TestJointConvexity:
         rho = random_density(3, rng)
         sigma = random_density(3, rng)
         rep = joint_convexity_remainder(
-            [(0.5, rho, sigma), (0.5, rho, sigma)], RULE65
+            [(0.5, rho, sigma), (0.5, rho, sigma)]
         )
         assert abs(rep.lhs) <= 1e-10
         assert abs(rep.rhs) <= 2e-8
@@ -252,7 +252,7 @@ class TestJointConvexity:
             (nu[x], np.diag(ps[x]).astype(complex), np.diag(qs[x]).astype(complex))
             for x in range(2)
         ]
-        rep = joint_convexity_remainder(members, RULE65)
+        rep = joint_convexity_remainder(members)
 
         def kl(p, q):
             return float(np.sum(p * (np.log(p) - np.log(q))))
@@ -268,14 +268,14 @@ class TestJointConvexity:
             (w, random_density(2, rng), random_density(2, rng))
             for w in (0.2, 0.5, 0.3)
         ]
-        rep = joint_convexity_remainder(members, RULE65)
+        rep = joint_convexity_remainder(members)
         assert rep.slack >= -1e-8
         assert len(rep.member_fidelities) == 3
 
     def test_support_violation_flagged(self, rng):
         good = (0.5, random_density(2, rng), random_density(2, rng))
         bad = (0.5, pure_state([1, 0]), pure_state([0, 1]))
-        rep = joint_convexity_remainder([good, bad], RULE65)
+        rep = joint_convexity_remainder([good, bad])
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf
 
@@ -283,7 +283,7 @@ class TestJointConvexity:
     def test_non_finite_weight_rejected(self, rng, bad):
         members = [(w, random_density(2, rng), random_density(2, rng)) for w in (bad, 1.0)]
         with pytest.raises(ValueError, match="weights must be finite"):
-            joint_convexity_remainder(members, RULE65)
+            joint_convexity_remainder(members)
 
 
 def syndrome_decoder_for_bit_flip():
@@ -315,7 +315,7 @@ class TestQec:
     def test_unitary_channel_tight(self, rng):
         pi = three_qubit_bit_flip_code()
         chan = unitary_channel(random_unitary(8, rng))
-        rep = qec_analyze(pi, chan, 6, RULE65, seed=2)
+        rep = qec_analyze(pi, chan, 6, seed=2)
         assert rep.sampled_max_gap <= 1e-8
         assert rep.min_recovered_fidelity >= 1.0 - 1e-8
         assert rep.forward_ok and rep.converse_ok
@@ -340,7 +340,7 @@ class TestQec:
                 block = pi @ dagger(a) @ b @ pi
                 coeff = np.trace(block) / np.trace(pi)
                 assert np.linalg.norm(block - coeff * pi, 2) <= 1e-10
-        rep = qec_analyze(pi, chan, 8, RULE65, seed=3)
+        rep = qec_analyze(pi, chan, 8, seed=3)
         assert rep.min_recovered_fidelity >= 1.0 - 1e-8
         assert rep.sampled_max_gap <= 1e-8
 
@@ -348,14 +348,14 @@ class TestQec:
         gen = np.random.default_rng(11)
         basis = np.linalg.eigh(random_density(4, gen))[1]
         pi = basis[:, :2] @ dagger(basis[:, :2])
-        rep = qec_analyze(pi, depolarizing_channel(4, 0.2), 10, RULE65, seed=4)
+        rep = qec_analyze(pi, depolarizing_channel(4, 0.2), 10, seed=4)
         assert rep.forward_ok
         assert rep.converse_ok
         assert rep.dim_code == 2
 
     def test_non_projector_rejected(self, rng):
         with pytest.raises(ValueError, match="projector"):
-            qec_analyze(random_density(4, rng), depolarizing_channel(4, 0.1), 2, RULE65)
+            qec_analyze(random_density(4, rng), depolarizing_channel(4, 0.1), 2)
 
     @pytest.mark.parametrize("projector, message", [
         (np.diag([1.0, np.nan]), "non-finite entries"),
@@ -365,16 +365,21 @@ class TestQec:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                qec_analyze(projector, single_bit_flip_channel(0.1), 2, RULE65)
+                qec_analyze(projector, single_bit_flip_channel(0.1), 2)
 
     def test_zero_samples(self):
-        rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 0, RULE65)
+        rep = qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 0)
         assert rep.gaps.shape == rep.fidelities.shape == (0,)
         assert rep.forward_ok and rep.converse_ok
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
-            qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), -3, RULE65)
+            qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), -3)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 2, tol=tol)
 
 
 class TestFiniteSetSearch:
@@ -493,7 +498,7 @@ class TestTruncation:
         rho = random_density(4, rng)
         sigma = random_density(4, rng)
         chan = random_channel(4, 3, 2, rng)
-        rep = truncation_convergence(rho, sigma, chan, [2, 4], RULE65)
+        rep = truncation_convergence(rho, sigma, chan, [2, 4])
         assert rep.final_delta <= 1e-10
         assert rep.truncated_relative_entropies[-1] == pytest.approx(
             rep.full_relative_entropy, abs=1e-10
@@ -507,7 +512,7 @@ class TestTruncation:
         rho = cols @ small_r @ dagger(cols)
         sigma = cols @ small_s @ dagger(cols)
         chan = random_channel(4, 3, 2, rng)
-        rep = truncation_convergence(rho, sigma, chan, [2, 4], RULE65, reference=sigma)
+        rep = truncation_convergence(rho, sigma, chan, [2, 4], reference=sigma)
         assert abs(rep.truncated_relative_entropies[0] - rep.full_relative_entropy) <= 1e-9
 
     def test_monotone_dim_twelve(self):
@@ -515,7 +520,7 @@ class TestTruncation:
         rho = random_density(12, gen)
         sigma = random_density(12, gen)
         chan = random_channel(12, 4, 3, gen)
-        rep = truncation_convergence(rho, sigma, chan, [4, 8, 12], RULE65)
+        rep = truncation_convergence(rho, sigma, chan, [4, 8, 12])
         d = rep.truncated_relative_entropies
         assert rep.monotone_ok
         assert d[0] <= d[1] + 1e-9 <= d[2] + 2e-9
@@ -524,7 +529,7 @@ class TestTruncation:
     def test_k_out_of_range(self, rng):
         rho = random_density(3, rng)
         with pytest.raises(ValueError, match="k_list"):
-            truncation_convergence(rho, rho, identity_channel(3), [1, 5], RULE65)
+            truncation_convergence(rho, rho, identity_channel(3), [1, 5])
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_rho_outside_sigma_support_has_no_nan(self, d):
@@ -533,7 +538,7 @@ class TestTruncation:
         rho = random_density(d, gen)
         sigma = random_density(d, gen, ensemble="rank-k", rank=max(1, d // 2))
         chan = random_channel(d, 3, 2, gen)
-        rep = truncation_convergence(rho, sigma, chan, list(range(1, d + 1)), RULE65)
+        rep = truncation_convergence(rho, sigma, chan, list(range(1, d + 1)))
         assert rep.full_relative_entropy == np.inf
         assert rep.truncated_relative_entropies[-1] == np.inf
         assert rep.final_delta == 0.0
@@ -570,3 +575,57 @@ class TestSweep:
             SweepConfig(count=-1)
         with pytest.raises(ValueError):
             SweepConfig(kind="nope")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # slack < -nan is never true, so a NaN tolerance would pass every row
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            SweepConfig(count=3, tolerance=tol)
+
+    def test_mixture_kinds_build_no_rule(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mixture kind built a quadrature rule")
+
+        monkeypatch.setattr(verify, "beta_quadrature", refuse)
+        for kind in ("ssa", "concavity", "joint-convexity"):
+            assert sweep(SweepConfig(seed=5, count=2, dims=(2, 2), nodes=33, kind=kind)).ok
+
+
+def deprecated_rule_cases():
+    """``(name, check, args, kwargs)`` of the five checks that read no rule;
+    a rule goes between ``args`` and ``kwargs``, as in a positional call."""
+    gen = np.random.default_rng(41)
+    rho, sigma = random_density(4, gen), random_density(4, gen)
+    members = [(w, random_density(4, gen)) for w in (0.3, 0.7)]
+    triples = [(w, random_density(3, gen), random_density(3, gen)) for w in (0.4, 0.6)]
+    yield "ssa_remainder", ssa_remainder, (random_density(12, gen), (2, 3, 2)), {}
+    yield "concavity_remainder", concavity_remainder, (members, (2, 2)), {}
+    yield "joint_convexity_remainder", joint_convexity_remainder, (triples,), {}
+    yield ("qec_analyze", qec_analyze,
+           (three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 6), {"seed": 2})
+    yield ("truncation_convergence", truncation_convergence,
+           (rho, sigma, random_channel(4, 3, 2, gen), [1, 2, 4]), {"reference": sigma})
+
+
+def assert_bit_identical(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        a, b = np.asarray(got[key]), np.asarray(want[key])
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), key
+
+
+class TestDeprecatedRule:
+    """A rule passed to a check that applies the exact universal map is not
+    read: it warns once, at the caller, and changes no field."""
+
+    @pytest.mark.parametrize("case", list(deprecated_rule_cases()), ids=lambda c: c[0])
+    def test_rule_warns_once_and_changes_nothing(self, case):
+        name, check, args, kwargs = case
+        want = check(*args, **kwargs)
+        with pytest.warns(DeprecationWarning, match=f"^{name}: the rule argument") as record:
+            got = check(*args, RULE65, **kwargs)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        assert_bit_identical(dataclasses.asdict(got), dataclasses.asdict(want))
+        with pytest.warns(DeprecationWarning, match=f"^{name}: the rule argument"):
+            check(*args, rule=RULE129, **kwargs)
