@@ -31,6 +31,7 @@ from .recovery import beta_quadrature
 from .verify import (
     SWEEP_KINDS,
     SweepConfig,
+    _TOLERANCE,
     _check_tolerance,
     _dpi_row,
     _ssa_row,
@@ -265,10 +266,17 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
+def _add_common(parser, judged: bool = True):
+    """The flags of every command.  One that judges no inequality and draws
+    nothing at random (``judged=False``) takes ``--tolerance`` and ``--seed``
+    only as unread flags."""
     parser.add_argument("--unit", choices=("nats", "bits"), default="nats")
-    parser.add_argument("--tolerance", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=0)
+    if judged:
+        parser.add_argument("--tolerance", type=float, default=_TOLERANCE)
+        parser.add_argument("--seed", type=int, default=0)
+    else:
+        _add_unread(parser, "tolerance", float)
+        _add_unread(parser, "seed", int)
     parser.add_argument("--output", "-o", default=None,
                         help="report file path (table; .summary JSON alongside)")
     parser.add_argument("--config", default=None,
@@ -279,10 +287,19 @@ def _add_nodes(parser, text: str):
     parser.add_argument("--nodes", type=int, default=129, help=text + " (default 129)")
 
 
-def _add_unread_nodes(parser):
-    """The deprecated ``--nodes`` of a command that applies the exact universal
-    map: accepted, hidden from the help, and not read."""
-    parser.add_argument("--nodes", dest="unread_nodes", type=int, default=None,
+# why a command that accepts one of these deprecated flags does not read it
+_UNREAD = {
+    "nodes": "it applies the exact universal map",
+    "tolerance": "it judges no inequality",
+    "seed": "it draws nothing at random",
+}
+
+
+def _add_unread(parser, name: str, kind=int):
+    """The deprecated flag ``--name`` of a command that does not read it
+    (``_UNREAD`` says why): accepted, hidden from the help, and announced on
+    stderr when given."""
+    parser.add_argument("--" + name, dest="unread_" + name, type=kind, default=None,
                         help=argparse.SUPPRESS)
 
 
@@ -313,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ssa", help="strong subadditivity remainder")
     _add_common(p)
-    _add_unread_nodes(p)
+    _add_unread(p, "nodes")
     p.add_argument("--state", help="tripartite state file")
     p.add_argument("--state-dims", default="2,2,2", help="factor dims dA,dB,dC")
     p.add_argument("--ghz", action="store_true", help="use the three-qubit GHZ state")
@@ -323,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-corollaries",
                        help="concavity and joint convexity remainders")
     _add_common(p)
-    _add_unread_nodes(p)
+    _add_unread(p, "nodes")
     p.add_argument("--random", type=int, default=1)
     p.add_argument("--dims", default="2..2")
     p.set_defaults(func=_cmd_verify_corollaries)
 
     p = sub.add_parser("qec", help="approximate error correction bounds")
     _add_common(p)
-    _add_unread_nodes(p)
+    _add_unread(p, "nodes")
     p.add_argument("--code", choices=("bitflip3", "random"), default="bitflip3")
     p.add_argument("--p", type=float, default=0.1, help="bitflip3 noise weight")
     p.add_argument("--dim", type=int, default=4, help="random code ambient dimension")
@@ -353,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("quadrature-info", help="print a quadrature rule")
-    _add_common(p)
+    _add_common(p, judged=False)
     _add_nodes(p, "quadrature nodes of the printed rule")
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=_cmd_quadrature_info)
@@ -392,9 +409,10 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        if getattr(args, "unread_nodes", None) is not None:
-            print(f"warning: {args.command} ignores --nodes, which is deprecated there: "
-                  "it applies the exact universal map", file=sys.stderr)
+        for name, why in _UNREAD.items():
+            if getattr(args, "unread_" + name, None) is not None:
+                print(f"warning: {args.command} ignores --{name}, which is deprecated there: "
+                      f"{why}", file=sys.stderr)
         return args.func(args)
     except ValueError as exc:
         # bad arguments or input the library cannot use

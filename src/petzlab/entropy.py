@@ -292,14 +292,15 @@ def fidelity_measurement(rho: np.ndarray, omega: np.ndarray):
 # Renyi difference
 # ---------------------------------------------------------------------------
 
-def _renyi_delta(rho, rho_sys, pair, alphas) -> list:
+def _renyi_delta(rho, rho_sys, out, pair, alphas) -> list:
     """``renyi_delta`` at every alpha of ``alphas``, for a complex array the
-    caller checked or built, its clamped eigensystem ``rho_sys``, and the
-    eigensystems of the reference pair ``pair`` (a ``recovery._PetzFactory``),
-    decomposing ``N(rho)`` once; every alpha is positive and not 1."""
+    caller checked or built, its clamped eigensystem ``rho_sys``, its channel
+    output ``out = N(rho)``, and the eigensystems of the reference pair
+    ``pair`` (a ``recovery._PetzFactory``), decomposing ``N(rho)`` once; every
+    alpha is positive and not 1."""
     if _outside_mass(rho, pair.s_sys) > SUPPORT_TOL:
         return [float(np.inf)] * len(alphas)
-    n_rho = _psd_eigensystem(pair.channel.apply(rho))
+    n_rho = _psd_eigensystem(out)
     right = pair.s_sys[1].conj().T @ _power(*rho_sys, 0.5)
     ps = np.array([(1.0 - alpha) / (2.0 * alpha) for alpha in alphas])
     # N(sigma)^-p K_k sigma^p = V_N cores_k^dag V_sigma^dag, cores of (sigma^p, N(sigma)^-p)
@@ -331,7 +332,7 @@ def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: flo
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rho, pair = _checked(rho), _PetzFactory(_checked(sigma), channel)
-    return _renyi_delta(rho, _psd_eigensystem(rho), pair, [alpha])[0]
+    return _renyi_delta(rho, _psd_eigensystem(rho), channel.apply(rho), pair, [alpha])[0]
 
 
 __all__ = [

@@ -63,6 +63,9 @@ def _slack(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
+_TOLERANCE = 1e-8  # the default verdict tolerance: a slack below -tolerance is a violation
+
+
 def _check_tolerance(tol) -> None:
     """Refuse a verdict tolerance that is not finite and nonnegative
     (``slack < -nan`` is never true, so a NaN would pass every check)."""
@@ -117,43 +120,54 @@ def dpi_remainder(
     closed form; ``rhs_strong`` and ``per_node_fidelities`` read the rotated
     Petz maps at the nodes of ``rule``.
     """
-    return _dpi(_checked(rho), _checked(sigma), channel, rule.nodes / 2.0, rule.weights)[0]
-
-
-def _dpi(rho, sigma, channel: Channel, ts, weights):
-    """``dpi_remainder`` on checked input, with ``D(rho || sigma)``; the
-    per-node fidelities are those of the rotated maps ``R_t`` at every ``t`` of
-    ``ts``, and ``rhs_strong`` is their ``weights`` average."""
-    pair = _PetzFactory(sigma, channel)
-    out_rho = channel.apply(rho)
-    vals, vecs = _psd_eigensystem(rho)
-
-    # R_t(N(rho)) at every node and the exact universal map's R(N(rho)), in
-    # sigma's eigenbasis: one stacked fidelity call against rho rotated there
-    z = pair._rotate_input(out_rho)
-    recs = np.concatenate([pair._recovered(ts, z), pair._universal(z)[None]])
-    fids = _root_fidelities((vals, dagger(pair.s_sys[1]) @ vecs), recs)
-    fids, mixture_fid = fids[:-1], float(fids[-1])
-    mixture_rec = pair.s_sys[1] @ recs[-1] @ dagger(pair.s_sys[1])
-    rhs_strong = _neg2log_mean(weights, fids)
-    rhs_mixture = _neg2log(mixture_fid)
-
-    # the relative entropy is infinite exactly when the support check fails
-    d_in = _relative_entropy(rho, pair.s_sys, vals)
-    violated = d_in == np.inf
-    lhs = float(np.inf) if violated else d_in - _relative_entropy(out_rho, pair.m_sys)
-    exploratory = _relative_entropy(rho, _psd_eigensystem(mixture_rec), vals)
+    rho = _checked(rho)
+    pair = _PetzFactory(_checked(sigma), channel)
+    rho_sys = _psd_eigensystem(rho)
+    d_in, gap, fids, universal = _dpi(rho, rho_sys, pair, rule.nodes / 2.0)
+    lhs, rhs_mixture = float(gap), _neg2log(float(fids[-1]))
+    rhs_strong = _neg2log_mean(rule.weights, fids[:-1])
+    rec = pair.s_sys[1] @ universal @ dagger(pair.s_sys[1])
     return DpiReport(
         lhs=lhs,
         rhs_mixture=rhs_mixture,
         rhs_strong=rhs_strong,
         slack_mixture=_slack(lhs, rhs_mixture),
         slack_strong=_slack(lhs, rhs_strong),
-        per_node_fidelities=fids,
-        recovered_state=mixture_rec,
-        exploratory_relative_entropy=exploratory,
-        support_violated=violated,
-    ), d_in
+        per_node_fidelities=fids[:-1],
+        recovered_state=rec,
+        exploratory_relative_entropy=_relative_entropy(rho, _psd_eigensystem(rec), rho_sys[0]),
+        support_violated=d_in == np.inf,
+    )
+
+
+def _dpi(rho, rho_sys, pair: _PetzFactory, ts):
+    """The remainder kernel of the DPI family: ``(D(rho || sigma), gap, fids,
+    universal)`` for a checked state ``rho`` or an ``(S, d, d)`` stack, its
+    clamped eigensystem ``rho_sys`` and the reference pair ``pair``.
+
+    ``gap`` is ``D(rho || sigma) - D(N(rho) || N(sigma))``, ``inf`` exactly where
+    ``rho`` leaves the support of ``sigma``.  ``fids`` holds, along its last
+    axis, the root fidelities of ``rho`` with ``R_t(N(rho))`` at every ``t`` of
+    the node array ``ts``, which may be empty, and then with the exact
+    universal map's ``R(N(rho))``; ``universal`` is that state in the
+    eigenbasis of ``sigma``.  With no nodes, no node phase is computed.
+    """
+    out = pair.channel.apply(rho)
+    z = pair._rotate_input(out)
+    universal = pair._universal(z)
+    # the recovered states are in sigma's eigenbasis, and so is this root of
+    # rho: one stacked fidelity call for every state and node
+    recs = universal[..., None, :, :]
+    if len(ts):
+        recs = np.concatenate([pair._recovered(ts, z), recs], axis=-3)
+    vals, vecs = rho_sys
+    fids = _root_fidelities((vals[..., None, :], (dagger(pair.s_sys[1]) @ vecs)[..., None, :, :]),
+                            recs)
+    d_in = _relative_entropy(rho, pair.s_sys, vals)
+    # the relative entropy is infinite exactly when the support check fails
+    with np.errstate(invalid="ignore"):  # inf - inf off the support
+        gap = np.where(d_in == np.inf, np.inf, d_in - _relative_entropy(out, pair.m_sys))
+    return d_in, gap, fids, universal
 
 
 @dataclass
@@ -200,7 +214,7 @@ def alpha_bound_check(
     grid = fidelities(next(iter(theta_rules.values())).nodes / 2.0) if theta_rules else None
     petz_fid = fidelities(np.zeros(1)) if 0.5 in alphas else None
     results = []
-    for alpha, lhs in zip(alphas, _renyi_delta(rho, rho_sys, pair, alphas)):
+    for alpha, lhs in zip(alphas, _renyi_delta(rho, rho_sys, out_rho, pair, alphas)):
         if alpha == 0.5:
             rhs = _neg2log_mean(np.ones(1), petz_fid)
         else:
@@ -372,13 +386,15 @@ def qec_analyze(
     samples: int,
     rule: QuadratureRule | None = None,
     seed=0,
-    tol: float = 1e-8,
+    tol: float = _TOLERANCE,
 ) -> QecReport:
     """Approximate error correction diagnostics for a codespace.
 
     Samples codespace states (alternating full-rank and pure), records the
     distinguishability gap ``D(rho||Pi) - D(N(rho)||N(Pi))`` and the
-    fidelity of the exact universal recovery, and evaluates the forward
+    fidelity of the exact universal recovery, both from one call of the DPI
+    remainder kernel on the sample stack (the fidelities taken in the
+    eigenbasis of ``Pi``), and evaluates the forward
     bound ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound,
     each judged with the finite, nonnegative tolerance ``tol``.
 
@@ -410,20 +426,15 @@ def qec_analyze(
             small = random_density(dim_code, seeds[i])
         rhos.append(isometry @ small @ dagger(isometry))
     rhos = np.reshape(rhos, (samples,) + pi.shape)
-    outs = channel.apply(rhos)
-    rho_sys, out_vals = _psd_eigensystem(rhos), _psd_eigensystem(outs)[0]
-    gaps = (_relative_entropy(rhos, pair.s_sys, rho_sys[0])
-            - _relative_entropy(outs, pair.m_sys, out_vals))
-    fids = _root_fidelities(rho_sys, pair.universal_apply(outs))
+    _, gaps, fids, _ = _dpi(rhos, _psd_eigensystem(rhos), pair, np.zeros(0))
+    fids = fids[:, -1]
 
     max_gap = float(np.max(gaps, initial=0.0))
     min_fid = float(np.min(fids, initial=1.0))
     forward_bound = 1.0 - max_gap / 2.0
     eps_conv = min(max(2.0 * (1.0 - min_fid), 0.0), 1.0)
     root = math.sqrt(eps_conv)
-    converse_bound = root * math.log(dim_code) + binary_entropy(root) if dim_code > 1 else (
-        binary_entropy(root)
-    )
+    converse_bound = root * math.log(dim_code) + binary_entropy(root)
     return QecReport(
         dim_code=dim_code,
         sampled_max_gap=max_gap,
@@ -620,11 +631,11 @@ def truncation_convergence(
         cols = vecs[:, :k]
         pi = cols @ dagger(cols)
         rho_k = pi @ rho @ pi
-        sigma_k = pi @ sigma @ pi
-        rep, d_k = _dpi(rho_k, sigma_k, channel, np.zeros(0), np.zeros(0))
+        pair = _PetzFactory(pi @ sigma @ pi, channel)
+        d_k, gap, fids, _ = _dpi(rho_k, _psd_eigensystem(rho_k), pair, np.zeros(0))
         d_trunc.append(d_k)
-        gaps.append(rep.lhs)
-        slacks.append(rep.slack_mixture)
+        gaps.append(float(gap))
+        slacks.append(_slack(float(gap), _neg2log(float(fids[-1]))))
     d_trunc = np.array(d_trunc)
     return TruncationReport(
         ks=ks,
@@ -653,15 +664,15 @@ class SweepConfig:
     count: int = 100
     dims: tuple = (2, 5)
     env_max: int = 4
-    nodes: int = 129  # the DPI kind's rhs_strong rule; the other kinds ignore it
-    tolerance: float = 1e-8  # finite and nonnegative
+    nodes: int = 129  # the DPI kind's rhs_strong rule, at least 3; the other kinds ignore it
+    tolerance: float = _TOLERANCE  # finite and nonnegative
     kind: str = "dpi"  # a key of SWEEP_KINDS
     include_timings: bool = False
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         lo, hi = self.dims
-        if self.count < 0 or lo < 1 or hi < lo or self.nodes < 3:
+        if self.count < 0 or lo < 1 or hi < lo or (self.kind == "dpi" and self.nodes < 3):
             raise ValueError("invalid sweep configuration")
         _check_tolerance(self.tolerance)
         if self.kind not in SWEEP_KINDS:

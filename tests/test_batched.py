@@ -413,7 +413,7 @@ class TestEigenbasisCores:
         rho = 0.5 * sigma + 0.5 * inside / np.trace(inside).real
         pair = recovery._PetzFactory(_checked(sigma), chan)
         rho = _checked(rho)
-        got = entropy._renyi_delta(rho, _psd_eigensystem(rho), pair, self.ALPHAS)
+        got = entropy._renyi_delta(rho, _psd_eigensystem(rho), chan.apply(rho), pair, self.ALPHAS)
         for alpha, value in zip(self.ALPHAS, got):
             assert abs(value - dense_renyi_delta(rho, sigma, chan, alpha)) <= 1e-12
 
@@ -421,7 +421,8 @@ class TestEigenbasisCores:
         calls = counting(monkeypatch, "_power", [entropy])
         rho, sigma, chan = random_dpi_instance(21)
         pair = recovery._PetzFactory(_checked(sigma), chan)
-        entropy._renyi_delta(_checked(rho), _psd_eigensystem(_checked(rho)), pair, self.ALPHAS)
+        rho = _checked(rho)
+        entropy._renyi_delta(rho, _psd_eigensystem(rho), chan.apply(rho), pair, self.ALPHAS)
         # rho^{1/2} once and N(rho)^p at every alpha
         assert len(calls) == 1 + len(self.ALPHAS)
 
@@ -711,6 +712,55 @@ class TestOneKernel:
                 want.alpha, want.lhs, want.rhs, want.slack)
 
 
+def kernel_stacks():
+    """``(name, rhos, sigma, channel)`` stacks for the remainder kernel."""
+    gen = np.random.default_rng(1919)
+    for d, d_out, env in ((2, 2, 2), (3, 4, 2), (5, 3, 3)):
+        sigma, chan = random_density(d, gen), random_channel(d, d_out, env, gen)
+        yield f"full-rank-{d}", np.array([random_density(d, gen) for _ in range(4)]), sigma, chan
+    sigma, chan = random_density(4, gen), random_channel(4, 4, 2, gen)
+    pure = random_density(4, gen, ensemble="rank-k", rank=1)
+    yield "pure-member", np.array([random_density(4, gen), pure, random_density(4, gen)]), sigma, chan
+    # one member inside the support of a rank-2 sigma and one that leaves it;
+    # a unitary channel keeps it outside, so both entropies of that one are inf
+    sigma = random_density(4, gen, ensemble="rank-k", rank=2)
+    proj = support_projector(sigma)
+    inside = proj @ random_density(4, gen) @ proj
+    members = [inside / np.trace(inside).real, random_density(4, gen)]
+    yield "member-off-support", np.array(members), sigma, unitary_channel(random_unitary(4, gen))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRemainderKernel:
+    """``verify._dpi`` on an ``(S, d, d)`` stack: each member's relative
+    entropy and gap bit for bit as its own call, its fidelities and exact-map
+    state to rounding (a stack's exact map is one matrix product, a member's
+    a matrix-vector product)."""
+
+    @pytest.mark.parametrize("nodes", [0, 9])
+    @pytest.mark.parametrize("case", list(kernel_stacks()), ids=lambda c: c[0])
+    def test_stack_matches_member_calls(self, case, nodes):
+        _, rhos, sigma, chan = case
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        ts = beta0_quadrature(nodes).nodes / 2.0 if nodes else np.zeros(0)
+        vals, vecs = _psd_eigensystem(rhos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_in, gap, fids, universal = verify._dpi(rhos, (vals, vecs), pair, ts)
+        assert fids.shape == (len(rhos), nodes + 1) and universal.shape == rhos.shape
+        for i, rho in enumerate(rhos):
+            one = verify._dpi(rho, (vals[i], vecs[i]), pair, ts)
+            assert same_bits(d_in[i], one[0]) and same_bits(gap[i], one[1])
+            np.testing.assert_allclose(fids[i], one[2], rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(universal[i], one[3], rtol=0.0, atol=1e-14)
+        # the gap is infinite exactly where rho leaves the support of sigma
+        assert np.array_equal(gap == np.inf, d_in == np.inf)
+
+
 class TestWorkPerInstance:
     def test_dpi_remainder_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(5)
@@ -730,6 +780,14 @@ class TestWorkPerInstance:
         # sigma, N(sigma), rho and N(rho) once for every alpha's Renyi term
         # and fidelity root
         assert 0 < len(eigs) <= 5
+
+    def test_alpha_chain_applies_the_channel_twice(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(8)
+        calls = counting(monkeypatch, "apply", (Channel,))
+        alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], beta0_quadrature(65))
+        # N(sigma) for the pair, then N(rho) for both the Renyi terms and the
+        # recovered states
+        assert len(calls) <= 2
 
     def test_finite_set_search_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
@@ -869,11 +927,15 @@ class TestWorkPerInstance:
         entropies = counting(monkeypatch, "_relative_entropy", (verify,))
         residuals = counting(monkeypatch, "hermiticity_residual",
                              (linalg, entropy, verify, channels, recovery))
-        truncation_convergence(rho, sigma, chan, [1, 2, 3, 4])
-        # D(rho||sigma), then D(rho_k||sigma_k), D(N(rho_k)||N(sigma_k)) and
-        # D(rho_k||recovered) per rank; only the caller's rho and sigma are checked
-        assert len(entropies) <= 13
+        decompositions = counting(monkeypatch, "_psd_eigensystem", (verify,))
+        ks = [1, 2, 3, 4]
+        truncation_convergence(rho, sigma, chan, ks)
+        # D(rho||sigma), then D(rho_k||sigma_k) and D(N(rho_k)||N(sigma_k)) per
+        # rank; only the caller's rho and sigma are checked
+        assert len(entropies) <= 1 + 2 * len(ks)
         assert len(residuals) <= 2
+        # sigma, then rho_k per rank: no recovered state is decomposed
+        assert len(decompositions) == 1 + len(ks)
 
     def test_truncation_study_recovers_no_node(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(11, dim_lo=4, dim_hi=4)

@@ -24,6 +24,39 @@ class TestQuadratureInfo:
         assert abs(total - 1.0) <= 1e-12
         assert "node weight" in out.replace("index ", "")
 
+    def test_tolerance_and_seed_are_unread(self, tmp_path, capsys):
+        assert run(["quadrature-info", "--nodes", "3", "-o", str(tmp_path / "plain.txt")]) == 0
+        plain = capsys.readouterr()
+        assert run(["quadrature-info", "--nodes", "3", "--tolerance", "nan", "--seed", "5",
+                    "-o", str(tmp_path / "flagged.txt")]) == 0
+        flagged = capsys.readouterr()
+        assert plain.err == "" and flagged.out == plain.out
+        lines = flagged.err.splitlines()
+        assert [line.split(",")[0] for line in lines] == [
+            "warning: quadrature-info ignores --tolerance",
+            "warning: quadrature-info ignores --seed",
+        ]
+        assert all("deprecated" in line for line in lines)
+        for suffix in ("", ".summary"):
+            assert (tmp_path / f"flagged.txt{suffix}").read_bytes() == (
+                tmp_path / f"plain.txt{suffix}"
+            ).read_bytes()
+
+    def test_tolerance_and_seed_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["quadrature-info", "--help"])
+        out = capsys.readouterr().out
+        assert "--tolerance" not in out and "--seed" not in out
+
+    def test_config_keys_still_work(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nodes": 5, "tolerance": 1e-6, "seed": 3}))
+        assert run(["quadrature-info", "--config", str(config)]) == 0
+        configured = capsys.readouterr()
+        assert run(["quadrature-info", "--nodes", "5"]) == 0
+        assert configured.out == capsys.readouterr().out
+        assert configured.err.count("\n") == 2
+
 
 class TestVerifyDpi:
     def test_bundled_classical_example(self, capsys):
@@ -291,6 +324,13 @@ class TestSweep:
                     "-o", str(report_b)]) == 0
         assert len(parse_table(report_b.read_text())) == 2
 
+    @pytest.mark.parametrize("kind", ["ssa", "concavity", "joint-convexity"])
+    def test_mixture_kinds_take_any_nodes(self, kind, capsys):
+        assert run(["sweep", "--kind", kind, "--nodes", "2", "--count", "2"]) == 0
+        two = capsys.readouterr().out
+        assert run(["sweep", "--kind", kind, "--count", "2"]) == 0
+        assert two == capsys.readouterr().out
+
     def test_bad_config_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text("not json at all {")
@@ -394,6 +434,7 @@ class TestUsageErrors:
         "args",
         [
             "sweep --dims 5..2 --count 2",
+            "sweep --nodes 2 --count 2",
             "quadrature-info --nodes 2",
             "qec --p 0.5 --samples 2",
             "qec --samples -3",

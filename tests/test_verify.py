@@ -21,11 +21,13 @@ from petzlab.channels import (
     unitary_channel,
 )
 from petzlab.entropy import (
+    _relative_entropy,
+    _root_fidelities,
     fidelity,
     relative_entropy,
     trace_distance,
 )
-from petzlab.linalg import dagger, tensor_product
+from petzlab.linalg import _psd_eigensystem, dagger, tensor_product
 from petzlab.recovery import (
     beta0_density,
     beta0_quadrature,
@@ -381,6 +383,36 @@ class TestQec:
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
             qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 2, tol=tol)
 
+    @pytest.mark.parametrize("code, value", [
+        ("bitflip3", 0.2), ("bitflip3", 0.13182888647952362), ("random", 4), ("random", 9),
+    ])
+    def test_kernel_keeps_the_two_entropy_gaps(self, code, value, monkeypatch):
+        # value is the bit-flip weight or the random code's seed
+        if code == "bitflip3":
+            pi, chan, seed = three_qubit_bit_flip_code(), single_bit_flip_channel(value), 3
+        else:
+            seed, gen = value, np.random.default_rng(value)
+            cols = np.linalg.eigh(random_density(4, gen))[1][:, :2]
+            pi, chan = cols @ dagger(cols), random_channel(4, 4, 2, gen)
+        calls = []
+        kernel = verify._dpi
+
+        def recording(rhos, rho_sys, pair, ts):
+            calls.append((rhos, rho_sys, pair))
+            return kernel(rhos, rho_sys, pair, ts)
+
+        monkeypatch.setattr(verify, "_dpi", recording)
+        rep = qec_analyze(pi, chan, 12, seed=seed)
+        (rhos, rho_sys, pair), = calls
+        # the samples' gaps as two stacked entropies, and their fidelities in
+        # the standard basis
+        outs = chan.apply(rhos)
+        gaps = (_relative_entropy(rhos, pair.s_sys, rho_sys[0])
+                - _relative_entropy(outs, pair.m_sys, _psd_eigensystem(outs)[0]))
+        assert rep.gaps.tobytes() == gaps.tobytes()
+        fids = _root_fidelities(rho_sys, pair.universal_apply(outs))
+        np.testing.assert_allclose(rep.fidelities, fids, rtol=0.0, atol=1e-14)
+
 
 class TestFiniteSetSearch:
     def test_first_state_outside_sigma_named(self, rng):
@@ -575,6 +607,16 @@ class TestSweep:
             SweepConfig(count=-1)
         with pytest.raises(ValueError):
             SweepConfig(kind="nope")
+        # the DPI kind's rhs_strong rule needs three nodes
+        with pytest.raises(ValueError, match="invalid sweep configuration"):
+            SweepConfig(nodes=2)
+
+    @pytest.mark.parametrize("kind", ["ssa", "concavity", "joint-convexity"])
+    def test_mixture_kinds_take_any_nodes(self, kind):
+        # they never read nodes; the summary still records it
+        got = sweep(SweepConfig(seed=5, count=2, dims=(2, 2), nodes=2, kind=kind))
+        want = sweep(SweepConfig(seed=5, count=2, dims=(2, 2), kind=kind))
+        assert got.rows == want.rows and got.summary["nodes"] == 2
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
