@@ -1,14 +1,16 @@
 """Petz, rotated and universal recovery maps, and the mixing densities.
 
-The universal map is a weighted mixture of rotated Petz maps; the mixing
-density ``beta0(t) = (pi/2) / (cosh(pi t) + 1)`` is discretized by an
-exactly normalized rule so that the mixture is itself a channel on the
-support of the reference output state.  The checks apply the exact
-mixture instead, in closed form (``_PetzFactory.universal_apply``).
+The universal map is the mixture ``int beta0(t) R_{t/2} dt`` of rotated Petz
+maps with density ``beta0(t) = (pi/2) / (cosh(pi t) + 1)``.  It is formed
+exactly, in closed form (``_PetzFactory.universal_kernel``): the checks
+apply it, and ``universal_recovery`` returns its Kraus form.  Quadrature
+rules discretize ``beta0`` where a logarithm sits inside the integral;
+``convex_mixture`` of a ``rotated_petz_family`` gives a rule's mixture.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,9 +120,10 @@ class RecoveryMap(Channel):
     ``sigma``, ``channel``, ``t``, ``nodes``, ``weights`` and ``phases``.
     It is trace preserving on the support of ``channel(sigma)`` and
     annihilates the orthogonal complement of that support.  ``kind`` is
-    one of ``"petz"``, ``"rotated"``, ``"phase-rotated"`` or ``"mixture"``;
-    a mixture's Kraus stack holds each component's operators scaled by the
-    square root of its weight.
+    one of ``"petz"``, ``"rotated"``, ``"phase-rotated"``, ``"mixture"`` or
+    ``"universal"``; a mixture's Kraus stack holds each component's operators
+    scaled by the square root of its weight, and the exact universal map has
+    no nodes and no weights.
 
     ``max eig sum K^dag K`` may exceed 1 by ``_TNI_TOL``; a map built from a
     reference pair may exceed it by the pair's larger ``tni_budget``, kept
@@ -168,8 +171,9 @@ class _PetzFactory:
     ``recovered`` applies it at every node.  ``universal_apply`` applies the
     exact universal map ``int beta0(t) R_{t/2} dt``: the integral over the
     nodes is folded into one closed-form phase array, ``universal_phases``, so
-    it reads no rule.  ``T`` is formed at most once, by the first application;
-    the map builders read only ``cores``.
+    it reads no rule.  ``T`` is formed at most once, by the first application
+    or by ``universal_recovery``, which reads ``universal_kernel``; the other
+    map builders read only ``cores``.
 
     ``tni_budget`` is the trace-non-increase tolerance of the pair's maps:
     ``N(sigma)^{-1/2}`` amplifies the rounding of the small eigenvalues of
@@ -300,11 +304,17 @@ class _PetzFactory:
         g = np.divide(h, np.sinh(h), out=np.ones_like(h), where=h != 0.0)
         return np.outer(np.outer(amp_s, amp_s), np.outer(amp_m, amp_m)) * g
 
+    @cached_property
+    def universal_kernel(self) -> np.ndarray:
+        """The exact universal map's ``(m m, n n)`` superoperator on the
+        rotated input, ``universal_phases() * kernel``."""
+        return self.universal_phases() * self.kernel
+
     def _universal(self, z) -> np.ndarray:
         """The exact universal map on the rotated input ``z = _rotate_input(x)``,
         ``(..., m, m)`` in the eigenbasis of ``sigma``."""
         m = len(self.sigma)
-        y = z @ (self.universal_phases() * self.kernel).T
+        y = z @ self.universal_kernel.T
         return y.reshape(z.shape[:-1] + (m, m))
 
     def universal_apply(self, x) -> np.ndarray:
@@ -312,9 +322,9 @@ class _PetzFactory:
         input ``x`` or a stack ``(..., n, n)``, as ``(..., m, m)`` in the
         standard basis.
 
-        One ``(m m, n n)`` superoperator, ``universal_phases`` times ``T``
-        entrywise, acts on ``V_N^dag x V_N``: a quadrature rule's weighted
-        node sum is folded into the closed-form phases, so no rule is read.
+        One ``(m m, n n)`` superoperator, ``universal_kernel``, acts on
+        ``V_N^dag x V_N``: a quadrature rule's weighted node sum is folded
+        into the closed-form phases, so no rule is read.
         """
         vs = self.s_sys[1]
         return vs @ self._universal(self._rotate_input(x)) @ vs.conj().T
@@ -323,12 +333,6 @@ class _PetzFactory:
         """The ``RecoveryMap`` of the pair with the ``(k, d_in, d_out)`` Kraus
         stack ``ops``, checked against ``tni_budget``."""
         return RecoveryMap(kind, ops, self.sigma, self.channel, _atol=self.tni_budget, **meta)
-
-    def mixture(self, stack: np.ndarray, nodes, weights) -> RecoveryMap:
-        """The mixture map of the pair whose Kraus stack is the weighted
-        ``(T, k, d_in, d_out)`` rotated-map stack ``stack``."""
-        ops = stack.reshape(-1, self.channel.dim_in, self.channel.dim_out)
-        return self.recovery_map("mixture", ops, nodes=nodes, weights=weights)
 
 
 def petz(sigma: np.ndarray, channel: Channel) -> RecoveryMap:
@@ -360,17 +364,37 @@ def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
     ]
 
 
-def universal_recovery(sigma: np.ndarray, channel: Channel, rule: QuadratureRule) -> RecoveryMap:
-    """Universal recovery map: the ``beta0``-weighted mixture of rotated
-    Petz maps at half the node parameter.
+def _unread_rule(rule, name: str) -> None:
+    """Warn that ``name``, which applies the exact universal map, was passed
+    a quadrature ``rule``: it is not read, and the argument is deprecated."""
+    if rule is not None:
+        warnings.warn(f"{name}: the rule argument is deprecated and not read; "
+                      "the universal map is applied exactly", DeprecationWarning, stacklevel=3)
 
-    Depends only on ``sigma`` and the channel.  The one Kraus stack holds
-    every node's operators scaled by the square root of its weight, node
-    by node.
+
+def universal_recovery(sigma: np.ndarray, channel: Channel,
+                       rule: QuadratureRule | None = None) -> RecoveryMap:
+    """The exact universal recovery map ``int beta0(t) R_{t/2} dt`` of
+    ``(sigma, channel)``, of kind ``"universal"``.
+
+    Depends only on ``sigma`` and the channel.  Its Kraus operators are
+    ``V_sigma sqrt(s_r) v_r V_N^dag`` from the eigenpairs of the Choi matrix
+    ``C_{(i p), (j q)}`` of ``universal_kernel``; eigenvalues at or below the
+    rank cutoff of ``_psd_eigensystem`` are dropped, so there are at most
+    ``d_in d_out``.  A rule's mixture is ``convex_mixture(rotated_petz_family(
+    sigma, channel, rule.nodes / 2), rule.weights)``.
+
+    ``rule`` is deprecated: a rule is not read, and passing one raises a
+    ``DeprecationWarning``.
     """
+    _unread_rule(rule, "universal_recovery")
     pair = _PetzFactory(_checked(sigma), channel)
-    nodes = rule.nodes / 2.0
-    return pair.mixture(pair.kraus_stack(nodes, rule.weights), nodes, rule.weights)
+    m, n = len(pair.sigma), len(pair.n_sigma)
+    choi = pair.universal_kernel.reshape(m, m, n, n).swapaxes(1, 2).reshape(m * n, m * n)
+    vals, vecs = _psd_eigensystem(choi)
+    keep = vals > 0.0
+    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, m, n)
+    return pair.recovery_map("universal", pair.s_sys[1] @ ops @ pair.m_sys[1].conj().T)
 
 
 def _eigenspace_phases(vals, phases) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .recovery import (
     RecoveryMap,
     _PetzFactory,
     _check_simplex,
+    _unread_rule,
     beta0_density,
     beta_quadrature,
 )
@@ -71,14 +71,6 @@ def _check_tolerance(tol) -> None:
     (``slack < -nan`` is never true, so a NaN would pass every check)."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-
-
-def _unread_rule(rule, name: str) -> None:
-    """Warn that ``name``, which applies the exact universal map, was passed
-    a quadrature ``rule``: it is not read, and the argument is deprecated."""
-    if rule is not None:
-        warnings.warn(f"{name}: the rule argument is deprecated and not read; "
-                      "the universal map is applied exactly", DeprecationWarning, stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +561,8 @@ def finite_set_recovery_search(
 
     # the mixture's Kraus stack: each node's operators scaled by sqrt(w)
     keep = best_w != 0.0
-    mixture = pair.mixture(pair.kraus_stack(t_grid[keep], best_w[keep]), t_grid, best_w)
+    ops = pair.kraus_stack(t_grid[keep], best_w[keep]).reshape(-1, channel.dim_in, channel.dim_out)
+    mixture = pair.recovery_map("mixture", ops, nodes=t_grid, weights=best_w)
     return SearchResult(
         recovery=mixture, min_slack=best_f, weights=best_w, t_grid=t_grid
     )

@@ -127,7 +127,6 @@ def test_criterion_04_alpha_bound_chain():
 
 
 def test_criterion_05_functoriality():
-    rule = beta0_quadrature(129)
     gen = np.random.default_rng(20240605)
     worst_rec = 0.0
     worst_norm = 0.0
@@ -139,13 +138,13 @@ def test_criterion_05_functoriality():
         env_lo = max(1, -(-din // dout))
         chan = random_channel(din, dout, int(gen.integers(env_lo, env_lo + 2)), gen)
 
-        rec = universal_recovery(sigma, chan, rule)
+        rec = universal_recovery(sigma, chan)
         err = float(
             np.sum(np.abs(np.linalg.eigvalsh(rec.apply(chan.apply(sigma)) - sigma)))
         )
         worst_rec = max(worst_rec, err)
 
-        rec_id = universal_recovery(sigma, identity_channel(din), rule)
+        rec_id = universal_recovery(sigma, identity_channel(din))
         from petzlab.channels import choi_distance
 
         worst_norm = max(
@@ -154,9 +153,7 @@ def test_criterion_05_functoriality():
         )
 
         tau = random_density(2, gen)
-        big = universal_recovery(
-            tensor_product(sigma, tau), chan.tensor(identity_channel(2)), rule
-        )
+        big = universal_recovery(tensor_product(sigma, tau), chan.tensor(identity_channel(2)))
         lifted = Channel(
             [tensor_product(k, np.eye(2)) for k in rec.kraus], mode="tni"
         )

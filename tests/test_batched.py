@@ -8,10 +8,11 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from conftest import random_dpi_instance
+from conftest import quadrature_map, quadrature_stack_map, random_dpi_instance
 from petzlab import channels, entropy, linalg, recovery, verify
 from petzlab.channels import (
     Channel,
+    choi_distance,
     dephasing_channel,
     identity_channel,
     partial_trace_channel,
@@ -54,6 +55,7 @@ from petzlab.recovery import (
     rotated_petz_family,
     universal_recovery,
 )
+from petzlab.serialize import dumps_recovery, loads_recovery
 from petzlab.verify import (
     alpha_bound_check,
     concavity_remainder,
@@ -318,7 +320,7 @@ class TestKrausStack:
         for seed in (3, 11, 29):
             _, sigma, chan = random_dpi_instance(seed)
             rule = beta0_quadrature(129)
-            rec = universal_recovery(sigma, chan, rule)
+            rec = quadrature_map(sigma, chan, rule)
             per_node = np.concatenate(
                 [
                     np.sqrt(w) * rotated_petz(sigma, chan, t).kraus
@@ -326,6 +328,11 @@ class TestKrausStack:
                 ]
             )
             np.testing.assert_array_equal(rec.kraus, per_node)
+            # the pair's one weighted stack is the same map, bit for bit
+            pair = recovery._PetzFactory(_checked(sigma), chan)
+            stack = pair.kraus_stack(rule.nodes / 2.0, rule.weights)
+            np.testing.assert_array_equal(rec.kraus, stack.reshape(rec.kraus.shape))
+            np.testing.assert_array_equal(rec.kraus, quadrature_stack_map(sigma, chan, rule).kraus)
 
     def test_family_matches_single_maps(self, rng):
         sigma = random_density(3, rng, ensemble="rank-k", rank=2)
@@ -395,7 +402,7 @@ class TestEigenbasisCores:
             np.sqrt(w) * dense_rotated_kraus(sigma, chan, t)
             for t, w in zip(rule.nodes / 2.0, rule.weights)
         ])
-        assert relative_error(universal_recovery(sigma, chan, rule).kraus, want) <= 1e-13
+        assert relative_error(quadrature_map(sigma, chan, rule).kraus, want) <= 1e-13
         gen = np.random.default_rng(5)
         n_sigma = chan.apply(sigma)
         phi = gen.uniform(0.0, 2.0 * np.pi, count_eigenspaces(n_sigma))
@@ -438,7 +445,7 @@ class TestEigenbasisCores:
             petz(sigma, chan),
             rotated_petz(sigma, chan, 0.7),
             *rotated_petz_family(sigma, chan, self.TS),
-            universal_recovery(sigma, chan, beta0_quadrature(33)),
+            universal_recovery(sigma, chan),
             phase_rotated_petz(sigma, chan, np.ones(n_out), np.ones(n_in)),
         ]
         mixture = convex_mixture(maps[:2], [0.5, 0.5])
@@ -524,10 +531,10 @@ class TestPhaseSandwichKernel:
         rule = beta0_quadrature(65)
         pair = recovery._PetzFactory(_checked(sigma), chan)
         mixture = np.tensordot(rule.weights, pair.recovered(rule.nodes / 2.0, x), axes=1)
-        want = universal_recovery(sigma, chan, rule).apply(x)
+        want = quadrature_map(sigma, chan, rule).apply(x)
         assert relative_error(self.standard_basis(pair, mixture), want) <= 1e-13
         # the exact map, against a rule fine enough to reach rounding
-        want = universal_recovery(sigma, chan, beta0_quadrature(1025)).apply(x)
+        want = quadrature_stack_map(sigma, chan, beta0_quadrature(1025)).apply(x)
         assert relative_error(pair.universal_apply(x), want) <= 1e-13
 
     def test_isometric_channel_recovers_sigma_at_every_node(self):
@@ -662,9 +669,69 @@ class TestExactUniversalMap:
         assert rep.rhs_mixture == pytest.approx(-2.0 * np.log(fidelity(rho, want)), abs=1e-12)
 
 
+class TestUniversalRecoveryMap:
+    """``universal_recovery`` returns the exact universal map as a Kraus map:
+    the eigenpairs of the Choi matrix of ``universal_kernel``."""
+
+    REFERENCE = beta0_quadrature(1025)
+
+    def assert_exact(self, sigma, chan, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = universal_recovery(sigma, chan)
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        assert relative_error(rec.apply(chan.apply(sigma)), sigma) <= 1e-13
+        flat = rec.kraus.reshape(-1, chan.dim_out)
+        assert np.linalg.eigvalsh(dagger(flat) @ flat)[-1] <= 1.0 + pair.tni_budget
+        assert choi_distance(rec, quadrature_stack_map(sigma, chan, self.REFERENCE)) <= 1e-12
+        assert relative_error(rec.apply(x), pair.universal_apply(x)) <= 1e-13
+        assert len(rec.kraus) <= chan.dim_in * chan.dim_out
+
+    @pytest.mark.parametrize("case", list(exact_map_regimes()), ids=lambda c: c[0])
+    def test_exact_map_regimes(self, case):
+        self.assert_exact(*case[1:])
+
+    def test_sweep_draws(self):
+        for seed in range(100):
+            rho, sigma, chan = random_dpi_instance(seed)
+            self.assert_exact(sigma, chan, chan.apply(rho))
+
+    def test_file_has_no_nodes_and_round_trips(self):
+        for name, sigma, chan, _ in exact_map_regimes():
+            rec = universal_recovery(sigma, chan)
+            assert (rec.kind, rec.nodes, rec.weights) == ("universal", None, None)
+            text = dumps_recovery(rec)
+            assert {"kind universal", "tnodes none", "weights none"} <= set(text.splitlines())
+            head = loads_recovery(text)
+            assert head["kraus"].tobytes() == rec.kraus.tobytes(), name
+            assert head["kraus"].shape == rec.kraus.shape
+
+    def test_forms_the_kernel_once_and_no_node_phase(self, monkeypatch):
+        kernels = []
+
+        def form(pair, original):
+            kernels.append(pair)
+            return original(pair)
+
+        patch_kernel(monkeypatch, form)
+        nodes = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
+        powers = counting(monkeypatch, "_powers", (recovery._PetzFactory,))
+        closed = counting(monkeypatch, "universal_phases", (recovery._PetzFactory,))
+        _, sigma, chan = random_dpi_instance(13)
+        universal_recovery(sigma, chan)
+        assert (len(kernels), len(nodes), len(powers), len(closed)) == (1, 0, 0, 1)
+
+    def test_isometric_and_unitary_channels_need_few_operators(self):
+        counts = {name: len(universal_recovery(sigma, chan).kraus)
+                  for name, sigma, chan, _ in exact_map_regimes()}
+        assert counts["isometric"] == counts["isometric-1e10"] == 1
+        assert counts["unitary-1e10"] <= 2
+
+
 class TestOneKernel:
     """``recovered`` and ``universal_apply`` read one superoperator per pair,
-    formed by the first application and never by a map builder."""
+    formed by the first application; of the map builders, only
+    ``universal_recovery`` forms it."""
 
     def test_a_check_forms_the_kernel_once(self, monkeypatch):
         calls = []
@@ -692,7 +759,7 @@ class TestOneKernel:
             petz(sigma, chan),
             rotated_petz(sigma, chan, 0.7),
             *rotated_petz_family(sigma, chan, [-1.0, 0.0, 2.0]),
-            universal_recovery(sigma, chan, beta0_quadrature(33)),
+            quadrature_map(sigma, chan, beta0_quadrature(33)),
             phase_rotated_petz(sigma, chan, np.ones(n_out), np.ones(n_in)),
         ]
         assert all(isinstance(m, RecoveryMap) for m in maps)
@@ -968,14 +1035,14 @@ class TestWorkPerInstance:
         assert all(r.slack >= -1e-7 for r in results)
 
 
-def reference_concavity(ensemble, dims, rule):
+def reference_concavity(ensemble, dims):
     """``(lhs, rhs, member fidelities)`` of ``concavity_remainder`` from
     public per-member calls."""
     def cond(s):
         return von_neumann_entropy(s) - von_neumann_entropy(partial_trace(s, dims, keep=(1,)))
 
     avg = sum(w * s for w, s in ensemble)
-    rec = universal_recovery(avg, partial_trace_channel(dims, keep=(1,)), rule)
+    rec = universal_recovery(avg, partial_trace_channel(dims, keep=(1,)))
     fids = np.array([fidelity(s, rec.apply(partial_trace(s, dims, keep=(1,)))) for _, s in ensemble])
     lhs = cond(avg) - sum(w * cond(s) for w, s in ensemble)
     return lhs, -2.0 * np.log(sum(w * f for (w, _), f in zip(ensemble, fids))), fids
@@ -989,7 +1056,7 @@ def block_diagonal(blocks):
     return out
 
 
-def reference_joint(ensemble, rule):
+def reference_joint(ensemble):
     """``(lhs, rhs, member fidelities)`` of ``joint_convexity_remainder`` from
     public per-member calls, with ``rhs`` from ``F(rho_XA, rec)`` of the
     full labeled state."""
@@ -1000,7 +1067,7 @@ def reference_joint(ensemble, rule):
     lhs = sum(w * relative_entropy(r, s) for w, r, s in ensemble if w > 0)
     lhs -= relative_entropy(rho_avg, sigma_avg)
     sigma_xa = block_diagonal([w * s for w, s in zip(weights, sigmas)])
-    rec = universal_recovery(sigma_xa, partial_trace_channel((n, d), keep=(1,)), rule).apply(rho_avg)
+    rec = universal_recovery(sigma_xa, partial_trace_channel((n, d), keep=(1,))).apply(rho_avg)
     rhs = -2.0 * np.log(fidelity(block_diagonal([w * r for w, r in zip(weights, rhos)]), rec))
     fids = np.array([
         fidelity(r, rec[x * d : (x + 1) * d, x * d : (x + 1) * d] / w) if w > 0 else np.nan
@@ -1021,15 +1088,12 @@ def ensemble_regimes():
 
 class TestMixtureParity:
     """The stacked mixture checks against public per-member calls; the
-    checks read the exact universal map, so the reference map's rule is
-    fine enough to reach rounding."""
-
-    REFERENCE = beta0_quadrature(1025)
+    checks and the reference both read the exact universal map."""
 
     @pytest.mark.parametrize("case", list(ensemble_regimes()), ids=lambda c: c[0])
     def test_concavity(self, case):
         rep = concavity_remainder(case[1], (2, 3))
-        lhs, rhs, fids = reference_concavity(case[1], (2, 3), self.REFERENCE)
+        lhs, rhs, fids = reference_concavity(case[1], (2, 3))
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         assert rep.rhs == pytest.approx(rhs, abs=1e-12)
         np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
@@ -1042,7 +1106,7 @@ class TestMixtureParity:
             ensemble = [(w, s, np.diag(gen.dirichlet(np.ones(6))).astype(complex))
                         for w, s in case[1]]
         rep = joint_convexity_remainder(ensemble)
-        lhs, rhs, fids = reference_joint(ensemble, self.REFERENCE)
+        lhs, rhs, fids = reference_joint(ensemble)
         assert rep.lhs == pytest.approx(lhs, abs=1e-12)
         # the block sum of member fidelities against the full labeled state
         assert rep.rhs == pytest.approx(rhs, abs=1e-13)
@@ -1082,7 +1146,7 @@ class TestMixtureParity:
         rep = joint_convexity_remainder([inside, outside])
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf and rep.slack == np.inf
-        _, rhs, fids = reference_joint([inside, outside], self.REFERENCE)
+        _, rhs, fids = reference_joint([inside, outside])
         assert rep.rhs == pytest.approx(rhs, abs=1e-13)
         np.testing.assert_allclose(rep.member_fidelities, fids, rtol=0.0, atol=1e-12)
 
@@ -1118,10 +1182,8 @@ class TestSsaReshape:
             rep = ssa_remainder(rho, dims)
             rho_ab = partial_trace(rho, dims, keep=(0, 1))
             rho_bc = partial_trace(rho, dims, keep=(1, 2))
-            # the check reads the exact map; this rule reaches rounding
-            rec_map = universal_recovery(
-                rho_bc, partial_trace_channel((db, dc), keep=(0,)), beta0_quadrature(1025)
-            )
+            # the check reads the exact map
+            rec_map = universal_recovery(rho_bc, partial_trace_channel((db, dc), keep=(0,)))
             lifted = identity_channel(da).tensor(rec_map).apply(rho_ab)
             np.testing.assert_allclose(rep.recovered_state, lifted, rtol=0.0, atol=1e-14)
 

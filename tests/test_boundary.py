@@ -98,7 +98,7 @@ CASES = {
     "petz": lambda h: petz(h, CHAN),
     "rotated_petz": lambda h: rotated_petz(h, CHAN, 0.3),
     "rotated_petz_family": lambda h: rotated_petz_family(h, CHAN, GRID),
-    "universal_recovery": lambda h: universal_recovery(h, CHAN, RULE),
+    "universal_recovery": lambda h: universal_recovery(h, CHAN),
     "phase_rotated_petz": lambda h: phase_rotated_petz(h, CHAN, [0.1, 0.2], [0.1, 0.2, 0.3]),
     "count_eigenspaces": count_eigenspaces,
     "eigenspace_phase_unitary": lambda h: eigenspace_phase_unitary(h, [0.1, 0.2, 0.3]),

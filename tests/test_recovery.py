@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import quadrature_map
 from petzlab.channels import (
     Channel,
     channels_close,
@@ -208,10 +209,12 @@ class TestRotatedPetz:
 class TestUniversalRecovery:
     def test_is_one_channel(self, rng):
         sigma = random_density(3, rng)
-        rec = universal_recovery(sigma, random_channel(3, 2, 2, rng), beta0_quadrature(33))
+        chan = random_channel(3, 2, 2, rng)
+        rec = universal_recovery(sigma, chan)
         assert isinstance(rec, Channel)
         assert rec.mode == "tni"
-        assert rec.kraus.shape == (33 * 2, 3, 2)
+        # a rule's map holds every node's operators
+        assert quadrature_map(sigma, chan, beta0_quadrature(33)).kraus.shape == (33 * 2, 3, 2)
         # the tracer in bench/ wraps these two entries of the class itself
         assert {"__init__", "apply"} <= set(vars(RecoveryMap))
 
@@ -224,61 +227,52 @@ class TestUniversalRecovery:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(RecoveryMap, "__init__", counting_init)
-        universal_recovery(random_density(3, rng), random_channel(3, 3, 2, rng),
-                           beta0_quadrature(129))
-        assert calls == ["mixture"]
+        universal_recovery(random_density(3, rng), random_channel(3, 3, 2, rng))
+        assert calls == ["universal"]
 
     def test_perfect_reconstruction(self, rng):
-        rule = beta0_quadrature(65)
         sigma = random_density(4, rng)
         chan = random_channel(4, 3, 2, rng)
-        rec = universal_recovery(sigma, chan, rule)
+        rec = universal_recovery(sigma, chan)
         err = 2.0 * trace_distance(rec.apply(chan.apply(sigma)), sigma)
         assert err <= 1e-8
 
     def test_normalization(self, rng):
-        rule = beta0_quadrature(65)
         sigma = random_density(3, rng)
-        rec = universal_recovery(sigma, identity_channel(3), rule)
+        rec = universal_recovery(sigma, identity_channel(3))
         assert choi_distance(rec, identity_channel(3)) <= 1e-8
 
     def test_projects_outside_support(self, rng):
-        rule = beta0_quadrature(33)
         sigma = random_density(3, rng, ensemble="rank-k", rank=2)
-        rec = universal_recovery(sigma, identity_channel(3), rule)
+        rec = universal_recovery(sigma, identity_channel(3))
         pi = support_projector(sigma)
         x = random_density(3, rng)
         np.testing.assert_allclose(rec.apply(x), pi @ x @ pi, atol=1e-9)
 
     def test_stabilization(self, rng):
-        rule = beta0_quadrature(65)
         sigma = random_density(3, rng)
         tau = random_density(2, rng)
         chan = random_channel(3, 2, 2, rng)
-        big = universal_recovery(
-            tensor_product(sigma, tau), chan.tensor(identity_channel(2)), rule
-        )
-        small = universal_recovery(sigma, chan, rule)
+        big = universal_recovery(tensor_product(sigma, tau), chan.tensor(identity_channel(2)))
+        small = universal_recovery(sigma, chan)
         lifted = Channel(
             [tensor_product(k, np.eye(2)) for k in small.kraus], mode="tni"
         )
         assert choi_distance(big, lifted) <= 1e-8
 
     def test_trace_preserving_on_support(self, rng):
-        rule = beta0_quadrature(33)
         sigma = random_density(3, rng, ensemble="rank-k", rank=2)
         chan = random_channel(3, 2, 2, rng)
-        rec = universal_recovery(sigma, chan, rule)
+        rec = universal_recovery(sigma, chan)
         s = np.einsum("kij,kil->jl", rec.kraus.conj(), rec.kraus)
         np.testing.assert_allclose(
             s, support_projector(chan.apply(sigma)), atol=1e-9
         )
 
     def test_completely_positive(self, rng):
-        rule = beta0_quadrature(33)
         sigma = random_density(2, rng)
         chan = random_channel(2, 2, 2, rng)
-        rec = universal_recovery(sigma, chan, rule)
+        rec = universal_recovery(sigma, chan)
         low = float(np.min(np.linalg.eigvalsh(rec.choi())))
         assert low >= -1e-9
 
@@ -426,7 +420,7 @@ class TestTraceNonIncreaseBudget:
         sigma, chan = ill_conditioned_unitary_instance(dim, seed)
         out = chan.apply(sigma)
         maps = [petz(sigma, chan), rotated_petz(sigma, chan, 0.7),
-                universal_recovery(sigma, chan, beta0_quadrature(33))]
+                universal_recovery(sigma, chan), quadrature_map(sigma, chan, beta0_quadrature(33))]
         maps.append(convex_mixture(maps[:2], [0.5, 0.5]))
         for rec in maps:
             assert trace_distance(rec.apply(out), sigma) <= 1e-12

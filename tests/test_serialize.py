@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import petzlab
+from conftest import quadrature_map
 from petzlab.channels import random_channel, random_density
-from petzlab.recovery import beta0_quadrature, petz, universal_recovery
+from petzlab.recovery import beta0_quadrature, petz
 from petzlab.serialize import (
     atomic_write_text,
     channel_sha256,
@@ -89,7 +90,7 @@ class TestRecoveryFormat:
     def test_round_trip(self, rng):
         sigma = random_density(3, rng)
         chan = random_channel(3, 2, 2, rng)
-        rec = universal_recovery(sigma, chan, beta0_quadrature(9))
+        rec = quadrature_map(sigma, chan, beta0_quadrature(9))
         head = loads_recovery(dumps_recovery(rec))
         assert head["kind"] == "mixture"
         np.testing.assert_array_equal(head["kraus"], rec.kraus)
@@ -108,7 +109,7 @@ class TestRecoveryFormat:
 
 def _recovery_text():
     sigma, chan = random_density(2, 3), random_channel(2, 2, 2, 4)
-    return dumps_recovery(universal_recovery(sigma, chan, beta0_quadrature(3)))
+    return dumps_recovery(quadrature_map(sigma, chan, beta0_quadrature(3)))
 
 
 # one d = 2 file of each format and its loader

@@ -29,6 +29,7 @@ from petzlab.entropy import (
 )
 from petzlab.linalg import _psd_eigensystem, dagger, tensor_product
 from petzlab.recovery import (
+    RecoveryMap,
     beta0_density,
     beta0_quadrature,
     rotated_petz_family,
@@ -115,7 +116,7 @@ class TestDpiRemainder:
         # identical serialized bytes no matter which state is recovered later
         sigma = random_density(3, rng)
         chan = random_channel(3, 2, 2, rng)
-        rec = universal_recovery(sigma, chan, RULE65)
+        rec = universal_recovery(sigma, chan)
         before = dumps_recovery(rec)
         rec.apply(random_density(2, rng))
         rec.apply(random_density(2, rng))
@@ -634,8 +635,9 @@ class TestSweep:
 
 
 def deprecated_rule_cases():
-    """``(name, check, args, kwargs)`` of the five checks that read no rule;
-    a rule goes between ``args`` and ``kwargs``, as in a positional call."""
+    """``(name, check, args, kwargs)`` of the five checks and the map builder
+    that read no rule; a rule goes between ``args`` and ``kwargs``, as in a
+    positional call."""
     gen = np.random.default_rng(41)
     rho, sigma = random_density(4, gen), random_density(4, gen)
     members = [(w, random_density(4, gen)) for w in (0.3, 0.7)]
@@ -647,6 +649,7 @@ def deprecated_rule_cases():
            (three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 6), {"seed": 2})
     yield ("truncation_convergence", truncation_convergence,
            (rho, sigma, random_channel(4, 3, 2, gen), [1, 2, 4]), {"reference": sigma})
+    yield "universal_recovery", universal_recovery, (sigma, random_channel(4, 3, 2, gen)), {}
 
 
 def assert_bit_identical(got, want):
@@ -656,9 +659,16 @@ def assert_bit_identical(got, want):
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), key
 
 
+def fields(result):
+    """A check's report fields, or a map's file text."""
+    if isinstance(result, RecoveryMap):
+        return {"text": dumps_recovery(result)}
+    return dataclasses.asdict(result)
+
+
 class TestDeprecatedRule:
-    """A rule passed to a check that applies the exact universal map is not
-    read: it warns once, at the caller, and changes no field."""
+    """A rule passed to a function that applies or builds the exact universal
+    map is not read: it warns once, at the caller, and changes no field."""
 
     @pytest.mark.parametrize("case", list(deprecated_rule_cases()), ids=lambda c: c[0])
     def test_rule_warns_once_and_changes_nothing(self, case):
@@ -668,6 +678,6 @@ class TestDeprecatedRule:
             got = check(*args, RULE65, **kwargs)
         assert len(record) == 1
         assert record[0].filename == __file__
-        assert_bit_identical(dataclasses.asdict(got), dataclasses.asdict(want))
+        assert_bit_identical(fields(got), fields(want))
         with pytest.warns(DeprecationWarning, match=f"^{name}: the rule argument"):
             check(*args, rule=RULE129, **kwargs)
