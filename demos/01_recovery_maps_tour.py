@@ -11,7 +11,6 @@ untouched reference system.
 import numpy as np
 
 import petzlab as pl
-from petzlab.recovery import rotated_petz_family
 
 rng = np.random.default_rng(1)
 rule = pl.beta0_quadrature(129)
@@ -38,7 +37,7 @@ for t in (-2.0, 0.5, 3.0):
 universal = pl.universal_recovery(sigma, channel)
 err = 2 * pl.trace_distance(universal.apply(out_sigma), sigma)
 print(f"universal map ({len(universal.kraus)} Kraus operators): trace-norm error {err:.2e}")
-mixture = pl.convex_mixture(rotated_petz_family(sigma, channel, rule.nodes / 2), rule.weights)
+mixture = pl.convex_mixture(pl.rotated_petz_family(sigma, channel, rule.nodes / 2), rule.weights)
 dist = pl.choi_distance(universal, mixture)
 print(f"{len(rule)}-node mixture ({len(mixture.kraus)} operators): Choi distance {dist:.2e}")
 print(f"mixture weights sum to {mixture.weights.sum():.15f}")

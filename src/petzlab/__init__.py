@@ -62,6 +62,7 @@ from .recovery import (
     petz,
     phase_rotated_petz,
     rotated_petz,
+    rotated_petz_family,
     universal_recovery,
 )
 from .verify import (

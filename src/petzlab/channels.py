@@ -86,13 +86,19 @@ def random_density(
     return rho / np.trace(rho).real
 
 
-def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
+def _haar_isometry(rows: int, cols: int, seed) -> np.ndarray:
+    """Haar-distributed ``rows x cols`` isometry (``rows >= cols``) via
+    phase-fixed QR of a complex Gaussian."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
+    return _haar_isometry(dim, dim, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +313,7 @@ def random_channel(dim_in: int, dim_out: int, env_dim: int, seed) -> Channel:
             f"no isometry with dim_out * env_dim = {dim_out * env_dim} < "
             f"dim_in = {dim_in}"
         )
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim_out * env_dim, dim_in)) + 1j * rng.standard_normal(
-        (dim_out * env_dim, dim_in)
-    )
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    u = q * (d / np.abs(d))
-    blocks = u.reshape(dim_out, env_dim, dim_in)
+    blocks = _haar_isometry(dim_out * env_dim, dim_in, seed).reshape(dim_out, env_dim, dim_in)
     return Channel([blocks[:, k, :] for k in range(env_dim)])
 
 

@@ -423,5 +423,8 @@ def main(argv=None) -> int:
         return 3
 
 
+__all__ = ["build_parser", "main"]
+
+
 if __name__ == "__main__":
     sys.exit(main())

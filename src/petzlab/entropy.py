@@ -13,6 +13,7 @@ from .channels import Channel
 from .linalg import (
     SUPPORT_TOL,
     _checked,
+    _masked_log,
     _on_support,
     _power,
     _psd_eigensystem,
@@ -41,8 +42,7 @@ def nats_to_bits(x: float) -> float:
 def _von_neumann(vals):
     """Entropy of a clamped spectrum (``_psd_eigensystem``), a float, or of
     each spectrum of a stack along the last axis, an array."""
-    lam = np.where(vals > 0.0, vals, 1.0)  # 1 log 1 = 0 on the kernel
-    h = -np.sum(lam * np.log(lam), axis=-1)
+    h = -np.sum(vals * _masked_log(vals)[0], axis=-1)  # 0 log 0 = 0 on the kernel
     return float(h) if h.ndim == 0 else h
 
 

@@ -6,7 +6,8 @@ rank cutoff: eigenvalues below ``dim * eps * lambda_max`` are treated as
 exactly zero, so negative powers and logarithms are always taken on the
 support only (pseudo-inverse convention).  This module holds the whole
 numerical policy of the package: the rank cutoff (``rank_cutoff``), the
-PSD clamp (``_clamp_psd``) and the tolerances below.
+PSD clamp (``_clamp_psd``), the log of a spectrum on its support
+(``_masked_log``) and the tolerances below.
 
 Subsystem ordering is big-endian throughout: in ``kron(A, B)`` the first
 factor carries the most significant index.
@@ -157,6 +158,15 @@ def _psd_eigensystem(h: np.ndarray):
     return _clamp_psd(vals, rank_cutoff(vals)), vecs
 
 
+def _masked_log(vals):
+    """Natural log of a clamped spectrum (``_psd_eigensystem``; a stack of
+    spectra along the last axis allowed), 0 on the kernel, and the support
+    mask ``vals > 0``.  The one place a spectrum's log is taken on its
+    support: powers, phases and entropies of a spectrum read it."""
+    pos = vals > 0.0
+    return np.log(np.where(pos, vals, 1.0)), pos
+
+
 def _on_support(vals, vecs, f) -> np.ndarray:
     """``f`` on the positive part of a clamped eigensystem (one matrix or a
     stack), 0 on the kernel; ``f`` maps an array of positive eigenvalues
@@ -303,3 +313,26 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
         removed += 1
     d_keep = int(np.prod([dims[k] for k in keep], initial=1))
     return tensor.reshape(lead + (d_keep, d_keep))
+
+
+__all__ = [
+    "CLUSTER_TOL",
+    "HERM_TOL",
+    "MAX_TENSOR_DIM",
+    "SUPPORT_TOL",
+    "SpectralDecomposition",
+    "dagger",
+    "eig_hermitian",
+    "fun_on_support",
+    "hermiticity_residual",
+    "imaginary_power",
+    "log_on_support",
+    "partial_trace",
+    "power_on_support",
+    "rank_cutoff",
+    "schatten_norm",
+    "sqrtm_psd",
+    "support_projector",
+    "tensor_product",
+    "trace_norm_hermitian",
+]

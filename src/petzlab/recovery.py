@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import Channel
-from .linalg import _checked, _eigenspaces, _psd_eigensystem, _reconstruct
+from .linalg import _checked, _eigenspaces, _masked_log, _psd_eigensystem, _reconstruct
 
 _TNI_TOL = 1e-9
 
@@ -206,9 +206,9 @@ class _PetzFactory:
     @staticmethod
     def _powers(vals, exponents) -> np.ndarray:
         """The ``(T, d)`` diagonals of ``h**z`` for every ``z`` in the eigenbasis
-        of ``h`` (clamped spectrum ``vals``), 0 on the kernel."""
-        pos = vals > 0.0
-        logs = np.log(vals[pos])
+        of ``h`` (clamped spectrum ``vals``), 0 on the kernel by the rule of
+        ``linalg._masked_log``."""
+        logs, pos = _masked_log(vals)
         # a real exponent (t = 0, the Renyi term) takes the real exp, which may
         # differ in the last bit from the complex one
         real = exponents.imag == 0.0
@@ -217,11 +217,8 @@ class _PetzFactory:
         else:
             powers = np.exp(np.multiply.outer(exponents, logs))
             powers[real] = np.exp(np.multiply.outer(exponents[real].real, logs))
-        if pos.all():
-            return powers
-        f = np.zeros((len(exponents), len(pos)), dtype=complex)
-        f[:, pos] = powers
-        return f
+        powers[:, ~pos] = 0.0
+        return powers
 
     def _diagonals(self, ts):
         """``a_t = N(sigma)^{-1/2 + it}`` and ``c_t = sigma^{1/2 - it}`` at every ``t``
@@ -275,15 +272,6 @@ class _PetzFactory:
         z = a.reshape(len(a), z.shape[-1]) * z[..., None, :]
         return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
-    @staticmethod
-    def _half_logs(vals):
-        """``log(vals) / 2`` on the support of the clamped spectrum ``vals``,
-        0 on the kernel, and the support mask."""
-        pos = vals > 0.0
-        half = np.zeros(len(vals))
-        half[pos] = 0.5 * np.log(vals[pos])
-        return half, pos
-
     def universal_phases(self) -> np.ndarray:
         """The exact universal map's phases, the ``(m m, n n)`` array
         ``lam_i^{1/2} lam_j^{1/2} mu_p^{-1/2} mu_q^{-1/2} g(Delta_{ijpq} / 2)``.
@@ -295,9 +283,10 @@ class _PetzFactory:
         phases of ``_phases`` at every ``t / 2``, in closed form.  Entries on
         the kernel of ``sigma`` or ``N(sigma)`` are 0.  Positive eigenvalues lie
         above the rank cutoff, so ``|Delta / 2| < 40`` and ``sinh`` is finite.
+        The logs, 0 on the kernels, come from ``linalg._masked_log``.
         """
-        hs, ps = self._half_logs(self.s_sys[0])
-        hm, pm = self._half_logs(self.m_sys[0])
+        (ls, ps), (lm, pm) = _masked_log(self.s_sys[0]), _masked_log(self.m_sys[0])
+        hs, hm = 0.5 * ls, 0.5 * lm
         amp_s = np.where(ps, np.exp(hs), 0.0)
         amp_m = np.where(pm, np.exp(-hm), 0.0)
         h = np.subtract.outer(np.subtract.outer(hs, hs).ravel(), np.subtract.outer(hm, hm).ravel())

@@ -532,9 +532,8 @@ def finite_set_recovery_search(
     values, worst = objective(starts)
     # the first start within rounding of the best, so ties do not jump between starts
     b = int(np.argmax(values >= np.max(values) - 1e-14))
-    best_w, best_f, active = starts[b], float(values[b]), int(worst[b])
-
-    w, f_cur = best_w.copy(), best_f
+    # the loop moves only on a strict gain, so w is always the best point seen
+    w, f_cur, active = starts[b], float(values[b]), int(worst[b])
     step = 0.5
     delta = 1e-4
     diagonal = np.diag_indices(len(t_grid))
@@ -556,16 +555,12 @@ def finite_set_recovery_search(
             step /= 4.0
             if step < 1e-4:
                 break
-        if f_cur > best_f:
-            best_f, best_w = f_cur, w.copy()
 
     # the mixture's Kraus stack: each node's operators scaled by sqrt(w)
-    keep = best_w != 0.0
-    ops = pair.kraus_stack(t_grid[keep], best_w[keep]).reshape(-1, channel.dim_in, channel.dim_out)
-    mixture = pair.recovery_map("mixture", ops, nodes=t_grid, weights=best_w)
-    return SearchResult(
-        recovery=mixture, min_slack=best_f, weights=best_w, t_grid=t_grid
-    )
+    keep = w != 0.0
+    ops = pair.kraus_stack(t_grid[keep], w[keep]).reshape(-1, channel.dim_in, channel.dim_out)
+    mixture = pair.recovery_map("mixture", ops, nodes=t_grid, weights=w)
+    return SearchResult(recovery=mixture, min_slack=f_cur, weights=w, t_grid=t_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from petzlab.channels import (
     Channel,
+    assert_positive,
     bit_flip_channel,
     channels_close,
     choi_distance,
@@ -53,6 +54,24 @@ class TestChannelValidation:
         chan = identity_channel(2)
         with pytest.raises(ValueError, match="dim_in"):
             chan.apply(np.eye(3))
+
+
+class TestAssertPositive:
+    def test_accepts_psd_and_rounding_negativity(self, rng):
+        # -5e-11 lies inside the absolute slack DEFAULT_ATOL = 1e-10
+        for mat in (random_density(3, rng), np.diag([1.0, 0.0, -5e-11])):
+            out = assert_positive(mat)
+            assert out.dtype == complex
+            np.testing.assert_array_equal(out, mat)
+
+    def test_slack_scales_with_the_largest_eigenvalue(self):
+        assert_positive(np.diag([100.0, -5e-9]))
+        with pytest.raises(ValueError, match="not PSD: minimum eigenvalue -5.000e-09"):
+            assert_positive(np.diag([1.0, -5e-9]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            assert_positive(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestApply:

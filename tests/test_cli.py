@@ -7,8 +7,14 @@ import pytest
 
 from petzlab.channels import identity_channel, random_channel, random_density
 from petzlab.cli import main
-from petzlab.serialize import parse_structured, parse_table, save_channel, save_state
-from petzlab.verify import SweepConfig, sweep
+from petzlab.serialize import (
+    load_state,
+    parse_structured,
+    parse_table,
+    save_channel,
+    save_state,
+)
+from petzlab.verify import SweepConfig, ssa_remainder, sweep
 
 
 def run(args):
@@ -219,6 +225,23 @@ class TestVerifySsa:
     def test_random(self):
         assert run(["verify-ssa", "--random", "2", "--seed", "2"]) == 0
 
+    def test_state_file_with_dims(self, tmp_path, capsys):
+        rho = random_density(12, np.random.default_rng(3))
+        save_state(str(tmp_path / "abc.txt"), rho)
+        report = tmp_path / "ssa.txt"
+        assert run(["verify-ssa", "--state", str(tmp_path / "abc.txt"), "--state-dims", "2,3,2",
+                    "-o", str(report)]) == 0
+        [row] = parse_structured((tmp_path / "ssa.txt.summary").read_text())["rows"]
+        rep = ssa_remainder(load_state(str(tmp_path / "abc.txt")), (2, 3, 2))
+        assert row == {"instance": "file", "dim_a": 2, "dim_b": 3, "dim_c": 2,
+                       "lhs": rep.cmi, "rhs": rep.rhs, "slack": rep.slack}
+        assert "[file] lhs:" in capsys.readouterr().out
+
+    def test_state_dims_must_match_the_state(self, tmp_path):
+        save_state(str(tmp_path / "abc.txt"), random_density(12, np.random.default_rng(3)))
+        assert run(["verify-ssa", "--state", str(tmp_path / "abc.txt"),
+                    "--state-dims", "2,2,2"]) == 2
+
 
     def test_random_rows_match_sweep(self, tmp_path, capsys):
         report = tmp_path / "ssa.txt"
@@ -335,6 +358,16 @@ class TestSweep:
         config = tmp_path / "bad.json"
         config.write_text("not json at all {")
         assert run(["sweep", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_config_boolean_key_is_a_switch(self, tmp_path, flag):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"count": 2, "nodes": 33, "timings": flag}))
+        out = tmp_path / "t.txt"
+        assert run(["sweep", "--config", str(config), "-o", str(out)]) == 0
+        header = out.read_text().splitlines()[1]
+        assert ("wall_time" in header) is flag
+        assert len(parse_table(out.read_text())) == 2
 
     def test_timings_column_optional(self, tmp_path):
         out = tmp_path / "t.txt"

@@ -21,6 +21,7 @@ from petzlab import recovery
 from petzlab.entropy import trace_distance
 from petzlab.linalg import _checked, dagger, sqrtm_psd, support_projector, tensor_product
 from petzlab.recovery import (
+    QuadratureRule,
     RecoveryMap,
     beta0_density,
     beta0_quadrature,
@@ -97,6 +98,24 @@ class TestQuadrature:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError, match="nodes"):
             beta0_quadrature(2)
+
+    @pytest.mark.parametrize("nodes, weights, message", [
+        ([0.0, 1.0], [1.0], "matching 1-d arrays"),
+        ([[0.0, 1.0]], [[0.5, 0.5]], "matching 1-d arrays"),
+        ([1.0, 0.0], [0.5, 0.5], "strictly increasing"),
+        ([0.0, np.inf], [0.5, 0.5], "finite and strictly increasing"),
+        ([0.0, 1.0], [1.5, -0.5], "positive"),
+        ([0.0, 1.0], [0.5, 0.4], "sum to one"),
+    ])
+    def test_rule_validation(self, nodes, weights, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(nodes, weights)
+
+    def test_rule_keeps_float_arrays(self):
+        rule = QuadratureRule([-1, 0, 1], [0.25, 0.5, 0.25])
+        assert rule.nodes.dtype == rule.weights.dtype == float
+        assert len(rule) == 3
+        assert rule.integrate(rule.nodes**2) == 0.5
 
 
 class TestPetz:
@@ -393,6 +412,21 @@ class TestConvexMixture:
         base = petz(sigma, chan)
         with pytest.raises(ValueError, match="weights"):
             convex_mixture([base, base], [0.7, 0.7])
+
+    def test_needs_a_component(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            convex_mixture([], [])
+
+    def test_one_weight_per_component(self, rng):
+        base = petz(random_density(2, rng), identity_channel(2))
+        with pytest.raises(ValueError, match="one weight per component"):
+            convex_mixture([base, base], [1.0])
+
+    def test_components_share_spaces(self, rng):
+        square = petz(random_density(2, rng), identity_channel(2))
+        wide = petz(random_density(2, rng), random_channel(2, 3, 1, rng))
+        with pytest.raises(ValueError, match="different spaces"):
+            convex_mixture([square, wide], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, rng, bad):

@@ -17,6 +17,7 @@ from petzlab.serialize import (
     emit_structured,
     emit_table,
     load_channel,
+    load_recovery,
     load_state,
     loads_channel,
     loads_recovery,
@@ -24,6 +25,7 @@ from petzlab.serialize import (
     parse_structured,
     parse_table,
     save_channel,
+    save_recovery,
     save_state,
     state_sha256,
 )
@@ -96,6 +98,19 @@ class TestRecoveryFormat:
         np.testing.assert_array_equal(head["kraus"], rec.kraus)
         np.testing.assert_array_equal(head["tnodes"], rec.nodes)
         np.testing.assert_array_equal(head["weights"], rec.weights)
+        assert head["sigma_sha256"] == state_sha256(sigma)
+        assert head["channel_sha256"] == channel_sha256(chan)
+
+    def test_file_round_trip(self, rng, tmp_path):
+        sigma = random_density(3, rng)
+        chan = random_channel(3, 2, 2, rng)
+        rec = petz(sigma, chan)
+        path = tmp_path / "petz.txt"
+        save_recovery(str(path), rec)
+        assert path.read_text() == dumps_recovery(rec)
+        head = load_recovery(str(path))
+        assert head["kind"] == "petz"
+        assert head["kraus"].tobytes() == rec.kraus.tobytes()
         assert head["sigma_sha256"] == state_sha256(sigma)
         assert head["channel_sha256"] == channel_sha256(chan)
 

@@ -315,6 +315,18 @@ def syndrome_decoder_for_bit_flip():
 
 
 class TestQec:
+    def test_one_dimensional_code(self):
+        # every sample is the one code state, which the universal map
+        # recovers exactly: gap 0 and fidelity 1 up to rounding
+        rep = qec_analyze(pure_state([0.0, 1.0, 0.0]), random_channel(3, 3, 2, 5), 4)
+        assert rep.dim_code == 1
+        np.testing.assert_allclose(rep.gaps, 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rep.fidelities, 1.0, rtol=0, atol=1e-12)
+        assert abs(rep.forward_bound - 1.0) <= 1e-15
+        # log(dim_code) = 0, so the converse bound is the binary entropy alone
+        assert 0.0 <= rep.converse_bound <= 1e-4
+        assert rep.forward_ok and rep.converse_ok
+
     def test_unitary_channel_tight(self, rng):
         pi = three_qubit_bit_flip_code()
         chan = unitary_channel(random_unitary(8, rng))
