@@ -325,12 +325,13 @@ def renyi_delta(rho: np.ndarray, sigma: np.ndarray, channel: Channel, alpha: flo
     (x) id_E) U sigma^{(1-a)/2a} rho^{1/2} ||_{2a}`` in nats, with ``U`` an
     isometric extension of the channel and every fractional power taken on
     the support.  As ``alpha -> 1`` this approaches
-    ``D(rho||sigma) - D(N(rho)||N(sigma))``.
+    ``D(rho||sigma) - D(N(rho)||N(sigma))``.  ``alpha`` is finite, at least
+    1/2 (the ``2a``-norm is a norm) and not 1.
     """
     if alpha == 1.0:
         raise ValueError("alpha = 1 is excluded; use the entropy difference")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.5 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and at least 1/2, got {alpha}")
     rho, pair = _checked(rho), _PetzFactory(_checked(sigma), channel)
     return _renyi_delta(rho, _psd_eigensystem(rho), channel.apply(rho), pair, [alpha])[0]
 

@@ -37,12 +37,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def rank_cutoff(eigenvalues: np.ndarray):
+def rank_cutoff(eigenvalues: np.ndarray, *, dim: int | None = None):
     """Absolute cutoff ``d * eps * max(|lambda|)`` below which eigenvalues
     count as zero; a stack of spectra (eigenvalues along the last axis)
-    gives one cutoff per spectrum."""
+    gives one cutoff per spectrum.
+
+    ``d`` is the number of eigenvalues, or ``dim`` when they are the spectrum
+    of a Gram matrix ``W^dag W`` standing in for the ``dim``-dimensional
+    ``W W^dag``, whose spectrum it shares off 0.
+    """
     lam_max = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
-    cut = eigenvalues.shape[-1] * _EPS * lam_max
+    cut = (eigenvalues.shape[-1] if dim is None else dim) * _EPS * lam_max
     return float(cut) if np.ndim(cut) == 0 else cut
 
 
@@ -143,16 +148,18 @@ def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
     return np.where(vals <= cut, 0.0, vals)
 
 
-def _psd_eigensystem(h: np.ndarray):
+def _psd_eigensystem(h: np.ndarray, dim: int | None = None):
     """Eigenvalues (descending) and eigenvectors of a PSD matrix or a
     ``(T, d, d)`` stack, eigenvalues clamped by the rule of ``_clamp_psd``.
 
     Computes no hermiticity residual: callers pass matrices they checked
-    or built.  A single matrix goes through ``eig_hermitian``.
+    or built.  A single matrix goes through ``eig_hermitian``; ``dim`` is
+    ``rank_cutoff``'s, for a matrix that stands in for a larger one.
     """
     if h.ndim == 2:
         dec = eig_hermitian(h, herm_tol=np.inf)
-        return _clamp_psd(dec.eigenvalues, dec.cutoff), dec.eigenvectors
+        cut = dec.cutoff if dim is None else rank_cutoff(dec.eigenvalues, dim=dim)
+        return _clamp_psd(dec.eigenvalues, cut), dec.eigenvectors
     vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     return _clamp_psd(vals, rank_cutoff(vals)), vecs

@@ -3,7 +3,8 @@
 The universal map is the mixture ``int beta0(t) R_{t/2} dt`` of rotated Petz
 maps with density ``beta0(t) = (pi/2) / (cosh(pi t) + 1)``.  It is formed
 exactly, in closed form (``_PetzFactory.universal_kernel``): the checks
-apply it, and ``universal_recovery`` returns its Kraus form.  Quadrature
+apply it, and ``universal_recovery`` returns its Kraus form, built from a
+thin factor of its Choi matrix (``_PetzFactory.universal_kraus``).  Quadrature
 rules discretize ``beta0`` where a logarithm sits inside the integral;
 ``convex_mixture`` of a ``rotated_petz_family`` gives a rule's mixture.
 """
@@ -157,6 +158,35 @@ class RecoveryMap(Channel):
     apply = Channel.apply
 
 
+def _g(h):
+    """``g(h) = h / sinh h``, 1 at 0: the Fourier transform of ``beta0``."""
+    return np.divide(h, np.sinh(h), out=np.ones_like(h), where=h != 0.0)
+
+
+def _pivoted_cholesky(x, tol: float, max_rank: int):
+    """Thin factor ``F``, ``(r, len(x))``, with ``F^T F`` equal within ``tol``
+    to the PSD matrix ``G_ab = g(x_a - x_b)`` (``g`` is the Fourier transform
+    of ``beta0 >= 0``), or ``None`` if that takes more than ``max_rank``
+    columns.
+
+    Greedy: each step pivots on the largest residual diagonal, forms that
+    one column of ``G`` and stops once every residual diagonal is at or
+    below ``tol``; ``G`` is never formed.
+    """
+    f, resid = np.empty((max_rank, len(x))), np.ones(len(x))
+    for r in range(max_rank + 1):
+        a = int(resid.argmax())
+        if resid[a] <= tol:
+            return f[:r]
+        if r == max_rank:
+            return None
+        col = _g(x - x[a]) - f[:r, a] @ f[:r]
+        col /= np.sqrt(resid[a])
+        f[r] = col
+        resid -= col * col
+        resid[a] = 0.0
+
+
 class _PetzFactory:
     """The reference pair of a check: ``sigma``, ``N(sigma)``, their clamped
     eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``) and the channel
@@ -171,9 +201,10 @@ class _PetzFactory:
     ``recovered`` applies it at every node.  ``universal_apply`` applies the
     exact universal map ``int beta0(t) R_{t/2} dt``: the integral over the
     nodes is folded into one closed-form phase array, ``universal_phases``, so
-    it reads no rule.  ``T`` is formed at most once, by the first application
-    or by ``universal_recovery``, which reads ``universal_kernel``; the other
-    map builders read only ``cores``.
+    it reads no rule.  ``T`` is formed at most once, by the first application;
+    the map builders never form it.  ``universal_kraus`` builds the exact map's
+    Kraus form from ``B_k`` and a pivoted Cholesky factor of the phases'
+    smooth part ``g``; the other builders read ``cores``.
 
     ``tni_budget`` is the trace-non-increase tolerance of the pair's maps:
     ``N(sigma)^{-1/2}`` amplifies the rounding of the small eigenvalues of
@@ -272,26 +303,31 @@ class _PetzFactory:
         z = a.reshape(len(a), z.shape[-1]) * z[..., None, :]
         return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
+    def _log_amplitudes(self):
+        """``(h, amp)`` of ``sigma`` and of ``N(sigma)``: the half logs of the
+        clamped spectra ``lam`` and ``mu`` (``linalg._masked_log``, 0 on the
+        kernels) and the diagonals ``lam^{1/2}`` and ``mu^{-1/2}``, 0 on the
+        kernels."""
+        (ls, ps), (lm, pm) = _masked_log(self.s_sys[0]), _masked_log(self.m_sys[0])
+        hs, hm = 0.5 * ls, 0.5 * lm
+        return (hs, np.where(ps, np.exp(hs), 0.0)), (hm, np.where(pm, np.exp(-hm), 0.0))
+
     def universal_phases(self) -> np.ndarray:
         """The exact universal map's phases, the ``(m m, n n)`` array
         ``lam_i^{1/2} lam_j^{1/2} mu_p^{-1/2} mu_q^{-1/2} g(Delta_{ijpq} / 2)``.
 
         ``lam`` and ``mu`` are the clamped spectra of ``sigma`` and
         ``N(sigma)``, ``Delta_{ijpq} = log lam_i - log lam_j - log mu_p + log
-        mu_q`` and ``g(h) = h / sinh h``, the Fourier transform of ``beta0``:
-        ``int beta0(t) exp(-i t Delta / 2) dt`` is the rule's node sum of the
-        phases of ``_phases`` at every ``t / 2``, in closed form.  Entries on
-        the kernel of ``sigma`` or ``N(sigma)`` are 0.  Positive eigenvalues lie
-        above the rank cutoff, so ``|Delta / 2| < 40`` and ``sinh`` is finite.
-        The logs, 0 on the kernels, come from ``linalg._masked_log``.
+        mu_q`` and ``g(h) = h / sinh h`` (``_g``), the Fourier transform of
+        ``beta0``: ``int beta0(t) exp(-i t Delta / 2) dt`` is the rule's node
+        sum of the phases of ``_phases`` at every ``t / 2``, in closed form.
+        Entries on the kernel of ``sigma`` or ``N(sigma)`` are 0.  Positive
+        eigenvalues lie above the rank cutoff, so ``|Delta / 2| < 40`` and
+        ``sinh`` is finite.  The logs and amplitudes come from ``_log_amplitudes``.
         """
-        (ls, ps), (lm, pm) = _masked_log(self.s_sys[0]), _masked_log(self.m_sys[0])
-        hs, hm = 0.5 * ls, 0.5 * lm
-        amp_s = np.where(ps, np.exp(hs), 0.0)
-        amp_m = np.where(pm, np.exp(-hm), 0.0)
+        (hs, amp_s), (hm, amp_m) = self._log_amplitudes()
         h = np.subtract.outer(np.subtract.outer(hs, hs).ravel(), np.subtract.outer(hm, hm).ravel())
-        g = np.divide(h, np.sinh(h), out=np.ones_like(h), where=h != 0.0)
-        return np.outer(np.outer(amp_s, amp_s), np.outer(amp_m, amp_m)) * g
+        return np.outer(np.outer(amp_s, amp_s), np.outer(amp_m, amp_m)) * _g(h)
 
     @cached_property
     def universal_kernel(self) -> np.ndarray:
@@ -317,6 +353,44 @@ class _PetzFactory:
         """
         vs = self.s_sys[1]
         return vs @ self._universal(self._rotate_input(x)) @ vs.conj().T
+
+    def universal_kraus(self) -> np.ndarray:
+        """Kraus operators of the exact universal map in the eigenbases of
+        the pair, ``(r, m, n)``, from a thin factor of its Choi matrix.
+
+        On the ``(i p)`` index, with ``b_k = vec B_k``, ``D = diag(lam_i^{1/2}
+        mu_p^{-1/2})`` and ``x_ip = (log lam_i - log mu_p) / 2`` (both from
+        ``_log_amplitudes``, 0 on the kernels), the Choi matrix of
+        ``universal_kernel`` is ``C = D (G * sum_k b_k b_k^dag) D``, with ``*``
+        entrywise and ``G_{(ip),(jq)} = g(x_ip - x_jq)``.  On the support of
+        ``D``, of size ``s``, ``G = F^T F`` within ``m n eps``
+        (``_pivoted_cholesky``), so ``C = W W^dag`` with ``W = [D diag(b_k)
+        F^T]_k``, ``(s, k r)``; the Kraus vectors are ``W v`` for the
+        eigenpairs of the small ``W^dag W``.  When ``k r`` would reach ``s``,
+        the factor is dropped and ``C`` itself is decomposed instead, ``sqrt(c)
+        u`` for its eigenpairs.  Either way eigenvalues at or below the rank
+        cutoff ``m n eps c_max`` of ``C`` are dropped, so there are at most
+        ``m n`` operators, and neither ``kernel`` nor ``universal_phases`` is
+        formed.
+        """
+        m, n = len(self.sigma), len(self.n_sigma)
+        (hs, amp_s), (hm, amp_m) = self._log_amplitudes()
+        amp = np.outer(amp_s, amp_m).ravel()
+        on = np.flatnonzero(amp)
+        x = np.subtract.outer(hs, hm).ravel()[on]
+        db = amp[on] * self.b.reshape(len(self.b), m * n)[:, on]
+        f = _pivoted_cholesky(x, m * n * np.finfo(float).eps, (len(on) - 1) // len(db))
+        if f is None:
+            vals, u = _psd_eigensystem(_g(np.subtract.outer(x, x)) * (db.T @ db.conj()), dim=m * n)
+            keep = vals > 0.0
+            cols = np.sqrt(vals[keep]) * u[:, keep]
+        else:
+            w = (db[:, :, None] * f.T).swapaxes(0, 1).reshape(len(on), -1)
+            vals, v = _psd_eigensystem(w.conj().T @ w, dim=m * n)
+            cols = w @ v[:, vals > 0.0]
+        vecs = np.zeros((m * n, cols.shape[1]), dtype=complex)
+        vecs[on] = cols
+        return vecs.T.reshape(-1, m, n)
 
     def recovery_map(self, kind: str, ops, **meta) -> RecoveryMap:
         """The ``RecoveryMap`` of the pair with the ``(k, d_in, d_out)`` Kraus
@@ -367,23 +441,22 @@ def universal_recovery(sigma: np.ndarray, channel: Channel,
     ``(sigma, channel)``, of kind ``"universal"``.
 
     Depends only on ``sigma`` and the channel.  Its Kraus operators are
-    ``V_sigma sqrt(s_r) v_r V_N^dag`` from the eigenpairs of the Choi matrix
-    ``C_{(i p), (j q)}`` of ``universal_kernel``; eigenvalues at or below the
-    rank cutoff of ``_psd_eigensystem`` are dropped, so there are at most
-    ``d_in d_out``.  A rule's mixture is ``convex_mixture(rotated_petz_family(
-    sigma, channel, rule.nodes / 2), rule.weights)``.
+    ``V_sigma K_r V_N^dag`` for the ``K_r`` of ``_PetzFactory.universal_kraus``:
+    the Choi matrix ``C = W W^dag`` of ``universal_kernel`` is taken through a
+    thin factor ``W``, from a pivoted Cholesky factor of the phases, and the
+    eigenpairs of the small Gram matrix ``W^dag W`` (of ``C`` itself when the
+    factor is not thinner).  Eigenvalues at or below the rank cutoff ``d_in
+    d_out eps lambda_max`` of ``C`` are dropped, so there are at most ``d_in
+    d_out``.  A rule's mixture is ``convex_mixture(rotated_petz_family(sigma,
+    channel, rule.nodes / 2), rule.weights)``.
 
     ``rule`` is deprecated: a rule is not read, and passing one raises a
     ``DeprecationWarning``.
     """
     _unread_rule(rule, "universal_recovery")
     pair = _PetzFactory(_checked(sigma), channel)
-    m, n = len(pair.sigma), len(pair.n_sigma)
-    choi = pair.universal_kernel.reshape(m, m, n, n).swapaxes(1, 2).reshape(m * n, m * n)
-    vals, vecs = _psd_eigensystem(choi)
-    keep = vals > 0.0
-    ops = (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, m, n)
-    return pair.recovery_map("universal", pair.s_sys[1] @ ops @ pair.m_sys[1].conj().T)
+    ops = pair.s_sys[1] @ pair.universal_kraus() @ pair.m_sys[1].conj().T
+    return pair.recovery_map("universal", ops)
 
 
 def _eigenspace_phases(vals, phases) -> np.ndarray:

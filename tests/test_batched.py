@@ -603,6 +603,19 @@ def patch_kernel(monkeypatch, form):
     monkeypatch.setattr(recovery._PetzFactory, "kernel", prop)
 
 
+def record_eigensystems(monkeypatch):
+    """The shapes of the matrices ``recovery`` decomposes, in call order."""
+    shapes = []
+    original = recovery._psd_eigensystem
+
+    def record(h, *args, **kwargs):
+        shapes.append(h.shape)
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "_psd_eigensystem", record)
+    return shapes
+
+
 class TestExactUniversalMap:
     """``universal_apply`` is the exact map ``int beta0(t) R_{t/2} dt``: the
     closed-form phases ``universal_phases`` times the pair's kernel."""
@@ -670,8 +683,8 @@ class TestExactUniversalMap:
 
 
 class TestUniversalRecoveryMap:
-    """``universal_recovery`` returns the exact universal map as a Kraus map:
-    the eigenpairs of the Choi matrix of ``universal_kernel``."""
+    """``universal_recovery`` returns the exact universal map as a Kraus map,
+    from a thin factor of the Choi matrix of ``universal_kernel``."""
 
     REFERENCE = beta0_quadrature(1025)
 
@@ -706,7 +719,7 @@ class TestUniversalRecoveryMap:
             assert head["kraus"].tobytes() == rec.kraus.tobytes(), name
             assert head["kraus"].shape == rec.kraus.shape
 
-    def test_forms_the_kernel_once_and_no_node_phase(self, monkeypatch):
+    def test_forms_no_kernel_and_no_phase(self, monkeypatch):
         kernels = []
 
         def form(pair, original):
@@ -719,7 +732,16 @@ class TestUniversalRecoveryMap:
         closed = counting(monkeypatch, "universal_phases", (recovery._PetzFactory,))
         _, sigma, chan = random_dpi_instance(13)
         universal_recovery(sigma, chan)
-        assert (len(kernels), len(nodes), len(powers), len(closed)) == (1, 0, 0, 1)
+        assert (len(kernels), len(nodes), len(powers), len(closed)) == (0, 0, 0, 0)
+        # a thin factor, k r < m n: the one eigh past sigma's and N(sigma)'s is
+        # of the Gram matrix, k r by k r
+        shapes = record_eigensystems(monkeypatch)
+        gen = np.random.default_rng(2208)
+        chan = random_channel(8, 8, 2, gen)
+        rec = universal_recovery(random_density(8, gen), chan)
+        assert shapes[:2] == [(8, 8), (8, 8)] and len(shapes) == 3
+        kr = shapes[2][0]
+        assert shapes[2] == (kr, kr) and kr % 2 == 0 and len(rec.kraus) <= kr < 64
 
     def test_isometric_and_unitary_channels_need_few_operators(self):
         counts = {name: len(universal_recovery(sigma, chan).kraus)
@@ -728,10 +750,72 @@ class TestUniversalRecoveryMap:
         assert counts["unitary-1e10"] <= 2
 
 
+def dense_universal_kraus(pair):
+    """The exact map's Kraus form in the pair's eigenbases from the eigenpairs
+    of the whole ``(m n, m n)`` Choi matrix of ``universal_kernel``."""
+    m, n = len(pair.sigma), len(pair.n_sigma)
+    choi = pair.universal_kernel.reshape(m, m, n, n).swapaxes(1, 2).reshape(m * n, m * n)
+    vals, vecs = _psd_eigensystem(choi)
+    keep = vals > 0.0
+    return (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, m, n)
+
+
+def redundant_channel(gen):
+    """A 3 -> 3 channel whose two Kraus operators are each repeated five
+    times, so ``k = 10`` exceeds ``d_in d_out = 9``."""
+    kraus = random_channel(3, 3, 2, gen).kraus
+    return Channel(list(np.repeat(kraus, 5, axis=0) / np.sqrt(5.0)))
+
+
+def factor_cases():
+    """``(name, sigma, channel)`` for the factored build against the dense one."""
+    for name, sigma, chan, _ in exact_map_regimes():
+        yield name, sigma, chan
+    gen = np.random.default_rng(1622)
+    for d in (6, 8, 12, 16):
+        for env in (1, 2, 3):
+            yield f"random-{d}-env{env}", random_density(d, gen), random_channel(d, d, env, gen)
+    yield "redundant", random_density(3, gen), redundant_channel(gen)
+
+
+class TestFactoredUniversalKraus:
+    """``universal_recovery`` through a thin factor of the Choi matrix gives
+    the map of the dense eigendecomposition: the same Kraus count and the
+    same Choi matrix within 1e-13 relative."""
+
+    @staticmethod
+    def assert_dense_parity(sigma, chan, label):
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        dense = pair.s_sys[1] @ dense_universal_kraus(pair) @ pair.m_sys[1].conj().T
+        got = universal_recovery(sigma, chan).kraus
+        assert len(got) == len(dense), label
+
+        def choi(ops):
+            vecs = ops.reshape(len(ops), -1)
+            return vecs.T @ vecs.conj()
+
+        want = choi(dense)
+        assert np.linalg.norm(choi(got) - want) <= 1e-13 * np.linalg.norm(want), label
+
+    @pytest.mark.parametrize("case", list(factor_cases()), ids=lambda c: c[0])
+    def test_matches_the_dense_choi_eigensystem(self, case):
+        self.assert_dense_parity(*case[1:], case[0])
+
+    def test_sweep_draws(self):
+        for seed in range(100):
+            _, sigma, chan = random_dpi_instance(seed)
+            self.assert_dense_parity(sigma, chan, seed)
+
+    def test_redundant_kraus_list_decomposes_the_choi_matrix(self, monkeypatch):
+        shapes = record_eigensystems(monkeypatch)
+        gen = np.random.default_rng(1622)
+        universal_recovery(random_density(3, gen), redundant_channel(gen))
+        assert shapes == [(3, 3), (3, 3), (9, 9)]
+
+
 class TestOneKernel:
     """``recovered`` and ``universal_apply`` read one superoperator per pair,
-    formed by the first application; of the map builders, only
-    ``universal_recovery`` forms it."""
+    formed by the first application; no map builder forms it."""
 
     def test_a_check_forms_the_kernel_once(self, monkeypatch):
         calls = []

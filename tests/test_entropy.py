@@ -412,6 +412,12 @@ class TestRenyiDelta:
         with pytest.raises(ValueError, match="alpha"):
             renyi_delta(rho, rho, depolarizing_channel(2, 0.5), 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.3, np.nan, np.inf])
+    def test_alpha_below_half_or_not_finite_rejected(self, rng, alpha):
+        rho = random_density(2, rng)
+        with pytest.raises(ValueError, match="alpha must be finite and at least 1/2"):
+            renyi_delta(rho, rho, depolarizing_channel(2, 0.5), alpha)
+
     def test_support_violation_is_inf(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         sigma = np.diag([0.0, 1.0]).astype(complex)
