@@ -6,11 +6,15 @@ JSON config file (flags win); ``PETZLAB_OUTPUT_DIR`` supplies the default
 directory for report files.  Exit status: 0 when every checked slack is
 above ``-tolerance``, 1 on a violation, 2 on unusable arguments, 3 on I/O
 failure.
+
+There is one parser per process: ``main`` builds it on its first call and
+reuses it on every later one, while ``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,10 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser, argv):
-    """Load defaults from --config (JSON), keeping explicit flags dominant."""
+@functools.cache
+def _parsers():
+    """``main``'s parser and its ``--config`` probe, built on first use and
+    then kept: parsing reads them and changes neither."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
+    return build_parser(), probe
+
+
+def _apply_config(probe, argv):
+    """Load defaults from --config (JSON), keeping explicit flags dominant."""
     known, _ = probe.parse_known_args(argv)
     if known.config is None:
         return argv
@@ -405,9 +416,9 @@ def _apply_config(parser, argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, probe = _parsers()
     try:
-        argv = _apply_config(parser, argv)
+        argv = _apply_config(probe, argv)
         args = parser.parse_args(argv)
         for name, why in _UNREAD.items():
             if getattr(args, "unread_" + name, None) is not None:

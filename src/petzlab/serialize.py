@@ -29,13 +29,19 @@ def _floats(values) -> str:
     return "none" if values is None else " ".join("%.17g" % x for x in values)
 
 
+def _layout(rows: int, cols: int, entry: str) -> str:
+    """A ``rows x cols`` matrix as text, each part of each ``(re, im)`` pair
+    a ``%`` conversion ``entry``."""
+    return "\n".join([" ".join([f"({entry}, {entry})"] * cols)] * rows)
+
+
 def _dumps(kind: str, head: dict, stack, blocks: bool = True) -> str:
     """A ``petzlab <kind> v1`` file: one ``key value`` line per item of
     ``head``, then each matrix of the ``(n, rows, cols)`` ``stack`` as rows of
     ``(re, im)`` pairs, after a ``block k`` line when ``blocks`` is set."""
     stack = np.ascontiguousarray(stack, dtype=complex)
     _, rows, cols = stack.shape
-    matrix = "\n".join([" ".join(["(%.17g, %.17g)"] * cols)] * rows)
+    matrix = _layout(rows, cols, "%.17g")
     lines = [f"petzlab {kind} v1"] + [f"{key} {val}" for key, val in head.items()]
     for k, mat in enumerate(stack):
         if blocks:
@@ -77,15 +83,21 @@ def _loads(text: str, kind: str, fields, blocks: bool = True):
         out = np.empty((n, 2 * rows * cols))
     except MemoryError:
         raise ValueError(f"sizes {n} x {rows} x {cols} do not fit in memory") from None
+    # a block laid out as ``_dumps`` writes it passes one whole-block
+    # comparison; only one laid out otherwise is checked row by row
+    canonical = _layout(rows, cols, "%s")
     for k in range(n):
         if blocks and body[k * per] != f"block {k}":
             raise ValueError(f"missing block {k}")
         matrix = body[k * per + blocks : (k + 1) * per]
-        for i, line in enumerate(matrix):
-            if not _ROW.fullmatch(line) or line.count("(") != cols:
-                raise ValueError(f"row {i} of block {k} is not {cols} (re, im) pairs")
+        block = "\n".join(matrix)
+        tokens = block.translate(_PUNCTUATION).split()
+        if len(tokens) != out.shape[1] or block != canonical % tuple(tokens):
+            for i, line in enumerate(matrix):
+                if not _ROW.fullmatch(line) or line.count("(") != cols:
+                    raise ValueError(f"row {i} of block {k} is not {cols} (re, im) pairs")
         # one float conversion per matrix: per row costs more, per file memory
-        out[k] = " ".join(matrix).translate(_PUNCTUATION).split()
+        out[k] = tokens
     return head, out.view(complex).reshape(n, rows, cols)
 
 
@@ -195,6 +207,11 @@ def loads_recovery(text: str) -> dict:
             head[key] = None
         else:
             head[key] = np.array([float(v) for v in head[key].split()])
+            if not np.all(np.isfinite(head[key])):
+                raise ValueError(f"{key} must be finite, got {head[key]}")
+    nodes, weights = head["tnodes"], head["weights"]
+    if nodes is not None and weights is not None and len(nodes) != len(weights):
+        raise ValueError(f"{len(nodes)} tnodes but {len(weights)} weights")
     head["kraus"] = kraus
     return head
 

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from petzlab import cli
 from petzlab.channels import identity_channel, random_channel, random_density
-from petzlab.cli import main
+from petzlab.cli import build_parser, main
 from petzlab.serialize import (
     load_state,
     parse_structured,
@@ -508,3 +509,89 @@ class TestUsageErrors:
                     "--tolerance", tol]) == 2
         assert capsys.readouterr().err.startswith("error: tolerance must be finite")
         assert not (tmp_path / "rec.txt").exists()
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """``main`` with no parser built yet; the list grows by one per
+    ``build_parser`` call."""
+    builds = []
+
+    def counting():
+        builds.append(None)
+        return build_parser()
+
+    cli._parsers.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    yield builds
+    cli._parsers.cache_clear()
+
+
+def _outputs(args, path, capsys):
+    """Exit status, stdout, stderr, report and ``.summary`` bytes of one call."""
+    status = run(args + ["-o", str(path)])
+    captured = capsys.readouterr()
+    return (status, captured.out, captured.err, path.read_bytes(),
+            path.with_name(path.name + ".summary").read_bytes())
+
+
+REUSE_RUNS = [
+    ["sweep", "--count", "4", "--seed", "3", "--nodes", "33"],
+    ["sweep", "--kind", "ssa", "--count", "3", "--seed", "5"],
+    ["qec", "--code", "bitflip3", "--p", "0.1", "--samples", "4", "--seed", "1509"],
+    ["qec", "--code", "random", "--samples", "3", "--seed", "7127", "--unit", "bits"],
+]
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self, counted_builds, capsys):
+        assert counted_builds == []
+        for _ in range(3):
+            assert run(["quadrature-info", "--nodes", "3"]) == 0
+            assert run(["qec", "--samples", "2"]) == 0
+        assert len(counted_builds) == 1
+        cli._parsers.cache_clear()
+        assert run(["quadrature-info", "--nodes", "3"]) == 0
+        assert len(counted_builds) == 2
+
+    def test_build_parser_returns_a_fresh_parser(self, counted_builds, capsys):
+        assert run(["quadrature-info", "--nodes", "3"]) == 0
+        parsers = [build_parser() for _ in range(3)] + [cli._parsers()[0]]
+        assert len({id(parser) for parser in parsers}) == 4
+
+    def test_config_defaults_do_not_leak(self, counted_builds, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"count": 3, "nodes": 33, "seed": 11, "timings": True}))
+        plain = ["sweep", "--count", "2", "--nodes", "33"]
+        before = _outputs(plain, tmp_path / "before.txt", capsys)
+        configured = _outputs(["sweep", "--config", str(config)], tmp_path / "cfg.txt", capsys)
+        assert len(parse_table(configured[3].decode())) == 3
+        assert "wall_time" in configured[3].decode()
+        after = _outputs(plain, tmp_path / "after.txt", capsys)
+        assert after == before
+        assert "wall_time" not in after[3].decode()
+        assert len(counted_builds) == 1
+
+    @pytest.mark.parametrize("bad", [["sweep", "--bogus"], ["frobnicate"], ["sweep", "--help"]])
+    def test_usage_error_then_valid_call(self, counted_builds, bad, tmp_path, capsys):
+        args = REUSE_RUNS[0]
+        fresh = _outputs(args, tmp_path / "fresh.txt", capsys)
+        with pytest.raises(SystemExit) as info:
+            run(bad)
+        assert info.value.code == (0 if "--help" in bad else 2)
+        capsys.readouterr()
+        assert _outputs(args, tmp_path / "again.txt", capsys) == fresh
+        assert len(counted_builds) == 1
+
+    def test_reused_parser_writes_the_fresh_parser_bytes(self, counted_builds, tmp_path,
+                                                         capsys):
+        # a parser built for each call, as main once did, against one kept
+        # across every call in between
+        fresh = []
+        for i, args in enumerate(REUSE_RUNS):
+            cli._parsers.cache_clear()
+            fresh.append(_outputs(args, tmp_path / f"fresh{i}.txt", capsys))
+        assert len(counted_builds) == len(REUSE_RUNS)
+        for i, args in enumerate(REUSE_RUNS + REUSE_RUNS):
+            assert _outputs(args, tmp_path / f"kept{i}.txt", capsys) == fresh[i % len(fresh)]
+        assert len(counted_builds) == len(REUSE_RUNS)

@@ -1,14 +1,19 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import petzlab
 from conftest import quadrature_map
+from petzlab import serialize
 from petzlab.channels import random_channel, random_density
-from petzlab.recovery import beta0_quadrature, petz
+from petzlab.recovery import beta0_quadrature, convex_mixture, petz, universal_recovery
 from petzlab.serialize import (
+    _loads,
     atomic_write_text,
     channel_sha256,
     dumps_channel,
@@ -175,6 +180,15 @@ def _edit_row(edit):
     return mutate
 
 
+def _edit_header(key, edit):
+    """Replace the values of the ``key`` header line by ``edit(values)``."""
+    def mutate(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+        lines[i] = " ".join([key] + edit(lines[i].split()[1:]))
+        return lines
+    return mutate
+
+
 MALFORMED = {
     "extra row": lambda lines: lines + [lines[-1]],
     "pair too many": _edit_row(lambda row: row + " (0, 0)"),
@@ -190,7 +204,15 @@ MALFORMED = {
     "non-integer size": _set_field("two"),
     "zero size": _set_field("0"),
     "unallocatable size": _set_field(10**15),
+    "non-finite node": _edit_header("tnodes", lambda values: ["nan"] + values[1:]),
+    "nodes and weights of unequal length": _edit_header("weights", lambda values: values[1:]),
 }
+# the cases that edit a header line only recovery files have
+RECOVERY_ONLY = {"non-finite node", "nodes and weights of unequal length"}
+MALFORMED_CASES = [
+    (fmt, case) for case in sorted(MALFORMED) for fmt in sorted(FILES)
+    if fmt == "recovery" or case not in RECOVERY_ONLY
+]
 
 
 class TestMalformedFiles:
@@ -202,8 +224,8 @@ class TestMalformedFiles:
             with pytest.raises(ValueError):
                 loads("\n".join(lines[:cut]) + "\n")
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    @pytest.mark.parametrize("fmt", sorted(FILES))
+    @pytest.mark.parametrize("fmt, case", MALFORMED_CASES,
+                             ids=[f"{fmt}-{case}" for fmt, case in MALFORMED_CASES])
     def test_malformed_raises_value_error(self, fmt, case):
         make, loads = FILES[fmt]
         lines = make().splitlines()
@@ -214,6 +236,29 @@ class TestMalformedFiles:
     def test_text_around_pairs_raises_value_error(self):
         with pytest.raises(ValueError, match="row 0 of block 0"):
             loads_state("petzlab state v1\ndim 2\n(0.5, 0) junk (0, 0)\n(0, 0)(0.5, 0)x\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan 0 1", "tnodes must be finite"),
+        ("-inf 0 1", "tnodes must be finite"),
+        ("0 1", "2 tnodes but 3 weights"),
+        ("0 1 2 3", "4 tnodes but 3 weights"),
+    ])
+    def test_recovery_nodes_are_finite_and_one_per_weight(self, value, message):
+        lines = _edit_header("tnodes", lambda _: value.split())(_recovery_text().splitlines())
+        with pytest.raises(ValueError, match=message):
+            loads_recovery("\n".join(lines) + "\n")
+
+    def test_non_finite_weight_raises_value_error(self):
+        edit = _edit_header("weights", lambda values: values[:-1] + ["inf"])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            loads_recovery("\n".join(edit(_recovery_text().splitlines())) + "\n")
+
+    def test_weights_without_nodes_load(self, rng):
+        sigma, chan = random_density(2, rng), random_channel(2, 2, 2, rng)
+        rec = convex_mixture([petz(sigma, chan), universal_recovery(sigma, chan)], [0.25, 0.75])
+        head = loads_recovery(dumps_recovery(rec))
+        assert head["tnodes"] is None
+        np.testing.assert_array_equal(head["weights"], [0.25, 0.75])
 
     @pytest.mark.parametrize("fmt", ["channel", "recovery"])
     def test_blocks_out_of_order(self, fmt):
@@ -293,3 +338,153 @@ class TestStrictJson:
         text = emit_structured({"x": float("nan")})
         assert '"nan"' in text
         assert np.isnan(parse_structured(text)["x"])
+
+
+# ---------------------------------------------------------------------------
+# whole-block check against the row-by-row loader
+# ---------------------------------------------------------------------------
+
+_REFERENCE_ROW = re.compile(r"(?:\s*\(\s*[^\s,()]+\s*,\s*[^\s,()]+\s*\))*\s*")
+
+
+def _reference_loads(text: str, kind: str, fields, blocks: bool = True):
+    """``serialize._loads`` as it was before canonical blocks were checked
+    as a whole: every row of every block goes through the regex."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != f"petzlab {kind} v1":
+        raise ValueError(f"not a petzlab {kind} file")
+    head = {}
+    for line in lines[1 : 1 + len(fields)]:
+        key, _, val = line.strip().partition(" ")
+        if key not in fields or key in head:
+            raise ValueError(f"unexpected header line {line!r}")
+        head[key] = val.strip()
+    if len(head) != len(fields):
+        raise ValueError(f"missing header fields {sorted(set(fields) - set(head))}")
+    for key in ("kraus", "dim_out", "dim_in") if blocks else ("dim",):
+        if not head[key].isdecimal() or int(head[key]) < 1:
+            raise ValueError(f"{key} must be a positive integer, got {head[key]!r}")
+        head[key] = int(head[key])
+    if blocks:
+        n, rows, cols = head["kraus"], head["dim_out"], head["dim_in"]
+    else:
+        n, rows, cols = 1, head["dim"], head["dim"]
+    body = lines[1 + len(fields) :]
+    per = rows + blocks
+    if len(body) != n * per:
+        raise ValueError(f"expected {n * per} lines after the header, got {len(body)}")
+    try:
+        out = np.empty((n, 2 * rows * cols))
+    except MemoryError:
+        raise ValueError(f"sizes {n} x {rows} x {cols} do not fit in memory") from None
+    for k in range(n):
+        if blocks and body[k * per] != f"block {k}":
+            raise ValueError(f"missing block {k}")
+        matrix = body[k * per + blocks : (k + 1) * per]
+        for i, line in enumerate(matrix):
+            if not _REFERENCE_ROW.fullmatch(line) or line.count("(") != cols:
+                raise ValueError(f"row {i} of block {k} is not {cols} (re, im) pairs")
+        out[k] = " ".join(matrix).translate(str.maketrans("(),", "   ")).split()
+    return head, out.view(complex).reshape(n, rows, cols)
+
+
+def _parity_files():
+    """Canonical files, non-square blocks and signed zeros among them, each
+    with the ``_loads`` arguments of its format."""
+    rng = np.random.default_rng(23)
+    sigma, chan = random_density(2, rng), random_channel(2, 3, 2, rng)
+    rho = np.array([[complex(-0.0, 0.0), 1e-300], [1e-300, 1.0 / 3.0]])
+    recovery_fields = serialize._RECOVERY_FIELDS
+    return [
+        (dumps_state(random_density(3, rng)), "state", ("dim",), False),
+        (dumps_state(rho), "state", ("dim",), False),
+        (dumps_channel(chan), "channel", ("mode", "dim_in", "dim_out", "kraus"), True),
+        (dumps_recovery(universal_recovery(sigma, chan)), "recovery", recovery_fields, True),
+        (_recovery_text(), "recovery", recovery_fields, True),
+    ]
+
+
+PARITY_FILES = _parity_files()
+PARITY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# layouts other than the canonical ``(re, im) (re, im)`` that a row may take
+_RELAYOUTS = [
+    lambda row, j: row.replace(" ", "\t", j + 1).replace("\t", " ", j),
+    lambda row, j: row.replace(" ", "  ", j + 1).replace("  ", " ", j),
+    lambda row, j: " " * (j + 1) + row,
+    lambda row, j: row + " " * (j + 1),
+    lambda row, j: row.replace(", ", ","),
+    lambda row, j: row.replace("(", "( ").replace(")", " )").replace(", ", " , "),
+    lambda row, j: row.replace(" ", "\u00a0\u2003\u3000"[j % 3], j + 1),
+]
+_EDIT_CHARS = "(), \t0123456789e.-x"
+
+
+@st.composite
+def relaid_files(draw):
+    """A canonical file with some of its rows laid out another way."""
+    text, *args = draw(st.sampled_from(PARITY_FILES))
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith("(")]
+    for i in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+        relayout = draw(st.sampled_from(_RELAYOUTS))
+        lines[i] = relayout(lines[i], draw(st.integers(0, 3)))
+    return "\n".join(lines) + "\n", *args
+
+
+@st.composite
+def edited_files(draw):
+    """A canonical file after one to three single-character insertions or
+    deletions."""
+    text, *args = draw(st.sampled_from(PARITY_FILES))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text) - 1))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + draw(st.sampled_from(_EDIT_CHARS)) + text[at:]
+    return text, *args
+
+
+def _outcome(loads, text, kind, fields, blocks):
+    """The header and the stack's bytes, or the error's type and message."""
+    try:
+        head, stack = loads(text, kind, fields, blocks)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return head, stack.shape, stack.tobytes()
+
+
+class TestWholeBlockParity:
+    """``_loads`` returns what the row-by-row loader returns, bit for bit,
+    and raises where it raises, with the same message."""
+
+    @pytest.mark.parametrize("case", range(len(PARITY_FILES)))
+    def test_canonical_files(self, case):
+        expected = _outcome(_reference_loads, *PARITY_FILES[case])
+        assert isinstance(expected[0], dict)
+        assert _outcome(_loads, *PARITY_FILES[case]) == expected
+
+    @PARITY
+    @given(relaid_files())
+    def test_other_layouts(self, case):
+        expected = _outcome(_reference_loads, *case)
+        assert isinstance(expected[0], dict)
+        assert _outcome(_loads, *case) == expected
+
+    @PARITY
+    @given(edited_files())
+    def test_single_character_edits(self, case):
+        assert _outcome(_loads, *case) == _outcome(_reference_loads, *case)
+
+    def test_canonical_blocks_skip_the_row_regex(self, monkeypatch):
+        class Refuse:
+            def fullmatch(self, line):
+                raise AssertionError("row regex on a canonical block")
+
+        monkeypatch.setattr(serialize, "_ROW", Refuse())
+        for case in PARITY_FILES:
+            _loads(*case)
+        text, *args = PARITY_FILES[2]
+        with pytest.raises(AssertionError, match="row regex"):
+            _loads(text.replace(", ", ",", 1), *args)
