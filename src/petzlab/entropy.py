@@ -303,8 +303,9 @@ def _renyi_delta(rho, rho_sys, out, pair, alphas) -> list:
     n_rho = _psd_eigensystem(out)
     right = pair.s_sys[1].conj().T @ _power(*rho_sys, 0.5)
     ps = np.array([(1.0 - alpha) / (2.0 * alpha) for alpha in alphas])
-    # N(sigma)^-p K_k sigma^p = V_N cores_k^dag V_sigma^dag, cores of (sigma^p, N(sigma)^-p)
-    cores = pair.cores(pair._powers(pair.s_sys[0], ps), pair._powers(pair.m_sys[0], -ps))
+    # N(sigma)^-p K_k sigma^p = V_N cores_k^dag V_sigma^dag, the Petz core under
+    # lam^{p - 1/2} and mu^{1/2 - p}
+    cores = pair.cores(*pair._powers(ps))
     out = []
     for alpha, p, core in zip(alphas, ps, cores.conj().swapaxes(-1, -2)):
         # the rows of U = sum_k K_k (x) |k>, permuted to (k, out): same singular values

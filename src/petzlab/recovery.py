@@ -1,11 +1,16 @@
 """Petz, rotated and universal recovery maps, and the mixing densities.
 
-The universal map is the mixture ``int beta0(t) R_{t/2} dt`` of rotated Petz
-maps with density ``beta0(t) = (pi/2) / (cosh(pi t) + 1)``.  It is formed
-exactly, in closed form (``_PetzFactory.universal_kernel``): the checks
-apply it, and ``universal_recovery`` returns its Kraus form, built from a
-thin factor of its Choi matrix (``_PetzFactory.universal_kraus``).  Quadrature
-rules discretize ``beta0`` where a logarithm sits inside the integral;
+Every map is the Petz map under phases.  A reference pair
+(``_PetzFactory``) holds the Petz map's Kraus operators in the eigenbases of
+``sigma`` and ``N(sigma)``, the Petz core ``P_k``, and the logs of the two
+spectra, each formed once.  The rotated map ``R_t`` is ``P`` between the
+phases ``sigma^{-it}`` and ``N(sigma)^{it}``, and the universal map, the
+mixture ``int beta0(t) R_{t/2} dt`` with density ``beta0(t) = (pi/2) /
+(cosh(pi t) + 1)``, integrates those phases to ``g(Delta / 2)`` in closed
+form (``_PetzFactory.universal_kernel``): the checks apply it exactly, and
+``universal_recovery`` returns its Kraus form, built from a thin factor of
+its Choi matrix (``_PetzFactory.universal_kraus``).  Quadrature rules
+discretize ``beta0`` where a logarithm sits inside the integral;
 ``convex_mixture`` of a ``rotated_petz_family`` gives a rule's mixture.
 """
 
@@ -188,23 +193,25 @@ def _pivoted_cholesky(x, tol: float, max_rank: int):
 
 
 class _PetzFactory:
-    """The reference pair of a check: ``sigma``, ``N(sigma)``, their clamped
-    eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``) and the channel
-    in those eigenbases, ``B_k = V_sigma^dag K_k^dag V_N``, formed once.  Every
-    Petz-type operator is ``B_k`` between two ``_powers`` diagonals (``cores``).
+    """The reference pair of a check, formed once: ``sigma``, ``N(sigma)``,
+    their clamped eigensystems ``s_sys`` and ``m_sys`` (``_psd_eigensystem``),
+    the logs ``log_s`` and ``log_m`` of their spectra ``lam`` and ``mu``
+    (``linalg._masked_log``, 0 on the kernels) and the Petz core ``b``: the
+    Petz map's Kraus operators in the pair's eigenbases, ``P_k =
+    diag(lam^{1/2}) V_sigma^dag K_k^dag V_N diag(mu^{-1/2})`` as ``(k, m, n)``,
+    with both powers taken on the supports, 0 on the kernels.
 
-    Every map is applied through one kernel, the Petz map in the eigenbases
-    of the pair: ``kernel``, the ``(m m, n n)`` superoperator ``T_{ijpq} =
-    sum_k B_k[i,p] conj(B_k[j,q])`` on ``V_N^dag x V_N``.  The rotated map
-    ``R_t = U_{sigma,t} o P o U_{N(sigma),-t}`` (``P`` the Petz map, ``U_{h,t}(x)
-    = h^{-it} x h^{it}``) is ``T`` between the node phases of ``_phases``, and
-    ``recovered`` applies it at every node.  ``universal_apply`` applies the
-    exact universal map ``int beta0(t) R_{t/2} dt``: the integral over the
-    nodes is folded into one closed-form phase array, ``universal_phases``, so
-    it reads no rule.  ``T`` is formed at most once, by the first application;
-    the map builders never form it.  ``universal_kraus`` builds the exact map's
-    Kraus form from ``B_k`` and a pivoted Cholesky factor of the phases'
-    smooth part ``g``; the other builders read ``cores``.
+    Every map is ``P`` under one function of the logs (``cores`` puts
+    diagonals on either side): the rotated map ``R_t = U_{sigma,t} o R_0 o
+    U_{N(sigma),-t}`` (``R_0`` the Petz map, ``U_{h,t}(x) = h^{-it} x h^{it}``)
+    under the node phases of ``_phases``, ``phase_rotated_petz`` under
+    eigenspace phases and the Renyi term under ``_powers``.  Maps are applied
+    through one kernel, ``P``'s superoperator ``kernel``, formed at most once,
+    by the first application; the map builders never form it.  ``recovered``
+    puts each node's phases around it, and the exact universal map ``int
+    beta0(t) R_{t/2} dt`` multiplies it by the closed-form
+    ``universal_phases``, so it reads no rule; ``universal_kraus`` builds
+    that map's Kraus form from ``P`` and a pivoted Cholesky factor of ``g``.
 
     ``tni_budget`` is the trace-non-increase tolerance of the pair's maps:
     ``N(sigma)^{-1/2}`` amplifies the rounding of the small eigenvalues of
@@ -221,50 +228,40 @@ class _PetzFactory:
             raise ValueError("channel output on sigma is numerically zero")
         self.s_sys = _psd_eigensystem(sigma)
         self.m_sys = _psd_eigensystem(self.n_sigma)
-        # B_k as (k, m, n)
-        self.b = self.s_sys[1].conj().T @ channel.kraus.conj().swapaxes(1, 2) @ self.m_sys[1]
-        vals = self.m_sys[0]
-        pos = vals[vals > 0.0]  # the largest first, the smallest last
-        self.tni_budget = _TNI_TOL + len(vals) * np.finfo(float).eps * float(pos[0] / pos[-1])
+        (self.log_s, on_s), (self.log_m, on_m) = map(_masked_log, (self.s_sys[0], self.m_sys[0]))
+        # P_k as (k, m, n): B_k = V_sigma^dag K_k^dag V_N between lam^{1/2} and mu^{-1/2}
+        b = self.s_sys[1].conj().T @ channel.kraus.conj().swapaxes(1, 2) @ self.m_sys[1]
+        root_s = np.where(on_s, np.exp(0.5 * self.log_s), 0.0)
+        inv_root_m = np.where(on_m, np.exp(-0.5 * self.log_m), 0.0)
+        self.b = root_s[:, None] * b * inv_root_m
+        pos = self.m_sys[0][on_m]  # the largest first, the smallest last
+        self.tni_budget = _TNI_TOL + len(on_m) * np.finfo(float).eps * float(pos[0] / pos[-1])
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """The pair's one application kernel, ``T_{ijpq} = sum_k B_k[i,p]
-        conj(B_k[j,q])`` as an ``(m m, n n)`` array."""
+        """The pair's one application kernel, the Petz map's superoperator
+        ``T_{ijpq} = sum_k P_k[i,p] conj(P_k[j,q])`` on ``V_N^dag x V_N``, as an
+        ``(m m, n n)`` array."""
         m, n = len(self.sigma), len(self.n_sigma)
         return np.einsum("kip,kjq->ijpq", self.b, self.b.conj()).reshape(m * m, n * n)
 
-    @staticmethod
-    def _powers(vals, exponents) -> np.ndarray:
-        """The ``(T, d)`` diagonals of ``h**z`` for every ``z`` in the eigenbasis
-        of ``h`` (clamped spectrum ``vals``), 0 on the kernel by the rule of
-        ``linalg._masked_log``."""
-        logs, pos = _masked_log(vals)
-        # a real exponent (t = 0, the Renyi term) takes the real exp, which may
-        # differ in the last bit from the complex one
-        real = exponents.imag == 0.0
-        if real.all():
-            powers = np.exp(np.multiply.outer(exponents.real, logs)).astype(complex)
-        else:
-            powers = np.exp(np.multiply.outer(exponents, logs))
-            powers[real] = np.exp(np.multiply.outer(exponents[real].real, logs))
-        powers[:, ~pos] = 0.0
-        return powers
-
-    def _diagonals(self, ts):
-        """``a_t = N(sigma)^{-1/2 + it}`` and ``c_t = sigma^{1/2 - it}`` at every ``t``
-        of the float array ``ts``, ``(T, n)`` and ``(T, m)``."""
-        z = 0.5 - 1j * ts
-        return self._powers(self.m_sys[0], -z), self._powers(self.s_sys[0], z)
+    def _powers(self, ps):
+        """The real diagonals ``lam^{p - 1/2}`` and ``mu^{1/2 - p}`` at every
+        ``p`` of the float array ``ps``, ``(T, m)`` and ``(T, n)``: ``cores``
+        of them are ``diag(lam^p) B_k diag(mu^{-p})``.  1 on the kernels, where
+        ``P`` is 0."""
+        e = ps - 0.5
+        return np.exp(np.multiply.outer(e, self.log_s)), np.exp(np.multiply.outer(-e, self.log_m))
 
     def _phases(self, ts):
-        """The node phases ``(a_t a_t^dag, c_t c_t^dag)`` at every ``t`` in
-        ``ts``, ``(T, n, n)`` and ``(T, m, m)``, from ``_diagonals``."""
-        a, c = self._diagonals(ts)
-        return a[:, :, None] * a.conj()[:, None, :], c[:, :, None] * c.conj()[:, None, :]
+        """The node phases ``lam^{-it}`` and ``mu^{it}`` at every ``t`` of the
+        float array ``ts``, ``(T, m)`` and ``(T, n)``.  1 on the kernels, where
+        ``P`` is 0."""
+        return (np.exp(-1j * np.multiply.outer(ts, self.log_s)),
+                np.exp(1j * np.multiply.outer(ts, self.log_m)))
 
     def cores(self, c, a) -> np.ndarray:
-        """``diag(c_t) B_k diag(a_t)``, ``(T, k, m, n)``, from ``(T, m)`` and ``(T, n)``
+        """``diag(c_t) P_k diag(a_t)``, ``(T, k, m, n)``, from ``(T, m)`` and ``(T, n)``
         diagonal stacks ``c`` and ``a``; ``V_sigma cores V_N^dag`` are Kraus stacks."""
         return c[:, None, :, None] * self.b * a[:, None, None, :]
 
@@ -272,11 +269,11 @@ class _PetzFactory:
         """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
 
         A ``(T, k, d_in, d_out)`` stack of ``sigma^{1/2 - it} K^dag
-        N(sigma)^{-1/2 + it}``; with ``weights``, node ``t``'s operators are
-        scaled by ``sqrt(w_t)`` in place.
+        N(sigma)^{-1/2 + it}``, the ``cores`` of the node phases; with
+        ``weights``, node ``t``'s operators are scaled by ``sqrt(w_t)`` in place.
         """
-        a, c = self._diagonals(np.asarray(ts, dtype=float))
-        out = self.s_sys[1] @ self.cores(c, a) @ self.m_sys[1].conj().T
+        cores = self.cores(*self._phases(np.asarray(ts, dtype=float)))
+        out = self.s_sys[1] @ cores @ self.m_sys[1].conj().T
         if weights is not None:
             out *= np.sqrt(weights)[:, None, None, None]
         return out
@@ -291,43 +288,34 @@ class _PetzFactory:
         """``R_t(x)`` for every ``t`` in ``ts``, in the eigenbasis of ``sigma``.
 
         One ``(n, n)`` input ``x`` gives a ``(T, m, m)`` stack, an ``(S, n, n)``
-        stack gives ``(S, T, m, m)``.  With ``*`` entrywise and the node
-        phases of ``_phases``, that is ``(c_t c_t^dag) * T((a_t a_t^dag) *
-        V_N^dag x V_N)``: one product with ``T`` over every node and input.
+        stack gives ``(S, T, m, m)``.  With ``*`` entrywise, ``(c_t, a_t) =
+        (lam^{-it}, mu^{it})`` the node phases of ``_phases`` and ``T`` the Petz
+        map's ``kernel``, that is ``(c_t c_t^dag) * T((a_t a_t^dag) * V_N^dag x
+        V_N)``: one product with ``T`` over every node and input.
         """
         return self._recovered(ts, self._rotate_input(x))
 
     def _recovered(self, ts, z) -> np.ndarray:
         """``recovered`` on the rotated input ``z = _rotate_input(x)``."""
-        a, c = self._phases(ts)
+        c, a = self._phases(ts)
+        a, c = a[:, :, None] * a.conj()[:, None, :], c[:, :, None] * c.conj()[:, None, :]
         z = a.reshape(len(a), z.shape[-1]) * z[..., None, :]
         return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
-    def _log_amplitudes(self):
-        """``(h, amp)`` of ``sigma`` and of ``N(sigma)``: the half logs of the
-        clamped spectra ``lam`` and ``mu`` (``linalg._masked_log``, 0 on the
-        kernels) and the diagonals ``lam^{1/2}`` and ``mu^{-1/2}``, 0 on the
-        kernels."""
-        (ls, ps), (lm, pm) = _masked_log(self.s_sys[0]), _masked_log(self.m_sys[0])
-        hs, hm = 0.5 * ls, 0.5 * lm
-        return (hs, np.where(ps, np.exp(hs), 0.0)), (hm, np.where(pm, np.exp(-hm), 0.0))
-
     def universal_phases(self) -> np.ndarray:
         """The exact universal map's phases, the ``(m m, n n)`` array
-        ``lam_i^{1/2} lam_j^{1/2} mu_p^{-1/2} mu_q^{-1/2} g(Delta_{ijpq} / 2)``.
+        ``g(Delta_{ijpq} / 2)`` that multiplies the Petz map's ``kernel``.
 
-        ``lam`` and ``mu`` are the clamped spectra of ``sigma`` and
-        ``N(sigma)``, ``Delta_{ijpq} = log lam_i - log lam_j - log mu_p + log
-        mu_q`` and ``g(h) = h / sinh h`` (``_g``), the Fourier transform of
-        ``beta0``: ``int beta0(t) exp(-i t Delta / 2) dt`` is the rule's node
-        sum of the phases of ``_phases`` at every ``t / 2``, in closed form.
-        Entries on the kernel of ``sigma`` or ``N(sigma)`` are 0.  Positive
-        eigenvalues lie above the rank cutoff, so ``|Delta / 2| < 40`` and
-        ``sinh`` is finite.  The logs and amplitudes come from ``_log_amplitudes``.
+        ``Delta_{ijpq} = log lam_i - log lam_j - log mu_p + log mu_q`` from the
+        stored logs and ``g(h) = h / sinh h`` (``_g``), the Fourier transform
+        of ``beta0``: ``int beta0(t) exp(-i t Delta / 2) dt`` is the rule's
+        node sum of the phases of ``_phases`` at every ``t / 2``, in closed
+        form.  Positive eigenvalues lie above the rank cutoff, so ``|Delta /
+        2| < 40`` and ``sinh`` is finite; on the kernels, where ``kernel`` is
+        0, the logs are 0.
         """
-        (hs, amp_s), (hm, amp_m) = self._log_amplitudes()
-        h = np.subtract.outer(np.subtract.outer(hs, hs).ravel(), np.subtract.outer(hm, hm).ravel())
-        return np.outer(np.outer(amp_s, amp_s), np.outer(amp_m, amp_m)) * _g(h)
+        ds, dm = (np.subtract.outer(logs, logs).ravel() for logs in (self.log_s, self.log_m))
+        return _g(0.5 * np.subtract.outer(ds, dm))
 
     @cached_property
     def universal_kernel(self) -> np.ndarray:
@@ -358,13 +346,12 @@ class _PetzFactory:
         """Kraus operators of the exact universal map in the eigenbases of
         the pair, ``(r, m, n)``, from a thin factor of its Choi matrix.
 
-        On the ``(i p)`` index, with ``b_k = vec B_k``, ``D = diag(lam_i^{1/2}
-        mu_p^{-1/2})`` and ``x_ip = (log lam_i - log mu_p) / 2`` (both from
-        ``_log_amplitudes``, 0 on the kernels), the Choi matrix of
-        ``universal_kernel`` is ``C = D (G * sum_k b_k b_k^dag) D``, with ``*``
-        entrywise and ``G_{(ip),(jq)} = g(x_ip - x_jq)``.  On the support of
-        ``D``, of size ``s``, ``G = F^T F`` within ``m n eps``
-        (``_pivoted_cholesky``), so ``C = W W^dag`` with ``W = [D diag(b_k)
+        On the ``(i p)`` index, with ``p_k = vec P_k`` and ``x_ip = (log lam_i
+        - log mu_p) / 2``, the Choi matrix of ``universal_kernel`` is ``C = G *
+        sum_k p_k p_k^dag``, with ``*`` entrywise and ``G_{(ip),(jq)} = g(x_ip -
+        x_jq)``.  On the support of ``P``, of size ``s`` (``lam_i`` and ``mu_p``
+        both positive), ``G = F^T F`` within ``m n eps``
+        (``_pivoted_cholesky``), so ``C = W W^dag`` with ``W = [diag(p_k)
         F^T]_k``, ``(s, k r)``; the Kraus vectors are ``W v`` for the
         eigenpairs of the small ``W^dag W``.  When ``k r`` would reach ``s``,
         the factor is dropped and ``C`` itself is decomposed instead, ``sqrt(c)
@@ -374,18 +361,16 @@ class _PetzFactory:
         formed.
         """
         m, n = len(self.sigma), len(self.n_sigma)
-        (hs, amp_s), (hm, amp_m) = self._log_amplitudes()
-        amp = np.outer(amp_s, amp_m).ravel()
-        on = np.flatnonzero(amp)
-        x = np.subtract.outer(hs, hm).ravel()[on]
-        db = amp[on] * self.b.reshape(len(self.b), m * n)[:, on]
-        f = _pivoted_cholesky(x, m * n * np.finfo(float).eps, (len(on) - 1) // len(db))
+        on = np.flatnonzero(np.outer(self.s_sys[0] > 0.0, self.m_sys[0] > 0.0))
+        x = 0.5 * np.subtract.outer(self.log_s, self.log_m).ravel()[on]
+        p = self.b.reshape(len(self.b), m * n)[:, on]
+        f = _pivoted_cholesky(x, m * n * np.finfo(float).eps, (len(on) - 1) // len(p))
         if f is None:
-            vals, u = _psd_eigensystem(_g(np.subtract.outer(x, x)) * (db.T @ db.conj()), dim=m * n)
+            vals, u = _psd_eigensystem(_g(np.subtract.outer(x, x)) * (p.T @ p.conj()), dim=m * n)
             keep = vals > 0.0
             cols = np.sqrt(vals[keep]) * u[:, keep]
         else:
-            w = (db[:, :, None] * f.T).swapaxes(0, 1).reshape(len(on), -1)
+            w = (p[:, :, None] * f.T).swapaxes(0, 1).reshape(len(on), -1)
             vals, v = _psd_eigensystem(w.conj().T @ w, dim=m * n)
             cols = w @ v[:, vals > 0.0]
         vecs = np.zeros((m * n, cols.shape[1]), dtype=complex)
@@ -419,6 +404,8 @@ def rotated_petz_family(sigma: np.ndarray, channel: Channel, ts):
     """Rotated Petz maps at each parameter in ``ts``, sharing one
     eigendecomposition of ``sigma`` and ``channel(sigma)``."""
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"ts must be a 1-d array, got shape {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"ts must be finite, got {ts}")
     pair = _PetzFactory(_checked(sigma), channel)
@@ -496,10 +483,9 @@ def phase_rotated_petz(sigma: np.ndarray, channel: Channel, phi, theta) -> Recov
     applied after).  Both unitaries commute with their operators by
     construction."""
     pair = _PetzFactory(_checked(sigma), channel)
-    a, c = pair._diagonals(np.zeros(1))
-    a *= _eigenspace_phases(pair.m_sys[0], phi)
-    c *= _eigenspace_phases(pair.s_sys[0], theta)
-    ops = pair.s_sys[1] @ pair.cores(c, a)[0] @ pair.m_sys[1].conj().T
+    a = _eigenspace_phases(pair.m_sys[0], phi)
+    c = _eigenspace_phases(pair.s_sys[0], theta)
+    ops = pair.s_sys[1] @ pair.cores(c[None], a[None])[0] @ pair.m_sys[1].conj().T
     return pair.recovery_map("phase-rotated", ops, phases=(np.asarray(phi), np.asarray(theta)))
 
 

@@ -55,7 +55,8 @@ def _loads(text: str, kind: str, fields, blocks: bool = True):
     """Inverse of ``_dumps``: the header (every name in ``fields`` exactly
     once, in any order; the sizes among them as positive ints) and the
     ``(n, rows, cols)`` stack sized by ``kraus``, ``dim_out`` and ``dim_in``
-    (``dim`` for a block-less state).  Any malformed text is a ValueError."""
+    (``dim`` for a block-less state).  Any malformed text, and any non-finite
+    entry, is a ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != f"petzlab {kind} v1":
         raise ValueError(f"not a petzlab {kind} file")
@@ -98,6 +99,9 @@ def _loads(text: str, kind: str, fields, blocks: bool = True):
                     raise ValueError(f"row {i} of block {k} is not {cols} (re, im) pairs")
         # one float conversion per matrix: per row costs more, per file memory
         out[k] = tokens
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"block {finite.argmin()} has non-finite entries")
     return head, out.view(complex).reshape(n, rows, cols)
 
 

@@ -849,6 +849,26 @@ class TestOneKernel:
         assert all(isinstance(m, RecoveryMap) for m in maps)
         assert np.isfinite(renyi_delta(rho, sigma, chan, 0.75))
 
+    def test_a_pair_takes_each_log_once(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(13)
+        logs = counting(monkeypatch, "_masked_log", (recovery,))
+        pair = recovery._PetzFactory(_checked(sigma), chan)
+        # one log of each spectrum, taken with the Petz core
+        assert len(logs) == 2
+        for module in (recovery, entropy):
+            monkeypatch.setattr(module, "_PetzFactory", lambda sigma, channel: pair)
+        n_out, n_in = count_eigenspaces(pair.n_sigma), count_eigenspaces(sigma)
+        out = chan.apply(rho)
+        petz(sigma, chan)
+        rotated_petz_family(sigma, chan, [-1.0, 0.0, 2.0])
+        phase_rotated_petz(sigma, chan, np.ones(n_out), np.ones(n_in))
+        universal_recovery(sigma, chan)
+        pair.recovered(np.array([-0.5, 0.5]), out)
+        pair.universal_apply(out)
+        assert np.isfinite(renyi_delta(rho, sigma, chan, 0.75))
+        # every map of the pair reads the stored logs
+        assert len(logs) == 2
+
     def test_alpha_check_recovers_each_node_once(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)
         rule = beta0_quadrature(65)

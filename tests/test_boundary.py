@@ -181,6 +181,17 @@ def test_non_finite_input_rejected(name):
         call(with_nan(RHO))
 
 
+@pytest.mark.parametrize("ts", [0.3, [[0.1, 0.2]], np.zeros((0, 2))],
+                         ids=["scalar", "2-d", "empty-2-d"])
+def test_rotated_family_takes_a_1d_array(ts):
+    with pytest.raises(ValueError, match="ts must be a 1-d array"):
+        rotated_petz_family(SIGMA, CHAN, ts)
+
+
+def test_empty_rotated_family():
+    assert rotated_petz_family(SIGMA, CHAN, []) == []
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameters_rejected(bad):

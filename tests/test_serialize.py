@@ -194,6 +194,7 @@ MALFORMED = {
     "pair too many": _edit_row(lambda row: row + " (0, 0)"),
     "pair too few": _edit_row(lambda row: row.rsplit(" (", 1)[0]),
     "non-numeric entry": _edit_row(lambda row: "(abc" + row[row.index(","):]),
+    "non-finite entry": _edit_row(lambda row: "(nan" + row[row.index(","):]),
     "non-numeric imaginary part": _edit_row(
         lambda row: row[: row.index(",")] + ", 1e)" + row[row.index(")") + 1 :]
     ),
@@ -232,6 +233,16 @@ class TestMalformedFiles:
         loads("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             loads("\n".join(MALFORMED[case](lines)) + "\n")
+
+    @pytest.mark.parametrize("fmt", sorted(FILES))
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+    def test_non_finite_entries_raise_value_error(self, fmt, value):
+        make, loads = FILES[fmt]
+        lines = make().splitlines()
+        # the imaginary part of the last entry of the last block
+        lines[-1] = lines[-1][: lines[-1].rindex(",")] + f", {value})"
+        with pytest.raises(ValueError, match="non-finite"):
+            loads("\n".join(lines) + "\n")
 
     def test_text_around_pairs_raises_value_error(self):
         with pytest.raises(ValueError, match="row 0 of block 0"):
@@ -349,7 +360,8 @@ _REFERENCE_ROW = re.compile(r"(?:\s*\(\s*[^\s,()]+\s*,\s*[^\s,()]+\s*\))*\s*")
 
 def _reference_loads(text: str, kind: str, fields, blocks: bool = True):
     """``serialize._loads`` as it was before canonical blocks were checked
-    as a whole: every row of every block goes through the regex."""
+    as a whole: every row of every block goes through the regex.  Non-finite
+    entries are refused as ``_loads`` refuses them."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != f"petzlab {kind} v1":
         raise ValueError(f"not a petzlab {kind} file")
@@ -385,6 +397,10 @@ def _reference_loads(text: str, kind: str, fields, blocks: bool = True):
             if not _REFERENCE_ROW.fullmatch(line) or line.count("(") != cols:
                 raise ValueError(f"row {i} of block {k} is not {cols} (re, im) pairs")
         out[k] = " ".join(matrix).translate(str.maketrans("(),", "   ")).split()
+    # every block parses before the first non-finite one is named
+    for k in range(n):
+        if not np.all(np.isfinite(out[k])):
+            raise ValueError(f"block {k} has non-finite entries")
     return head, out.view(complex).reshape(n, rows, cols)
 
 
