@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     MAX_TENSOR_DIM,
     _checked,
+    _eigh,
     dagger,
     eig_hermitian,
     tensor_product,
@@ -342,13 +343,12 @@ def truncate_project(rho: np.ndarray, k: int, reference: np.ndarray | None = Non
     convergence study should use one common reference for all operators
     it compresses).  The result is subnormalized in general.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _checked(rho)
     dim = rho.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
-    rho = _checked(rho)
     ref = rho if reference is None else _checked(reference)
-    cols = eig_hermitian(ref, herm_tol=np.inf).eigenvectors[:, :k]
+    cols = _eigh(ref)[1][:, :k]
     pi = cols @ dagger(cols)
     return pi @ rho @ pi
 

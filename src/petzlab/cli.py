@@ -109,6 +109,15 @@ def _bundled(name: str) -> str:
     return str(resources.files("petzlab").joinpath("data", name))
 
 
+def _load(loader, path: str):
+    """``loader(path)``, with the path at the head of a ``ValueError``'s
+    message, so a run given several files names the one it refused."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _parse_dims(spec: str):
     lo, _, hi = spec.partition("..")
     lo = int(lo)
@@ -166,8 +175,8 @@ def _cmd_verify_dpi(args) -> int:
         if not (args.rho and args.sigma and args.channel):
             raise ValueError("--rho, --sigma and --channel must be given together")
         name = "file"
-        rho, sigma = serialize.load_state(args.rho), serialize.load_state(args.sigma)
-        chan = serialize.load_channel(args.channel)
+        rho, sigma = _load(serialize.load_state, args.rho), _load(serialize.load_state, args.sigma)
+        chan = _load(serialize.load_channel, args.channel)
     elif args.dump_recovered:
         raise ValueError("--dump-recovered needs --example or --rho/--sigma/--channel")
     else:
@@ -185,7 +194,7 @@ def _cmd_verify_dpi(args) -> int:
 def _cmd_verify_ssa(args) -> int:
     _check_tolerance(args.tolerance)
     if args.state:
-        name, rho = "file", serialize.load_state(args.state)
+        name, rho = "file", _load(serialize.load_state, args.state)
         dims = tuple(int(d) for d in args.state_dims.split(","))
     elif args.ghz:
         name, rho, dims = "ghz", ghz_state(3), (2, 2, 2)

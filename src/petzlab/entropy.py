@@ -13,11 +13,11 @@ from .channels import Channel
 from .linalg import (
     SUPPORT_TOL,
     _checked,
+    _eigh,
     _masked_log,
     _on_support,
     _power,
     _psd_eigensystem,
-    _reconstruct,
     dagger,
     partial_trace,
     schatten_norm,
@@ -51,13 +51,24 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _von_neumann(_psd_eigensystem(_checked(rho))[0])
 
 
-def _outside_mass(rho, ref):
+def _diagonal(rho, vecs):
+    """Real diagonal of ``V^dag rho V`` for eigenvector columns ``vecs``: the
+    weights of ``rho`` on a reference's eigenvectors.  Stacks broadcast."""
+    return (vecs.conj() * (rho @ vecs)).sum(axis=-2).real
+
+
+def _outside_mass(rho, ref, diag=None):
     """Relative mass of ``rho`` outside the support of the clamped eigensystem
     ``ref`` (``_psd_eigensystem``); a ``(..., d, d)`` stack gives an array,
-    against ``ref`` or, member by member, a stack of eigensystems."""
-    pi_perp = np.eye(rho.shape[-1]) - _reconstruct(ref[1], ref[0] > 0.0)
+    against ``ref`` or, member by member, a stack of eigensystems.
+
+    The mass is the sum of ``rho``'s weights (``_diagonal``, or ``diag`` when
+    the caller has it) on the eigenvectors of ``ref``'s kernel, over
+    ``tr rho``; no projector is formed.
+    """
+    diag = _diagonal(rho, ref[1]) if diag is None else diag
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    out = np.trace(pi_perp @ rho, axis1=-2, axis2=-1).real
+    out = np.sum(np.where(ref[0] > 0.0, 0.0, diag), axis=-1)
     mass = np.maximum(0.0, np.divide(out, tr, out=np.zeros_like(tr), where=tr > 0.0))
     return float(mass) if mass.ndim == 0 else mass
 
@@ -70,12 +81,17 @@ def support_violation(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _relative_entropy(rho, ref, vals=None):
     """``relative_entropy`` of a complex array the caller checked or built
     (clamped spectrum ``vals``, if known), against the clamped eigensystem
-    ``ref`` of the reference state; stacks pair up as in ``_outside_mass``."""
+    ``ref`` of the reference state; stacks pair up as in ``_outside_mass``.
+
+    ``tr(rho log sigma)`` is the sum of ``rho``'s weights on the reference
+    eigenvectors (``_diagonal``) times ``_masked_log`` of the reference
+    spectrum, so no dense ``log sigma`` is formed.
+    """
     vals = _psd_eigensystem(rho)[0] if vals is None else vals
-    log_sigma = _on_support(*ref, np.log)
+    diag = _diagonal(rho, ref[1])
     # tr(rho log rho) = -S(rho)
-    d = -_von_neumann(vals) - np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
-    d = np.where(_outside_mass(rho, ref) > SUPPORT_TOL, np.inf, d)
+    d = -_von_neumann(vals) - np.sum(diag * _masked_log(ref[0])[0], axis=-1)
+    d = np.where(_outside_mass(rho, ref, diag) > SUPPORT_TOL, np.inf, d)
     return float(d) if d.ndim == 0 else d
 
 
@@ -260,11 +276,9 @@ def _fidelity_measurement(rho, omega) -> np.ndarray:
     root = _power(vals, vecs, 0.5)
     inv_root = _power(vals, vecs, -0.5)
     middle = _power(*_psd_eigensystem(root @ rho @ root), 0.5)
-    geometric = inv_root @ middle @ inv_root
-    # Hermitian by construction; rounding noise from the triple product can
-    # be large for badly conditioned omega, so symmetrize before decomposing.
-    geometric = 0.5 * (geometric + geometric.conj().swapaxes(-1, -2))
-    return np.linalg.eigh(geometric)[1][..., ::-1]
+    # Hermitian by construction; _eigh drops the triple product's rounding
+    # noise, which can be large for badly conditioned omega
+    return _eigh(inv_root @ middle @ inv_root)[1]
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ only positive semidefinite up to rounding are handled through a relative
 rank cutoff: eigenvalues below ``dim * eps * lambda_max`` are treated as
 exactly zero, so negative powers and logarithms are always taken on the
 support only (pseudo-inverse convention).  This module holds the whole
-numerical policy of the package: the rank cutoff (``rank_cutoff``), the
-PSD clamp (``_clamp_psd``), the log of a spectrum on its support
-(``_masked_log``) and the tolerances below.
+numerical policy of the package: the one eigendecomposition (``_eigh``),
+the rank cutoff (``rank_cutoff``), the PSD clamp (``_clamp_psd``), the log
+of a spectrum on its support (``_masked_log``) and the tolerances below.
 
 Subsystem ordering is big-endian throughout: in ``kron(A, B)`` the first
 factor carries the most significant index.
@@ -108,19 +108,27 @@ def _checked(h: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
     return h
 
 
+def _eigh(h: np.ndarray):
+    """Eigenvalues (descending) and C-contiguous eigenvector columns of the
+    Hermitian part of a matrix or of each member of a ``(..., d, d)`` stack.
+
+    Every eigendecomposition with eigenvectors that the library computes
+    goes through here, and a stack member gets the bits of its own call.
+    Checks nothing: callers pass matrices they checked or built.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    return vals[..., ::-1], np.ascontiguousarray(vecs[..., ::-1])
+
+
 def eig_hermitian(h: np.ndarray, *, herm_tol: float = HERM_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix: ``_checked``, then ``_eigh``.
 
     Raises ``ValueError`` naming the symmetry residual when the input is
     not Hermitian within ``herm_tol`` (relative spectral norm);
     ``herm_tol=np.inf`` skips the check for a matrix Hermitian by
     construction.
     """
-    h = _checked(h, herm_tol)
-    vals, vecs = np.linalg.eigh(0.5 * (h + dagger(h)))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = _eigh(_checked(h, herm_tol))
     return SpectralDecomposition(vals, vecs, rank_cutoff(vals))
 
 
@@ -150,19 +158,14 @@ def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
 
 def _psd_eigensystem(h: np.ndarray, dim: int | None = None):
     """Eigenvalues (descending) and eigenvectors of a PSD matrix or a
-    ``(T, d, d)`` stack, eigenvalues clamped by the rule of ``_clamp_psd``.
+    ``(..., d, d)`` stack: ``_eigh``, with each spectrum clamped by the rule
+    of ``_clamp_psd`` at its ``rank_cutoff``.
 
-    Computes no hermiticity residual: callers pass matrices they checked
-    or built.  A single matrix goes through ``eig_hermitian``; ``dim`` is
-    ``rank_cutoff``'s, for a matrix that stands in for a larger one.
+    Checks nothing: callers pass matrices they checked or built.  ``dim`` is
+    ``rank_cutoff``'s, for matrices that stand in for larger ones.
     """
-    if h.ndim == 2:
-        dec = eig_hermitian(h, herm_tol=np.inf)
-        cut = dec.cutoff if dim is None else rank_cutoff(dec.eigenvalues, dim=dim)
-        return _clamp_psd(dec.eigenvalues, cut), dec.eigenvectors
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
-    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
-    return _clamp_psd(vals, rank_cutoff(vals)), vecs
+    vals, vecs = _eigh(h)
+    return _clamp_psd(vals, rank_cutoff(vals, dim=dim)), vecs
 
 
 def _masked_log(vals):

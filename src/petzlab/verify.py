@@ -31,7 +31,7 @@ from .entropy import (
     binary_entropy,
     fidelity,  # noqa: F401  bench/selftest.py checks that tracing restores verify.fidelity
 )
-from .linalg import _checked, _psd_eigensystem, eig_hermitian, dagger, partial_trace
+from .linalg import _checked, _eigh, _psd_eigensystem, dagger, partial_trace
 from .recovery import (
     QuadratureRule,
     RecoveryMap,
@@ -602,16 +602,14 @@ def truncation_convergence(
     ``DeprecationWarning``.
     """
     _unread_rule(rule, "truncation_convergence")
-    rho = np.asarray(rho, dtype=complex)
+    rho = _checked(rho)
     dim = rho.shape[0]
     ks = tuple(int(k) for k in k_list)
     if not ks or any(k < 1 or k > dim for k in ks) or list(ks) != sorted(set(ks)):
         raise ValueError(f"k_list must be strictly increasing within [1, {dim}]")
-    rho = _checked(rho)
     sigma = _checked(sigma)
-    ref = sigma if reference is None else _checked(reference)
     s_sys = _psd_eigensystem(sigma)
-    vecs = s_sys[1] if ref is sigma else eig_hermitian(ref, herm_tol=np.inf).eigenvectors
+    vecs = s_sys[1] if reference is None else _eigh(_checked(reference))[1]
 
     d_full = _relative_entropy(rho, s_sys)
     d_trunc, gaps, slacks = [], [], []

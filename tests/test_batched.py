@@ -30,6 +30,7 @@ from petzlab.entropy import (
     fidelity,
     relative_entropy,
     renyi_delta,
+    support_violation,
     von_neumann_entropy,
 )
 from petzlab.linalg import (
@@ -38,6 +39,7 @@ from petzlab.linalg import (
     _psd_eigensystem,
     dagger,
     imaginary_power,
+    log_on_support,
     partial_trace,
     power_on_support,
     schatten_norm,
@@ -305,6 +307,37 @@ class TestStackedRelativeEntropy:
         mass = entropy._outside_mass(rhos, _psd_eigensystem(sigma))
         assert np.isfinite(d[:2]).all() and d[2] == np.inf
         assert mass[2] > linalg.SUPPORT_TOL and mass[3] == 0.0 and d[3] == 0.0
+
+    @pytest.mark.parametrize("case", list(relative_entropy_regimes()), ids=lambda c: c[0])
+    def test_forms_no_dense_matrix_function(self, case, monkeypatch):
+        _, rhos, refs = case
+        members = list(refs) if refs.ndim == 3 else [refs] * len(rhos)
+        # the dense route, tr(rho log rho) - tr(rho log sigma) and the mass
+        # tr((1 - P) rho) / tr rho off the support projector P
+        traces = np.trace(rhos, axis1=-2, axis2=-1).real
+        dense_mass = np.array([
+            0.0 if t == 0.0 else max(0.0, np.trace(r - support_projector(ref) @ r).real / t)
+            for r, ref, t in zip(rhos, members, traces)
+        ])
+        dense = np.array([-von_neumann_entropy(r) - np.trace(r @ log_on_support(ref)).real
+                          for r, ref in zip(rhos, members)])
+        dense[dense_mass > linalg.SUPPORT_TOL] = np.inf
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a relative entropy formed a dense matrix function")
+
+        for module in (linalg, entropy, verify, recovery):
+            if hasattr(module, "_reconstruct"):
+                monkeypatch.setattr(module, "_reconstruct", refuse)
+        ref_sys = _psd_eigensystem(refs)
+        stacked = entropy._relative_entropy(rhos, ref_sys)
+        masses = entropy._outside_mass(rhos, ref_sys)
+        singles = [relative_entropy(r, ref) for r, ref in zip(rhos, members)]
+        violations = [support_violation(r, ref) for r, ref in zip(rhos, members)]
+        for got in (stacked, singles):
+            np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-14)
+        for got in (masses, violations):
+            np.testing.assert_allclose(got, dense_mass, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("stacked_refs", [False, True])
     def test_empty_stack(self, rng, stacked_refs):
@@ -581,12 +614,15 @@ class TestPhaseSandwichKernel:
         assert rep.forward_ok and rep.converse_ok
 
 
-def counting(monkeypatch, name, modules):
+def counting(monkeypatch, name, modules, single=False):
+    """The calls of ``name`` through ``modules``; with ``single``, only those
+    whose first argument is one matrix."""
     calls = []
     original = getattr(modules[0], name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        if not single or np.ndim(args[0]) == 2:
+            calls.append(name)
         return original(*args, **kwargs)
 
     for module in modules:
@@ -936,7 +972,7 @@ class TestWorkPerInstance:
     def test_dpi_remainder_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(5)
         modules = (linalg, entropy, verify, channels, recovery)
-        eigs = counting(monkeypatch, "eig_hermitian", modules)
+        eigs = counting(monkeypatch, "_psd_eigensystem", modules, single=True)
         residuals = counting(monkeypatch, "hermiticity_residual", modules)
         dpi_remainder(rho, sigma, chan, beta0_quadrature(129))
         # sigma and N(sigma) once each from the reference pair, rho once for
@@ -946,7 +982,8 @@ class TestWorkPerInstance:
 
     def test_alpha_chain_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)
-        eigs = counting(monkeypatch, "eig_hermitian", (linalg, entropy, verify, channels, recovery))
+        eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery),
+                        single=True)
         alpha_bound_check(rho, sigma, chan, [0.5, 0.6, 0.75, 0.9], beta0_quadrature(129))
         # sigma, N(sigma), rho and N(rho) once for every alpha's Renyi term
         # and fidelity root
@@ -963,14 +1000,15 @@ class TestWorkPerInstance:
     def test_finite_set_search_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
         states = [rho, random_density(sigma.shape[0], 17)]
-        eigs = counting(monkeypatch, "eig_hermitian", (linalg, entropy, verify, channels, recovery))
+        eigs = counting(monkeypatch, "_psd_eigensystem", (linalg, entropy, verify, recovery),
+                        single=True)
         finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
         # sigma and N(sigma) once, then each state and its output once
         assert 0 < len(eigs) <= 2 + 2 * len(states)
 
     def test_qec_decompositions(self, monkeypatch):
         modules = (linalg, entropy, verify, channels, recovery)
-        eigs = counting(monkeypatch, "eig_hermitian", modules)
+        eigs = counting(monkeypatch, "_psd_eigensystem", modules, single=True)
         residuals = counting(monkeypatch, "hermiticity_residual", modules)
         samples = 20
         qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), samples)

@@ -175,6 +175,28 @@ class TestVerifyDpi:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
 
+    @pytest.mark.parametrize("bad, text, message", [
+        ("--rho", "(0, 0) (nan, 0)", "non-finite"),
+        ("--sigma", "(0, 0)", "is not 2 (re, im) pairs"),
+        ("--channel", "(0, 0) (inf, 0)", "non-finite"),
+    ], ids=["rho", "sigma", "channel"])
+    def test_bad_file_is_named(self, bad, text, message, tmp_path, capsys):
+        files = {"--rho": tmp_path / "rho.txt", "--sigma": tmp_path / "sigma.txt",
+                 "--channel": tmp_path / "chan.txt"}
+        save_state(str(files["--rho"]), np.eye(2) / 2)
+        save_state(str(files["--sigma"]), np.eye(2) / 2)
+        save_channel(str(files["--channel"]), identity_channel(2))
+        lines = files[bad].read_text().splitlines(keepends=True)
+        lines[-1] = text + "\n"  # the last row of the last block
+        files[bad].write_text("".join(lines))
+        args = ["verify-dpi", "--nodes", "17"]
+        for flag, path in files.items():
+            args += [flag, str(path)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[bad]}: ") and message in err
+        assert all(str(path) not in err for flag, path in files.items() if flag != bad)
+
     def test_missing_file_io_error(self, capsys):
         code = run(
             ["verify-dpi", "--rho", "/nonexistent/a", "--sigma", "/nonexistent/b",
@@ -243,6 +265,16 @@ class TestVerifySsa:
         assert run(["verify-ssa", "--state", str(tmp_path / "abc.txt"),
                     "--state-dims", "2,2,2"]) == 2
 
+
+    def test_bad_state_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "abc.txt"
+        save_state(str(path), np.eye(8) / 8)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "(0.125, 0)\n"
+        path.write_text("".join(lines))
+        assert run(["verify-ssa", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "is not 8 (re, im) pairs" in err
 
     def test_random_rows_match_sweep(self, tmp_path, capsys):
         report = tmp_path / "ssa.txt"

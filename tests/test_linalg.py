@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from petzlab.linalg import (
+    _eigh,
+    _psd_eigensystem,
     dagger,
     eig_hermitian,
     hermiticity_residual,
@@ -56,6 +58,32 @@ class TestEigHermitian:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         with pytest.raises(ValueError, match="residual"):
             eig_hermitian(g)
+
+
+class TestEigh:
+    def test_stack_gives_each_members_bits(self, rng):
+        stack = np.array([random_hermitian(4, rng) for _ in range(3)])
+        vals, vecs = _eigh(stack)
+        assert vecs.flags.c_contiguous
+        for h, v, u in zip(stack, vals, vecs):
+            one = _eigh(h)
+            assert one[1].flags.c_contiguous
+            assert v.tobytes() == one[0].tobytes() and u.tobytes() == one[1].tobytes()
+            assert np.all(np.diff(v) <= 0)
+
+    def test_takes_the_hermitian_part(self, rng):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for a, b in zip(_eigh(g), _eigh(0.5 * (g + dagger(g)))):
+            assert a.tobytes() == b.tobytes()
+
+    def test_dim_holds_on_stacks(self):
+        # 5 eps lies above the cutoff 2 eps of a 2x2 spectrum, below 16 eps
+        h = np.diag([1.0, 5.0 * np.finfo(float).eps]).astype(complex)
+        vals, _ = _psd_eigensystem(h, dim=16)
+        assert vals.tolist() == [1.0, 0.0]
+        stacked, _ = _psd_eigensystem(np.array([h, h]), dim=16)
+        assert stacked.tobytes() == np.array([vals, vals]).tobytes()
+        assert _psd_eigensystem(np.array([h]))[0][0, 1] > 0.0
 
 
 class TestHermiticityResidual:
