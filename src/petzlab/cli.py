@@ -216,6 +216,9 @@ def _cmd_qec(args) -> int:
         projector = three_qubit_bit_flip_code()
         channel = single_bit_flip_channel(args.p)
     else:
+        if not 1 <= args.code_dim <= args.dim:
+            raise ValueError(f"--code-dim {args.code_dim} must lie between 1 and "
+                             f"--dim {args.dim}")
         rng = np.random.default_rng(args.seed)
         dec = np.linalg.eigh(random_density(args.dim, rng))[1]
         cols = dec[:, : args.code_dim]
@@ -281,15 +284,12 @@ def _cmd_sweep(args) -> int:
 
 def _add_common(parser, judged: bool = True):
     """The flags of every command.  One that judges no inequality and draws
-    nothing at random (``judged=False``) takes ``--tolerance`` and ``--seed``
-    only as unread flags."""
+    nothing at random (``judged=False``) takes no ``--tolerance`` or
+    ``--seed``."""
     parser.add_argument("--unit", choices=("nats", "bits"), default="nats")
     if judged:
         parser.add_argument("--tolerance", type=float, default=_TOLERANCE)
         parser.add_argument("--seed", type=int, default=0)
-    else:
-        _add_unread(parser, "tolerance", float)
-        _add_unread(parser, "seed", int)
     parser.add_argument("--output", "-o", default=None,
                         help="report file path (table; .summary JSON alongside)")
     parser.add_argument("--config", default=None,
@@ -298,22 +298,6 @@ def _add_common(parser, judged: bool = True):
 
 def _add_nodes(parser, text: str):
     parser.add_argument("--nodes", type=int, default=129, help=text + " (default 129)")
-
-
-# why a command that accepts one of these deprecated flags does not read it
-_UNREAD = {
-    "nodes": "it applies the exact universal map",
-    "tolerance": "it judges no inequality",
-    "seed": "it draws nothing at random",
-}
-
-
-def _add_unread(parser, name: str, kind=int):
-    """The deprecated flag ``--name`` of a command that does not read it
-    (``_UNREAD`` says why): accepted, hidden from the help, and announced on
-    stderr when given."""
-    parser.add_argument("--" + name, dest="unread_" + name, type=kind, default=None,
-                        help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ssa", help="strong subadditivity remainder")
     _add_common(p)
-    _add_unread(p, "nodes")
     p.add_argument("--state", help="tripartite state file")
     p.add_argument("--state-dims", default="2,2,2", help="factor dims dA,dB,dC")
     p.add_argument("--ghz", action="store_true", help="use the three-qubit GHZ state")
@@ -353,14 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-corollaries",
                        help="concavity and joint convexity remainders")
     _add_common(p)
-    _add_unread(p, "nodes")
     p.add_argument("--random", type=int, default=1)
     p.add_argument("--dims", default="2..2")
     p.set_defaults(func=_cmd_verify_corollaries)
 
     p = sub.add_parser("qec", help="approximate error correction bounds")
     _add_common(p)
-    _add_unread(p, "nodes")
     p.add_argument("--code", choices=("bitflip3", "random"), default="bitflip3")
     p.add_argument("--p", type=float, default=0.1, help="bitflip3 noise weight")
     p.add_argument("--dim", type=int, default=4, help="random code ambient dimension")
@@ -429,10 +410,6 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config(probe, argv)
         args = parser.parse_args(argv)
-        for name, why in _UNREAD.items():
-            if getattr(args, "unread_" + name, None) is not None:
-                print(f"warning: {args.command} ignores --{name}, which is deprecated there: "
-                      f"{why}", file=sys.stderr)
         return args.func(args)
     except ValueError as exc:
         # bad arguments or input the library cannot use

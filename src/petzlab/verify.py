@@ -334,10 +334,15 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule | None = None) -> E
     trace_x = partial_trace_channel((nx, dim), keep=(1,))
     pair = _PetzFactory(sigma_xa.reshape(nx * dim, -1), trace_x)
     rho_avg = np.tensordot(weights, rhos, axes=1)
-    lhs = float(np.dot(weights, member_d)) - _relative_entropy(rho_avg, pair.m_sys)
+    # as in _dpi: infinite exactly when a member of positive weight leaves its
+    # support, and a member of zero weight adds nothing (not 0 * inf = NaN)
+    live = weights > 0.0
+    if np.any(member_d[live] == np.inf):
+        lhs = float(np.inf)
+    else:
+        lhs = float(np.dot(weights[live], member_d[live])) - _relative_entropy(rho_avg, pair.m_sys)
 
     rec = pair.universal_apply(rho_avg).reshape(nx, dim, nx, dim)
-    live = weights > 0.0
     member_fids = np.full(nx, np.nan)
     member_fids[live] = _root_fidelities(
         (rho_sys[0][live], rho_sys[1][live]),
@@ -376,7 +381,7 @@ def qec_analyze(
     projector: np.ndarray,
     channel: Channel,
     samples: int,
-    rule: QuadratureRule | None = None,
+    *,
     seed=0,
     tol: float = _TOLERANCE,
 ) -> QecReport:
@@ -389,11 +394,7 @@ def qec_analyze(
     eigenbasis of ``Pi``), and evaluates the forward
     bound ``F >= 1 - gap_max/2`` and the converse entropy-continuity bound,
     each judged with the finite, nonnegative tolerance ``tol``.
-
-    ``rule`` is deprecated: the map is exact, so a rule is not read, and
-    passing one raises a ``DeprecationWarning``.
     """
-    _unread_rule(rule, "qec_analyze")
     _check_tolerance(tol)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -583,7 +584,7 @@ def truncation_convergence(
     sigma: np.ndarray,
     channel: Channel,
     k_list,
-    rule: QuadratureRule | None = None,
+    *,
     reference: np.ndarray | None = None,
 ) -> TruncationReport:
     """Finite-rank compression study of a relative entropy pair.
@@ -597,11 +598,7 @@ def truncation_convergence(
     slacks are convergence diagnostics: they approach the true slack as
     the rank grows but carry no sign guarantee at intermediate ranks.
     They read the exact universal map, and no per-node state is built.
-
-    ``rule`` is deprecated: it is not read, and passing one raises a
-    ``DeprecationWarning``.
     """
-    _unread_rule(rule, "truncation_convergence")
     rho = _checked(rho)
     dim = rho.shape[0]
     ks = tuple(int(k) for k in k_list)

@@ -31,24 +31,6 @@ class TestQuadratureInfo:
         assert abs(total - 1.0) <= 1e-12
         assert "node weight" in out.replace("index ", "")
 
-    def test_tolerance_and_seed_are_unread(self, tmp_path, capsys):
-        assert run(["quadrature-info", "--nodes", "3", "-o", str(tmp_path / "plain.txt")]) == 0
-        plain = capsys.readouterr()
-        assert run(["quadrature-info", "--nodes", "3", "--tolerance", "nan", "--seed", "5",
-                    "-o", str(tmp_path / "flagged.txt")]) == 0
-        flagged = capsys.readouterr()
-        assert plain.err == "" and flagged.out == plain.out
-        lines = flagged.err.splitlines()
-        assert [line.split(",")[0] for line in lines] == [
-            "warning: quadrature-info ignores --tolerance",
-            "warning: quadrature-info ignores --seed",
-        ]
-        assert all("deprecated" in line for line in lines)
-        for suffix in ("", ".summary"):
-            assert (tmp_path / f"flagged.txt{suffix}").read_bytes() == (
-                tmp_path / f"plain.txt{suffix}"
-            ).read_bytes()
-
     def test_tolerance_and_seed_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
             run(["quadrature-info", "--help"])
@@ -57,12 +39,19 @@ class TestQuadratureInfo:
 
     def test_config_keys_still_work(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"nodes": 5, "tolerance": 1e-6, "seed": 3}))
+        config.write_text(json.dumps({"nodes": 5}))
         assert run(["quadrature-info", "--config", str(config)]) == 0
         configured = capsys.readouterr()
         assert run(["quadrature-info", "--nodes", "5"]) == 0
-        assert configured.out == capsys.readouterr().out
-        assert configured.err.count("\n") == 2
+        assert configured == capsys.readouterr() and configured.err == ""
+        # the command takes no --tolerance or --seed, so, like any key it
+        # lacks, either one in a config is a usage error
+        for key, value in (("tolerance", 1e-6), ("seed", 3)):
+            config.write_text(json.dumps({"nodes": 5, key: value}))
+            with pytest.raises(SystemExit) as info:
+                run(["quadrature-info", "--config", str(config)])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
 
 
 class TestVerifyDpi:
@@ -344,6 +333,16 @@ class TestQec:
             nats["summary"]["max_gap"] / math.log(2), rel=1e-11
         )
 
+    @pytest.mark.parametrize("code_dim", ["5", "0", "-1"])
+    def test_code_dim_outside_dim_is_usage_error(self, code_dim, capsys):
+        # a slice of the drawn basis would quietly keep some other number of columns
+        assert run(["qec", "--code", "random", "--dim", "4", "--code-dim", code_dim,
+                    "--samples", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --code-dim {code_dim} must lie between 1 and "
+                                "--dim 4\n")
+
     def test_rank_deficient_recovered_state(self, capsys):
         # the recovered pure code state has an eigenvalue of -2.1e-15, below
         # the rank cutoff -1.8e-15 that fidelity once rejected
@@ -411,9 +410,8 @@ class TestSweep:
 
 
 class TestDeprecatedNodes:
-    """``--nodes`` on a command that applies the exact universal map is
-    accepted, hidden from the help, announced once on stderr, and read by
-    nothing."""
+    """A command that applies the exact universal map builds no quadrature
+    rule and takes no ``--nodes``: the flag is a usage error there."""
 
     @pytest.mark.parametrize("args", [
         "qec --code bitflip3 --samples 4",
@@ -422,27 +420,19 @@ class TestDeprecatedNodes:
         "verify-ssa --random 2 --seed 3",
         "verify-corollaries --random 2 --seed 1",
     ])
-    def test_nodes_changes_no_byte(self, args, tmp_path, monkeypatch, capsys):
-        base = args.split()
-        assert run(base + ["-o", str(tmp_path / "plain.txt")]) == 0
-        plain = capsys.readouterr()
-
+    def test_nodes_changes_no_byte(self, args, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("built a quadrature rule")
 
         monkeypatch.setattr("petzlab.cli.beta_quadrature", refuse)
         monkeypatch.setattr("petzlab.verify.beta_quadrature", refuse)
-        assert run(base + ["--nodes", "33", "-o", str(tmp_path / "flagged.txt")]) == 0
-        flagged = capsys.readouterr()
-        assert plain.err == ""
-        assert flagged.err.count("\n") == 1
-        assert flagged.err.startswith(f"warning: {base[0]} ignores --nodes")
-        assert "deprecated" in flagged.err
-        assert flagged.out == plain.out
-        for suffix in ("", ".summary"):
-            assert (tmp_path / f"flagged.txt{suffix}").read_bytes() == (
-                tmp_path / f"plain.txt{suffix}"
-            ).read_bytes()
+        base = args.split()
+        assert run(base) == 0
+        assert capsys.readouterr().err == ""
+        with pytest.raises(SystemExit) as info:
+            run(base + ["--nodes", "33"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --nodes 33" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["qec", "verify-ssa", "verify-corollaries"])
     def test_nodes_hidden_from_help(self, command, capsys):

@@ -282,6 +282,27 @@ class TestJointConvexity:
         assert rep.support_flags == (False, True)
         assert rep.lhs == np.inf
 
+    def test_zero_weight_member_outside_support_adds_nothing(self, rng):
+        # its relative entropy is inf, and its weight is 0: 0 * inf is NaN
+        members = [(0.5, random_density(2, rng), random_density(2, rng)) for _ in range(2)]
+        outside = (0.0, pure_state([0, 1]), pure_state([1, 0]))
+        rep = joint_convexity_remainder(members + [outside])
+        assert rep.support_flags == (False, False, True)
+        assert rep.lhs == joint_convexity_remainder(members).lhs
+        assert math.isfinite(rep.slack)
+
+    @pytest.mark.parametrize("members", [
+        [(1.0, pure_state([0, 1]), pure_state([1, 0]))],
+        [(0.5, pure_state([0, 1]), pure_state([1, 0])),
+         (0.5, pure_state([1, 0]), pure_state([1, 0]))],
+    ], ids=["single-member", "average-outside-too"])
+    def test_member_and_average_outside_support(self, members):
+        # both terms are inf, and inf - inf is NaN, which would pass every
+        # check, since slack < -tolerance is never true
+        rep = joint_convexity_remainder(members)
+        assert rep.support_flags[0]
+        assert rep.lhs == np.inf and rep.slack == np.inf
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_weight_rejected(self, rng, bad):
         members = [(w, random_density(2, rng), random_density(2, rng)) for w in (bad, 1.0)]
@@ -647,20 +668,16 @@ class TestSweep:
 
 
 def deprecated_rule_cases():
-    """``(name, check, args, kwargs)`` of the five checks and the map builder
+    """``(name, check, args, kwargs)`` of the three checks and the map builder
     that read no rule; a rule goes between ``args`` and ``kwargs``, as in a
     positional call."""
     gen = np.random.default_rng(41)
-    rho, sigma = random_density(4, gen), random_density(4, gen)
+    sigma = random_density(4, gen)
     members = [(w, random_density(4, gen)) for w in (0.3, 0.7)]
     triples = [(w, random_density(3, gen), random_density(3, gen)) for w in (0.4, 0.6)]
     yield "ssa_remainder", ssa_remainder, (random_density(12, gen), (2, 3, 2)), {}
     yield "concavity_remainder", concavity_remainder, (members, (2, 2)), {}
     yield "joint_convexity_remainder", joint_convexity_remainder, (triples,), {}
-    yield ("qec_analyze", qec_analyze,
-           (three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 6), {"seed": 2})
-    yield ("truncation_convergence", truncation_convergence,
-           (rho, sigma, random_channel(4, 3, 2, gen), [1, 2, 4]), {"reference": sigma})
     yield "universal_recovery", universal_recovery, (sigma, random_channel(4, 3, 2, gen)), {}
 
 
@@ -676,6 +693,24 @@ def fields(result):
     if isinstance(result, RecoveryMap):
         return {"text": dumps_recovery(result)}
     return dataclasses.asdict(result)
+
+
+class TestRemovedRule:
+    """``qec_analyze`` and ``truncation_convergence`` take no rule: one passed
+    by name or by position is a ``TypeError`` at the call, never bound to
+    ``seed`` or ``reference``."""
+
+    @pytest.mark.parametrize("case", [
+        (qec_analyze, (three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 6)),
+        (truncation_convergence,
+         (random_density(4, 41), random_density(4, 42), random_channel(4, 3, 2, 43), [1, 2, 4])),
+    ], ids=lambda c: c[0].__name__)
+    def test_rule_is_a_type_error(self, case):
+        check, args = case
+        with pytest.raises(TypeError, match="rule"):
+            check(*args, rule=RULE65)
+        with pytest.raises(TypeError, match="positional"):
+            check(*args, RULE65)
 
 
 class TestDeprecatedRule:
