@@ -15,6 +15,7 @@ factor carries the most significant index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ SUPPORT_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 
 _EPS = float(np.finfo(np.float64).eps)
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -85,20 +87,45 @@ def hermiticity_residual(h: np.ndarray) -> float:
     return float(max(-skew[0], skew[-1]) / scale)
 
 
+def _within_frobenius_bound(h: np.ndarray, herm_tol: float) -> bool:
+    """Whether ``sqrt(d) ||h - h^dag||_F / ||h||_F``, an upper bound on
+    ``hermiticity_residual(h)`` (``||x|| <= ||x||_F <= sqrt(d) ||x||``), lies
+    clearly below ``herm_tol``.
+
+    Both norms are of arrays scaled to a largest entry of 1 (the skew part
+    after the subtraction, so its relative rounding stays ``eps``).  The
+    margin ``1e-6`` covers the rounding of the norms, and ``d sqrt(tiny)``
+    the squares of skew entries that may flush to zero, so ``True`` implies
+    a computed residual within ``herm_tol`` too.
+    """
+    top = np.abs(h).max(initial=0.0)
+    if top == 0.0:
+        return False
+    d = h.shape[0]
+    skew, g = (h - dagger(h)) / top, h / top
+    skew_norm = math.sqrt(np.vdot(skew, skew).real)
+    return bool(math.sqrt(d) * (skew_norm + d * _SQRT_TINY)
+                <= (1.0 - 1e-6) * herm_tol * math.sqrt(np.vdot(g, g).real))
+
+
 def _checked(h: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
     """``h`` as a complex array, checked to be square, finite and Hermitian.
 
     Raises ``ValueError`` naming the symmetry residual when ``h`` is not
-    Hermitian within ``herm_tol`` (relative spectral norm).  Public
-    functions run it once on each matrix their caller passes; ``herm_tol=inf``
-    skips the residual and its two eigenvalue calls.
+    Hermitian within ``herm_tol`` (relative spectral norm).  A matrix whose
+    Frobenius bound on the residual (``_within_frobenius_bound``) is below
+    ``herm_tol`` passes without it; any other matrix gets the exact residual
+    and its two eigenvalue calls, so a matrix is accepted or refused, with
+    the same message, exactly as by the residual alone.  Public functions
+    run it once on each matrix their caller passes; ``herm_tol=inf`` skips
+    both.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("matrix has non-finite entries")
-    if herm_tol < np.inf:
+    if herm_tol < np.inf and not _within_frobenius_bound(h, herm_tol):
         res = hermiticity_residual(h)
         if res > herm_tol:
             raise ValueError(

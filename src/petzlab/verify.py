@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,8 +87,10 @@ class DpiReport:
     fidelity with the exact universal map, ``rhs_strong`` averages the
     per-node log-fidelities of the rule (never smaller than ``rhs_mixture``
     up to rounding and the rule's error, by concavity).
-    ``exploratory_relative_entropy`` is ``D(rho || recovered)``, reported as
-    data only; no proven bound uses it.
+
+    ``exploratory_relative_entropy``, ``D(rho || recovered_state)``, is
+    deprecated: no proven bound uses it.  It is computed only when read,
+    and each read raises one ``DeprecationWarning``.
     """
 
     lhs: float
@@ -96,8 +100,15 @@ class DpiReport:
     slack_strong: float
     per_node_fidelities: np.ndarray
     recovered_state: np.ndarray
-    exploratory_relative_entropy: float
     support_violated: bool
+    _rho: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def exploratory_relative_entropy(self) -> float:
+        """Deprecated: ``D(rho || recovered_state)``, which no proven bound uses."""
+        warnings.warn("DpiReport.exploratory_relative_entropy is deprecated: no proven "
+                      "bound uses it", DeprecationWarning, stacklevel=2)
+        return _relative_entropy(self._rho, _psd_eigensystem(self.recovered_state))
 
 
 def dpi_remainder(
@@ -114,8 +125,7 @@ def dpi_remainder(
     """
     rho = _checked(rho)
     pair = _PetzFactory(_checked(sigma), channel)
-    rho_sys = _psd_eigensystem(rho)
-    d_in, gap, fids, universal = _dpi(rho, rho_sys, pair, rule.nodes / 2.0)
+    d_in, gap, fids, universal = _dpi(rho, _psd_eigensystem(rho), pair, rule.nodes / 2.0)
     lhs, rhs_mixture = float(gap), _neg2log(float(fids[-1]))
     rhs_strong = _neg2log_mean(rule.weights, fids[:-1])
     rec = pair.s_sys[1] @ universal @ dagger(pair.s_sys[1])
@@ -127,8 +137,8 @@ def dpi_remainder(
         slack_strong=_slack(lhs, rhs_strong),
         per_node_fidelities=fids[:-1],
         recovered_state=rec,
-        exploratory_relative_entropy=_relative_entropy(rho, _psd_eigensystem(rec), rho_sys[0]),
         support_violated=d_in == np.inf,
+        _rho=rho,
     )
 
 
@@ -479,7 +489,16 @@ def finite_set_recovery_search(
     distributions come from the fidelity-achieving measurement of the pair
     ``(rho, recovered)``.  Deterministic projected supergradient ascent on
     the simplex; no optimality guarantee.
+
+    Each of the ``iterations`` steps (a nonnegative integer) tries three
+    step sizes ``eta, eta/4, eta/16`` from a forward-difference gradient
+    and takes the first that improves the worst slack.  A step that fails
+    divides ``eta`` by 4 and leaves the point, its gradient and the two
+    smaller candidates as they were, so the next step evaluates only its
+    new smallest candidate; the search stops once ``eta < 1e-4``.
     """
+    if not isinstance(iterations, numbers.Integral) or iterations < 0:
+        raise ValueError(f"iterations must be a nonnegative integer, got {iterations!r}")
     states = [_checked(s) for s in states]
     if not states:
         raise ValueError("need at least one state")
@@ -538,20 +557,27 @@ def finite_set_recovery_search(
     step = 0.5
     delta = 1e-4
     diagonal = np.diag_indices(len(t_grid))
+    grad = None
     for _ in range(iterations):
-        probes = np.tile(w, (len(t_grid), 1))
-        probes[diagonal] += delta
-        probes /= probes.sum(axis=1, keepdims=True)
-        grad = (slacks(probes, [active])[:, 0] - f_cur) / delta
-        # the line-search candidates are evaluated together; the first
-        # improving one is taken
-        etas = (step, step / 4.0, step / 16.0)
+        if grad is None:
+            probes = np.tile(w, (len(t_grid), 1))
+            probes[diagonal] += delta
+            probes /= probes.sum(axis=1, keepdims=True)
+            grad = (slacks(probes, [active])[:, 0] - f_cur) / delta
+            # the line-search candidates are evaluated together; the first
+            # improving one is taken
+            etas = (step, step / 4.0, step / 16.0)
+        else:
+            # a failed step left w, and so grad, as they were: its two smaller
+            # candidates are this step's two larger ones, and did not improve
+            etas = (step / 16.0,)
         cands = np.array([_project_simplex(w + eta * grad) for eta in etas])
         values, worst = objective(cands)
         better = np.flatnonzero(values > f_cur + 1e-14)
         if better.size:
             k = better[0]
             w, f_cur, active = cands[k], float(values[k]), int(worst[k])
+            grad = None
         else:
             step /= 4.0
             if step < 1e-4:

@@ -631,6 +631,23 @@ def counting(monkeypatch, name, modules, single=False):
     return calls
 
 
+def hermiticity_checks(monkeypatch, modules):
+    """The ``_checked`` calls through ``modules`` with a finite ``herm_tol``:
+    the checks of caller inputs, each of which may take the exact residual."""
+    calls = []
+    original = linalg._checked
+
+    def wrapper(h, herm_tol=linalg.HERM_TOL):
+        if herm_tol < np.inf:
+            calls.append(np.shape(h))
+        return original(h, herm_tol)
+
+    for module in modules:
+        if getattr(module, "_checked", None) is original:
+            monkeypatch.setattr(module, "_checked", wrapper)
+    return calls
+
+
 def patch_kernel(monkeypatch, form):
     """Replace the pair's cached ``kernel`` by ``form(pair, original)``."""
     original = recovery._PetzFactory.kernel.func
@@ -973,12 +990,13 @@ class TestWorkPerInstance:
         rho, sigma, chan = random_dpi_instance(5)
         modules = (linalg, entropy, verify, channels, recovery)
         eigs = counting(monkeypatch, "_psd_eigensystem", modules, single=True)
-        residuals = counting(monkeypatch, "hermiticity_residual", modules)
+        checks = hermiticity_checks(monkeypatch, modules)
         dpi_remainder(rho, sigma, chan, beta0_quadrature(129))
         # sigma and N(sigma) once each from the reference pair, rho once for
-        # its fidelity root and both its entropies, N(rho), and the recovered state
-        assert 0 < len(eigs) <= 5
-        assert 0 < len(residuals) <= 4
+        # its fidelity root and both its entropies, and N(rho); the recovered
+        # state only when the deprecated exploratory entropy is read
+        assert 0 < len(eigs) <= 4
+        assert 0 < len(checks) <= 4
 
     def test_alpha_chain_decompositions(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(8)
@@ -1009,13 +1027,13 @@ class TestWorkPerInstance:
     def test_qec_decompositions(self, monkeypatch):
         modules = (linalg, entropy, verify, channels, recovery)
         eigs = counting(monkeypatch, "_psd_eigensystem", modules, single=True)
-        residuals = counting(monkeypatch, "hermiticity_residual", modules)
+        checks = hermiticity_checks(monkeypatch, modules)
         samples = 20
         qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), samples)
         # the codespace projector and its output once; per sample the state
         # once (entropy and fidelity root) and its output once
         assert 0 < len(eigs) <= 2 + 2 * samples
-        assert len(residuals) == 1  # the caller's projector
+        assert len(checks) == 1  # the caller's projector
 
     def test_fidelities_take_no_stacked_eigh(self, monkeypatch):
         shapes = []
@@ -1114,10 +1132,10 @@ class TestWorkPerInstance:
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
         states = [rho, random_density(sigma.shape[0], 17)]
         modules = (linalg, entropy, verify, channels, recovery)
-        residuals = counting(monkeypatch, "hermiticity_residual", modules)
+        checks = hermiticity_checks(monkeypatch, modules)
         finite_set_recovery_search(states, sigma, chan, np.linspace(-1.0, 1.0, 5), iterations=5)
         # each state and sigma once; the family's Kraus stack is built unchecked
-        assert len(residuals) <= len(states) + 1
+        assert len(checks) <= len(states) + 1
 
     def test_finite_set_search_reuses_its_base_slack(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(3, dim_hi=4)
@@ -1134,15 +1152,14 @@ class TestWorkPerInstance:
     def test_truncation_study_takes_each_entropy_once(self, monkeypatch):
         rho, sigma, chan = random_dpi_instance(11, dim_lo=4, dim_hi=4)
         entropies = counting(monkeypatch, "_relative_entropy", (verify,))
-        residuals = counting(monkeypatch, "hermiticity_residual",
-                             (linalg, entropy, verify, channels, recovery))
+        checks = hermiticity_checks(monkeypatch, (linalg, entropy, verify, channels, recovery))
         decompositions = counting(monkeypatch, "_psd_eigensystem", (verify,))
         ks = [1, 2, 3, 4]
         truncation_convergence(rho, sigma, chan, ks)
         # D(rho||sigma), then D(rho_k||sigma_k) and D(N(rho_k)||N(sigma_k)) per
         # rank; only the caller's rho and sigma are checked
         assert len(entropies) <= 1 + 2 * len(ks)
-        assert len(residuals) <= 2
+        assert len(checks) <= 2
         # sigma, then rho_k per rank: no recovered state is decomposed
         assert len(decompositions) == 1 + len(ks)
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from petzlab import linalg
 from petzlab.linalg import (
+    HERM_TOL,
+    _checked,
     _eigh,
     _psd_eigensystem,
     dagger,
@@ -109,6 +112,90 @@ class TestHermiticityResidual:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         want = self.svd_residual(g)
         assert abs(hermiticity_residual(scale * g) - want) <= 1e-12 * want
+
+
+def perturbed(dim, spectrum, ratio, rng, scale=1.0):
+    """A matrix whose relative symmetry residual is ``ratio * HERM_TOL``.
+
+    A Hermitian matrix of eigenvalues ``1, 1, ...`` (``flat``) or ``1, 1e-3,
+    ...`` (``dominant``) in a random basis, plus ``i eps K``: ``K`` is a
+    random rank-one projector for the flat spectrum, where the Frobenius
+    bound on the residual is tight, and a random full-rank Hermitian matrix
+    for the dominant one, where it is loose by at least ``sqrt(dim)``.
+    """
+    q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    vals = np.ones(dim) if spectrum == "flat" else np.r_[1.0, np.full(dim - 1, 1e-3)]
+    if spectrum == "flat":
+        k = q[:, :1] @ dagger(q[:, :1])
+    else:
+        k = random_hermitian(dim, rng)
+    # h - h^dag = 2 i eps K, and ||h|| = 1 up to O(eps^2)
+    eps = 0.5 * ratio * HERM_TOL / np.linalg.norm(k, 2)
+    return scale * ((q * vals) @ dagger(q) + 1j * eps * k)
+
+
+def residual_message(h, herm_tol=HERM_TOL):
+    """The message with which the exact residual alone refuses ``h``, or None."""
+    res = hermiticity_residual(h)
+    if res > herm_tol:
+        return (f"matrix is not Hermitian: relative symmetry residual {res:.3e} "
+                f"exceeds {herm_tol:.1e}")
+    return None
+
+
+def checked_message(h, herm_tol=HERM_TOL):
+    try:
+        _checked(h, herm_tol)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckedBound:
+    """``_checked`` accepts on the Frobenius bound when it lies below the
+    tolerance and otherwise takes the exact residual, so its decisions and
+    messages are the residual's."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 27])
+    @pytest.mark.parametrize("spectrum", ["flat", "dominant"])
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+    def test_decisions_match_the_residual(self, rng, monkeypatch, dim, spectrum, ratio, scale):
+        h = perturbed(dim, spectrum, ratio, rng, scale)
+        # the construction lands on the intended side of the tolerance
+        assert abs(hermiticity_residual(h) / HERM_TOL - ratio) <= 1e-6
+        want = residual_message(h)
+        assert (want is None) == (ratio < 1.0)
+        calls = []
+        monkeypatch.setattr(linalg, "hermiticity_residual",
+                            lambda m: calls.append(m) or hermiticity_residual(m))
+        assert checked_message(h) == want
+        # a tight bound settles an accepted matrix alone; a bound loose
+        # enough to exceed the tolerance, and every refusal, take the residual
+        if spectrum == "flat" and ratio < 1.0:
+            assert calls == []
+        elif ratio * np.sqrt(dim) > 1.0:
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("herm_tol", [0.0, 1e-300, 1e-165, -1.0])
+    def test_tiny_and_negative_tolerances(self, rng, herm_tol):
+        exact = random_hermitian(4, rng)
+        assert np.array_equal(exact, dagger(exact))
+        # an asymmetry whose squares flush to zero in the Frobenius norm
+        flushed = np.eye(2, dtype=complex)
+        flushed[0, 1] = 1e-170
+        for h in (exact, flushed, perturbed(4, "dominant", 0.5, rng),
+                  np.zeros((3, 3), dtype=complex)):
+            assert checked_message(h, herm_tol) == residual_message(h, herm_tol)
+
+    def test_hermitian_inputs_skip_the_residual(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "hermiticity_residual",
+                            lambda m: calls.append(m) or hermiticity_residual(m))
+        for dim in (1, 2, 5, 27):
+            _checked(random_hermitian(dim, rng))
+            _checked(random_psd(dim, rng, rank=1))
+        assert calls == []
 
 
 class TestMatrixFunctions:

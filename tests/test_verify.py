@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dpi_instance
-from petzlab import verify
+from petzlab import recovery, verify
 from petzlab.channels import (
     Channel,
     depolarizing_channel,
@@ -21,13 +21,16 @@ from petzlab.channels import (
     unitary_channel,
 )
 from petzlab.entropy import (
+    _fidelity_measurement,
+    _measured_lb,
+    _projectors,
     _relative_entropy,
     _root_fidelities,
     fidelity,
     relative_entropy,
     trace_distance,
 )
-from petzlab.linalg import _psd_eigensystem, dagger, tensor_product
+from petzlab.linalg import _checked, _psd_eigensystem, dagger, tensor_product
 from petzlab.recovery import (
     RecoveryMap,
     beta0_density,
@@ -148,7 +151,28 @@ class TestDpiRemainder:
             CLASSICAL_RHO, CLASSICAL_SIGMA, depolarizing_channel(2, 1.0), RULE65
         )
         expected = relative_entropy(CLASSICAL_RHO, CLASSICAL_SIGMA)
-        assert rep.exploratory_relative_entropy == pytest.approx(expected, abs=1e-9)
+        with pytest.deprecated_call():
+            assert rep.exploratory_relative_entropy == pytest.approx(expected, abs=1e-9)
+
+    def test_exploratory_entropy_is_computed_when_read(self, monkeypatch):
+        rho, sigma, chan = random_dpi_instance(4)
+        # the value the report used to carry: rho against the recovered state,
+        # with the spectrum of rho the remainder took
+        rep = dpi_remainder(rho, sigma, chan, RULE65)
+        want = _relative_entropy(_checked(rho), _psd_eigensystem(rep.recovered_state),
+                                 _psd_eigensystem(_checked(rho))[0])
+        calls = []
+        monkeypatch.setattr(verify, "_relative_entropy",
+                            lambda *args: calls.append(args) or _relative_entropy(*args))
+        rep = dpi_remainder(rho, sigma, chan, RULE65)
+        assert len(calls) == 2  # D(rho||sigma) and D(N(rho)||N(sigma)) only
+        assert "exploratory_relative_entropy" not in dataclasses.asdict(rep)
+        for read in (1, 2):
+            with pytest.warns(DeprecationWarning, match="exploratory_relative_entropy") as record:
+                got = rep.exploratory_relative_entropy
+            assert len(record) == 1 and record[0].filename == __file__
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert len(calls) == 2 + read
 
 
 class TestAlphaBound:
@@ -557,6 +581,189 @@ class TestFiniteSetSearch:
         assert np.all(np.isfinite(result.weights)) and np.all(result.weights >= 0.0)
         assert abs(result.weights.sum() - 1.0) <= 1e-12
         assert np.isfinite(result.min_slack)
+
+
+    @pytest.mark.parametrize("iterations", [-3, -1, 2.5, 3.0, "5", None])
+    def test_bad_iterations_rejected(self, rng, iterations):
+        sigma = random_density(2, rng)
+        with pytest.raises(ValueError, match="iterations must be a nonnegative integer"):
+            finite_set_recovery_search([sigma], sigma, identity_channel(2), [0.0, 1.0],
+                                       iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", [0, np.int64(2)])
+    def test_integer_iterations_accepted(self, rng, iterations):
+        sigma = random_density(2, rng)
+        result = finite_set_recovery_search([sigma], sigma, identity_channel(2), [0.0, 1.0],
+                                            iterations=iterations)
+        assert np.isfinite(result.min_slack)
+
+
+def frozen_search(states, sigma, channel, t_grid, iterations):
+    """The search loop as it stood before a failed step kept its gradient:
+    every step re-evaluates the ``T`` gradient probes and three candidates.
+    Returns the weights, the worst slack, the mixture's Kraus stack and each
+    step's outcome (``True`` for a step that improved)."""
+    states = np.array([_checked(s) for s in states])
+    sigma = _checked(sigma)
+    t_grid = np.asarray(t_grid, dtype=float)
+    pair = recovery._PetzFactory(sigma, channel)
+    outs = channel.apply(states)
+    gaps = _relative_entropy(states, pair.s_sys) - _relative_entropy(outs, pair.m_sys)
+    recs = pair.recovered(t_grid, outs).reshape(len(states), len(t_grid), -1)
+    rhos = dagger(pair.s_sys[1]) @ states @ pair.s_sys[1]
+    all_states = np.arange(len(states))
+
+    def slacks(weights, x):
+        mix = np.matmul(weights[:, None, None, :], recs[x]).reshape(
+            (len(weights), len(x)) + sigma.shape)
+        povm = _projectors(_fidelity_measurement(rhos[x], mix))
+        return gaps[x] - _measured_lb(rhos[x], mix, povm)
+
+    def objective(weights):
+        rows = slacks(weights, all_states)
+        worst = np.argmin(rows, axis=1)
+        return rows[np.arange(len(rows)), worst], worst
+
+    dens = beta0_density(t_grid)
+    starts = [dens / dens.sum()] if float(dens.sum()) > 0 else []
+    starts.append(np.full(len(t_grid), 1.0 / len(t_grid)))
+    starts.extend(np.eye(len(t_grid)))
+    starts = np.array(starts)
+    values, worst = objective(starts)
+    b = int(np.argmax(values >= np.max(values) - 1e-14))
+    w, f_cur, active = starts[b], float(values[b]), int(worst[b])
+    step, delta, outcomes = 0.5, 1e-4, []
+    diagonal = np.diag_indices(len(t_grid))
+    for _ in range(iterations):
+        probes = np.tile(w, (len(t_grid), 1))
+        probes[diagonal] += delta
+        probes /= probes.sum(axis=1, keepdims=True)
+        grad = (slacks(probes, [active])[:, 0] - f_cur) / delta
+        etas = (step, step / 4.0, step / 16.0)
+        cands = np.array([verify._project_simplex(w + eta * grad) for eta in etas])
+        values, worst = objective(cands)
+        better = np.flatnonzero(values > f_cur + 1e-14)
+        outcomes.append(bool(better.size))
+        if better.size:
+            k = better[0]
+            w, f_cur, active = cands[k], float(values[k]), int(worst[k])
+        else:
+            step /= 4.0
+            if step < 1e-4:
+                break
+    keep = w != 0.0
+    kraus = pair.kraus_stack(t_grid[keep], w[keep]).reshape(-1, channel.dim_in, channel.dim_out)
+    return w, f_cur, kraus, outcomes
+
+
+def pure_states_in_support(seed):
+    """A rank-deficient sigma and two pure states inside its support."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    sigma = random_density(d, rng, "rank-k", rank=max(1, d // 2))
+    chan = random_channel(d, d, 2, rng)
+    vals, vecs = np.linalg.eigh(sigma)
+    cols = vecs[:, vals > 1e-12]
+    proj = cols @ cols.conj().T
+    states = []
+    for _ in range(2):
+        s = proj @ random_density(d, rng, "rank-k", rank=1) @ proj
+        states.append(s / np.trace(s).real)
+    return states, sigma, chan
+
+
+def drawn_states(seed, count):
+    """A seeded full-rank sigma, channel and ``count`` states."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    sigma = random_density(d, rng)
+    chan = random_channel(d, int(rng.integers(2, 5)), 2, rng)
+    return [random_density(d, rng) for _ in range(count)], sigma, chan
+
+
+GRID5 = np.linspace(-1.0, 1.0, 5)
+# (states, sigma, channel, grid, iterations, the step outcomes the case must show)
+SEARCH_CASES = {
+    "one state, improving": (*drawn_states(0, 1), GRID5, 10, "+"),
+    "two states, mixed, breaks": (*drawn_states(1, 2), GRID5, 60, "+-b"),
+    "three states, mixed, breaks": (*drawn_states(12, 3), GRID5, 60, "+-b"),
+    # cut by the iteration count, where a step spent or saved would show
+    "two states, mixed, cut": (*drawn_states(1, 2), GRID5, 12, "+-"),
+    "three states, mixed, cut": (*drawn_states(12, 3), GRID5, 7, "+-"),
+    "three states, improving": (*drawn_states(11, 3), np.linspace(-2.0, 2.0, 7), 12, "+"),
+    "one state, never improving": (*drawn_states(6, 1), GRID5, 60, "-b"),
+    "one-node grid": (*drawn_states(2, 2), np.array([0.3]), 60, "-b"),
+    "pure states, never improving": (*pure_states_in_support(6), np.linspace(-1.0, 1.0, 9), 60,
+                                     "-b"),
+    "pure states, improving": (*pure_states_in_support(12), np.linspace(-1.0, 1.0, 9), 20, "+"),
+}
+
+
+class TestSearchReusesFailedSteps:
+    """A step whose candidates all fail leaves the point and its gradient as
+    they were; the next step evaluates only its one new candidate, and every
+    result is the frozen loop's, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(SEARCH_CASES))
+    def test_bit_identical_to_the_frozen_loop(self, name):
+        states, sigma, chan, grid, iterations, shows = SEARCH_CASES[name]
+        w, f_cur, kraus, outcomes = frozen_search(states, sigma, chan, grid, iterations)
+        got = finite_set_recovery_search(states, sigma, chan, grid, iterations=iterations)
+        assert got.weights.tobytes() == w.tobytes()
+        assert np.float64(got.min_slack).tobytes() == np.float64(f_cur).tobytes()
+        assert got.recovery.kraus.tobytes() == kraus.tobytes()
+        # the case covers what it is named for
+        assert ("+" in shows) <= any(outcomes)
+        assert ("-" in shows) <= (not all(outcomes))
+        assert ("b" in shows) <= (len(outcomes) < iterations)
+
+    def test_cases_cover_both_outcomes_and_the_break(self):
+        seen = set()
+        for states, sigma, chan, grid, iterations, _ in SEARCH_CASES.values():
+            outcomes = frozen_search(states, sigma, chan, grid, iterations)[3]
+            seen.update(outcomes)
+            if len(outcomes) < iterations:
+                seen.add("break")
+        assert seen == {True, False, "break"}
+
+    @staticmethod
+    def recorded_stacks(monkeypatch):
+        """The ``(P, X)`` stack shape of every ``_fidelity_measurement`` call."""
+        shapes = []
+
+        def recording(rhos, mix):
+            shapes.append(mix.shape[:2])
+            return _fidelity_measurement(rhos, mix)
+
+        monkeypatch.setattr(verify, "_fidelity_measurement", recording)
+        return shapes
+
+    def test_failed_first_step_counts(self, monkeypatch):
+        states, sigma, chan, grid, _, _ = SEARCH_CASES["one state, never improving"]
+        assert frozen_search(states, sigma, chan, grid, 60)[3] == [False] * 7
+        shapes = self.recorded_stacks(monkeypatch)
+        finite_set_recovery_search(states, sigma, chan, grid, iterations=60)
+        # the starts (the beta0 density, the uniform point and the 5 nodes),
+        # the 5 probes and 3 candidates of the first step, then one candidate
+        # for each of the six failed steps before the step size falls below 1e-4
+        assert shapes == [(7, 1), (5, 1), (3, 1)] + [(1, 1)] * 6
+
+    @pytest.mark.parametrize("name", ["two states, mixed, breaks", "three states, mixed, breaks"])
+    def test_stacks_follow_the_step_outcomes(self, monkeypatch, name):
+        states, sigma, chan, grid, iterations, _ = SEARCH_CASES[name]
+        outcomes = frozen_search(states, sigma, chan, grid, iterations)[3]
+        shapes = self.recorded_stacks(monkeypatch)
+        finite_set_recovery_search(states, sigma, chan, grid, iterations=iterations)
+        x = len(states)
+        want = [(len(grid) + 2, x)]
+        for i, _ in enumerate(outcomes):
+            if i and not outcomes[i - 1]:
+                want.append((1, x))
+            else:
+                want += [(len(grid), 1), (3, x)]
+        assert shapes == want
+        frozen = 1 + 2 * len(outcomes)
+        assert len(shapes) == frozen - sum(1 for o in outcomes[:-1] if not o)
 
 
 class TestTruncation:
