@@ -106,6 +106,26 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 # channels
 # ---------------------------------------------------------------------------
 
+def _kraus_sum(ops: np.ndarray, x, name: str) -> np.ndarray:
+    """``sum_k A_k x A_k^dag`` for a ``(k, a, b)`` operator stack and an
+    input ``x`` or a ``(..., b, b)`` stack of inputs; a mismatched input is
+    refused with the side's ``name``."""
+    x = np.asarray(x, dtype=complex)
+    _, rows, cols = ops.shape
+    if x.shape[-2:] != (cols, cols):
+        raise ValueError(f"input of shape {x.shape} does not match {name} {cols}")
+    lead = x.shape[:-2]
+    out = np.zeros(lead + (rows, rows), dtype=complex)
+    # batches whose products with all inputs hold at most 2**14 operator
+    # entries keep the temporaries small
+    size = max(1, 2**14 // (rows * cols * max(1, int(np.prod(lead)))))
+    for start in range(0, len(ops), size):
+        block = ops[start : start + size]
+        block = block.reshape(block.shape[:1] + (1,) * len(lead) + block.shape[1:])
+        out += (block @ x @ block.conj().swapaxes(-1, -2)).sum(axis=0)
+    return out
+
+
 class Channel:
     """Completely positive map given by Kraus operators.
 
@@ -133,22 +153,21 @@ class Channel:
         _, self.dim_out, self.dim_in = self.kraus.shape
 
         flat = self.kraus.reshape(-1, self.dim_in)
-        s = dagger(flat) @ flat
+        # sum K^dag K is PSD: its extreme eigenvalues give both tests
+        vals = np.linalg.eigvalsh(dagger(flat) @ flat)
+        lo, top = float(vals[0]), float(vals[-1])
         if mode == "tp":
-            err = float(np.linalg.norm(s - np.eye(self.dim_in), 2))
+            err = max(top - 1.0, 1.0 - lo)
             if err > atol:
                 raise ValueError(
                     f"Kraus completeness violated: ||sum K^dag K - id|| = {err:.3e}"
                 )
-        else:
-            # sum K^dag K is PSD, so its top eigenvalue is its spectral norm
-            top = float(np.linalg.eigvalsh(s)[-1])
-            if top > 1.0 + atol:
-                raise ValueError(
-                    f"trace non-increasing violated: max eig of sum K^dag K = {top}"
-                )
-            if top <= atol:
-                raise ValueError("sum K^dag K vanishes; not a channel")
+        elif top > 1.0 + atol:
+            raise ValueError(
+                f"trace non-increasing violated: max eig of sum K^dag K = {top}"
+            )
+        elif top <= atol:
+            raise ValueError("sum K^dag K vanishes; not a channel")
 
     @property
     def num_kraus(self) -> int:
@@ -160,30 +179,14 @@ class Channel:
         ``x`` may also be a stack ``(..., dim_in, dim_in)`` of inputs; the
         map acts on each.
         """
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-2:] != (self.dim_in, self.dim_in):
-            raise ValueError(
-                f"input of shape {x.shape} does not match dim_in {self.dim_in}"
-            )
-        lead = x.shape[:-2]
-        out = np.zeros(lead + (self.dim_out, self.dim_out), dtype=complex)
-        # batches whose products with all inputs hold at most 2**14 Kraus
-        # entries keep the temporaries small
-        size = max(1, 2**14 // (self.dim_out * self.dim_in * max(1, int(np.prod(lead)))))
-        for start in range(0, self.num_kraus, size):
-            block = self.kraus[start : start + size]
-            block = block.reshape(block.shape[:1] + (1,) * len(lead) + block.shape[1:])
-            out += (block @ x @ block.conj().swapaxes(-1, -2)).sum(axis=0)
-        return out
+        return _kraus_sum(self.kraus, x, "dim_in")
 
     def adjoint_apply(self, y: np.ndarray) -> np.ndarray:
-        """Adjoint map ``sum_k K^dag y K`` (unital when ``mode='tp'``)."""
-        y = np.asarray(y, dtype=complex)
-        if y.shape != (self.dim_out, self.dim_out):
-            raise ValueError(
-                f"input of shape {y.shape} does not match dim_out {self.dim_out}"
-            )
-        return (self.kraus.conj().swapaxes(1, 2) @ y @ self.kraus).sum(axis=0)
+        """Adjoint map ``sum_k K^dag y K`` (unital when ``mode='tp'``).
+
+        ``y`` may also be a stack ``(..., dim_out, dim_out)`` of inputs.
+        """
+        return _kraus_sum(self.kraus.conj().swapaxes(1, 2), y, "dim_out")
 
     def stinespring_isometry(self) -> np.ndarray:
         """Isometric extension ``U = sum_k K_k (x) |k>_E``.

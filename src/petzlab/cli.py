@@ -31,6 +31,7 @@ from .channels import (
     three_qubit_bit_flip_code,
 )
 from .entropy import LN2
+from .linalg import _eigh
 from .recovery import beta_quadrature
 from .verify import (
     SWEEP_KINDS,
@@ -220,8 +221,8 @@ def _cmd_qec(args) -> int:
             raise ValueError(f"--code-dim {args.code_dim} must lie between 1 and "
                              f"--dim {args.dim}")
         rng = np.random.default_rng(args.seed)
-        dec = np.linalg.eigh(random_density(args.dim, rng))[1]
-        cols = dec[:, : args.code_dim]
+        # the eigenvectors of the smallest eigenvalues span the code
+        cols = _eigh(random_density(args.dim, rng))[1][:, ::-1][:, : args.code_dim]
         projector = cols @ cols.conj().T
         channel = random_channel(args.dim, args.dim, args.env_max, rng)
     rep = qec_analyze(projector, channel, args.samples, seed=args.seed, tol=args.tolerance)

@@ -210,13 +210,14 @@ def fannes_audenaert_bound(eps: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def validate_povm(effects, dim: int):
-    """Check that the effects are PSD and sum to the identity, within ``POVM_TOL``."""
+    """Check that the effects are Hermitian (``_checked``) and PSD and sum to
+    the identity, within ``POVM_TOL``."""
     effects = [np.asarray(m, dtype=complex) for m in effects]
     total = np.zeros((dim, dim), dtype=complex)
     for m in effects:
         if m.shape != (dim, dim):
             raise ValueError(f"effect of shape {m.shape} does not match dim {dim}")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + dagger(m)))))
+        lo = float(np.linalg.eigvalsh(_checked(m))[0])
         if lo < -POVM_TOL:
             raise ValueError(f"POVM effect has negative eigenvalue {lo:.3e}")
         total += m

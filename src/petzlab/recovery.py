@@ -75,8 +75,7 @@ class QuadratureRule:
             raise ValueError("nodes must be finite and strictly increasing")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to one")
+        _check_simplex(weights)
 
     def __len__(self) -> int:
         return len(self.nodes)

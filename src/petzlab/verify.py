@@ -495,7 +495,8 @@ def finite_set_recovery_search(
     and takes the first that improves the worst slack.  A step that fails
     divides ``eta`` by 4 and leaves the point, its gradient and the two
     smaller candidates as they were, so the next step evaluates only its
-    new smallest candidate; the search stops once ``eta < 1e-4``.
+    new smallest candidate; the search stops once ``eta < 1e-4``.  A
+    one-node ``t_grid`` is a single point, so the search returns its start.
     """
     if not isinstance(iterations, numbers.Integral) or iterations < 0:
         raise ValueError(f"iterations must be a nonnegative integer, got {iterations!r}")
@@ -558,7 +559,8 @@ def finite_set_recovery_search(
     delta = 1e-4
     diagonal = np.diag_indices(len(t_grid))
     grad = None
-    for _ in range(iterations):
+    # one node leaves a single point on the simplex: nothing to search
+    for _ in range(iterations if len(t_grid) > 1 else 0):
         if grad is None:
             probes = np.tile(w, (len(t_grid), 1))
             probes[diagonal] += delta

@@ -54,6 +54,33 @@ class TestChannelValidation:
         chan = identity_channel(2)
         with pytest.raises(ValueError, match="dim_in"):
             chan.apply(np.eye(3))
+        with pytest.raises(ValueError, match="dim_out"):
+            random_channel(2, 3, 1, 0).adjoint_apply(np.eye(2))
+
+    # Kraus sets with sum K^dag K = (1 + f * atol) * id
+    TP_BASES = {
+        "unitary": lambda: random_unitary(3, 1)[None],
+        "two Kraus": lambda: random_channel(3, 2, 2, 4).kraus,
+        "three Kraus": lambda: random_channel(4, 3, 3, 9).kraus,
+        "partial trace": lambda: partial_trace_channel((2, 3), [0]).kraus,
+    }
+
+    @pytest.mark.parametrize("base", list(TP_BASES))
+    @pytest.mark.parametrize("atol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("f", [3.0, -3.0])
+    def test_tp_refuses_beyond_atol(self, base, atol, f):
+        kraus = np.sqrt(1.0 + f * atol) * self.TP_BASES[base]()
+        want = f"Kraus completeness violated: ||sum K^dag K - id|| = {3 * atol:.3e}"
+        with pytest.raises(ValueError) as info:
+            Channel(kraus, atol=atol)
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("base", list(TP_BASES))
+    @pytest.mark.parametrize("atol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("f", [0.5, -0.5])
+    def test_tp_accepts_within_atol(self, base, atol, f):
+        kraus = np.sqrt(1.0 + f * atol) * self.TP_BASES[base]()
+        assert Channel(kraus, atol=atol).mode == "tp"
 
 
 class TestAssertPositive:
@@ -117,6 +144,19 @@ class TestAdjoint:
         lhs = np.trace(dagger(a) @ chan.apply(b))
         rhs = np.trace(dagger(chan.adjoint_apply(a)) @ b)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_stack_matches_each_member(self, rng, shape):
+        chan = random_channel(3, 4, 2, rng)
+        ys = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
+        xs = rng.standard_normal(shape + (3, 3)) + 1j * rng.standard_normal(shape + (3, 3))
+        out, images = chan.adjoint_apply(ys), chan.apply(xs)
+        assert out.shape == shape + (3, 3)
+        for i in np.ndindex(shape):
+            assert out[i].tobytes() == chan.adjoint_apply(ys[i]).tobytes()
+            # tr(A N(X)) = tr(N^dag(A) X) member by member
+            lhs, rhs = np.trace(ys[i] @ images[i]), np.trace(out[i] @ xs[i])
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestStinespring:

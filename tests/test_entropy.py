@@ -244,6 +244,15 @@ class TestMeasuredRelativeEntropy:
         u = random_unitary(3, rng)
         validate_povm(projective_povm(u), 3)
 
+    def test_povm_refuses_non_hermitian_effects(self):
+        # the anti-Hermitian parts cancel in the sum, and each effect's
+        # Hermitian part is PSD
+        skew = np.zeros((2, 2), dtype=complex)
+        skew[0, 1] = 0.3
+        half = np.diag([0.5, 0.5]).astype(complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            validate_povm([half + skew, np.eye(2) - half - skew], 2)
+
     def test_commuting_saturates(self):
         rho = np.diag([0.2, 0.8]).astype(complex)
         omega = np.diag([0.6, 0.4]).astype(complex)

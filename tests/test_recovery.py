@@ -106,6 +106,10 @@ class TestQuadrature:
         ([0.0, np.inf], [0.5, 0.5], "finite and strictly increasing"),
         ([0.0, 1.0], [1.5, -0.5], "positive"),
         ([0.0, 1.0], [0.5, 0.4], "sum to one"),
+        ([-1.0, 1.0], [np.nan, np.nan], "finite"),
+        ([0.0, 1.0], [0.5, np.nan], "finite"),
+        ([0.0, 1.0], [np.inf, 0.5], "finite"),
+        ([0.0, 1.0], [-np.inf, 0.5], "positive"),
     ])
     def test_rule_validation(self, nodes, weights, message):
         with pytest.raises(ValueError, match=message):

@@ -748,6 +748,13 @@ class TestSearchReusesFailedSteps:
         # for each of the six failed steps before the step size falls below 1e-4
         assert shapes == [(7, 1), (5, 1), (3, 1)] + [(1, 1)] * 6
 
+    def test_one_node_grid_evaluates_only_the_starts(self, monkeypatch):
+        states, sigma, chan, grid, _, _ = SEARCH_CASES["one-node grid"]
+        shapes = self.recorded_stacks(monkeypatch)
+        finite_set_recovery_search(states, sigma, chan, grid, iterations=60)
+        # the beta0 density, the uniform point and the node are one point
+        assert shapes == [(3, 2)]
+
     @pytest.mark.parametrize("name", ["two states, mixed, breaks", "three states, mixed, breaks"])
     def test_stacks_follow_the_step_outcomes(self, monkeypatch, name):
         states, sigma, chan, grid, iterations, _ = SEARCH_CASES[name]
