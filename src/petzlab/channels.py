@@ -38,9 +38,13 @@ def assert_positive(mat: np.ndarray) -> np.ndarray:
 
 
 def pure_state(vec) -> np.ndarray:
-    """Projector onto a normalized copy of the given state vector."""
+    """Projector onto a normalized copy of the given state vector, which
+    must be finite and nonzero."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)  # NaN when an entry is NaN, inf when one is infinite
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"state vector norm must be positive and finite, got {norm}")
+    v = v / norm
     return np.outer(v, v.conj())
 
 
@@ -114,16 +118,13 @@ def _kraus_sum(ops: np.ndarray, x, name: str) -> np.ndarray:
     _, rows, cols = ops.shape
     if x.shape[-2:] != (cols, cols):
         raise ValueError(f"input of shape {x.shape} does not match {name} {cols}")
-    lead = x.shape[:-2]
-    out = np.zeros(lead + (rows, rows), dtype=complex)
-    # batches whose products with all inputs hold at most 2**14 operator
-    # entries keep the temporaries small
-    size = max(1, 2**14 // (rows * cols * max(1, int(np.prod(lead)))))
-    for start in range(0, len(ops), size):
-        block = ops[start : start + size]
-        block = block.reshape(block.shape[:1] + (1,) * len(lead) + block.shape[1:])
-        out += (block @ x @ block.conj().swapaxes(-1, -2)).sum(axis=0)
-    return out
+    # chunks of at most 2**14 operator entries bound the temporaries of one input
+    # (a stack's grow with its length); their size does not depend on the input,
+    # so a stack member gets its own call's bits
+    size = max(1, 2**14 // (rows * cols))
+    shape = (-1,) + (1,) * (x.ndim - 2) + (rows, cols)
+    blocks = (ops[start : start + size].reshape(shape) for start in range(0, len(ops), size))
+    return sum((block @ x @ block.conj().swapaxes(-1, -2)).sum(axis=0) for block in blocks)
 
 
 class Channel:
@@ -132,7 +133,8 @@ class Channel:
     ``kraus`` is a sequence of equally shaped operators or one
     ``(k, dim_out, dim_in)`` array.  ``mode="tp"`` enforces trace
     preservation (sum K^dag K = id) and ``mode="tni"`` only trace
-    non-increase (sum K^dag K <= id), both within ``atol``.
+    non-increase (sum K^dag K <= id), both within ``atol``, which must be
+    finite and nonnegative.
     """
 
     def __init__(self, kraus, mode: str = "tp", atol: float = DEFAULT_ATOL):
@@ -149,6 +151,9 @@ class Channel:
             raise ValueError("Kraus operators have non-finite entries")
         if mode not in ("tp", "tni"):
             raise ValueError(f"mode must be 'tp' or 'tni', got {mode!r}")
+        # a NaN atol would pass every test below, since err > nan is never true
+        if not (np.isfinite(atol) and atol >= 0.0):
+            raise ValueError(f"atol must be finite and nonnegative, got {atol}")
         self.mode = mode
         _, self.dim_out, self.dim_in = self.kraus.shape
 

@@ -320,7 +320,7 @@ def _renyi_delta(rho, rho_sys, out, pair, alphas) -> list:
     ps = np.array([(1.0 - alpha) / (2.0 * alpha) for alpha in alphas])
     # N(sigma)^-p K_k sigma^p = V_N cores_k^dag V_sigma^dag, the Petz core under
     # lam^{p - 1/2} and mu^{1/2 - p}
-    cores = pair.cores(*pair._powers(ps))
+    cores = pair.cores(*pair.diagonals(ps - 0.5))
     out = []
     for alpha, p, core in zip(alphas, ps, cores.conj().swapaxes(-1, -2)):
         # the rows of U = sum_k K_k (x) |k>, permuted to (k, out): same singular values

@@ -153,8 +153,10 @@ def eig_hermitian(h: np.ndarray, *, herm_tol: float = HERM_TOL) -> SpectralDecom
     Raises ``ValueError`` naming the symmetry residual when the input is
     not Hermitian within ``herm_tol`` (relative spectral norm);
     ``herm_tol=np.inf`` skips the check for a matrix Hermitian by
-    construction.
+    construction; a NaN or negative ``herm_tol`` is refused.
     """
+    if not herm_tol >= 0.0:
+        raise ValueError(f"herm_tol must be nonnegative or inf, got {herm_tol}")
     vals, vecs = _eigh(_checked(h, herm_tol))
     return SpectralDecomposition(vals, vecs, rank_cutoff(vals))
 

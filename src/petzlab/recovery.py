@@ -203,14 +203,15 @@ class _PetzFactory:
     Every map is ``P`` under one function of the logs (``cores`` puts
     diagonals on either side): the rotated map ``R_t = U_{sigma,t} o R_0 o
     U_{N(sigma),-t}`` (``R_0`` the Petz map, ``U_{h,t}(x) = h^{-it} x h^{it}``)
-    under the node phases of ``_phases``, ``phase_rotated_petz`` under
-    eigenspace phases and the Renyi term under ``_powers``.  Maps are applied
-    through one kernel, ``P``'s superoperator ``kernel``, formed at most once,
-    by the first application; the map builders never form it.  ``recovered``
-    puts each node's phases around it, and the exact universal map ``int
-    beta0(t) R_{t/2} dt`` multiplies it by the closed-form
-    ``universal_phases``, so it reads no rule; ``universal_kraus`` builds
-    that map's Kraus form from ``P`` and a pivoted Cholesky factor of ``g``.
+    under the node phases, ``phase_rotated_petz`` under eigenspace phases and
+    the Renyi term under real powers; ``diagonals`` gives the phases and the
+    powers.  Maps are applied through one kernel, ``P``'s superoperator
+    ``kernel``, formed at most once, by the first application; the map
+    builders never form it.  ``recovered`` puts each node's phases around it,
+    and the exact universal map ``int beta0(t) R_{t/2} dt`` multiplies it by
+    closed-form phases (``universal_kernel``), so it reads no rule;
+    ``universal_kraus`` builds that map's Kraus form from ``P`` and a pivoted
+    Cholesky factor of ``g``.
 
     ``tni_budget`` is the trace-non-increase tolerance of the pair's maps:
     ``N(sigma)^{-1/2}`` amplifies the rounding of the small eigenvalues of
@@ -244,38 +245,27 @@ class _PetzFactory:
         m, n = len(self.sigma), len(self.n_sigma)
         return np.einsum("kip,kjq->ijpq", self.b, self.b.conj()).reshape(m * m, n * n)
 
-    def _powers(self, ps):
-        """The real diagonals ``lam^{p - 1/2}`` and ``mu^{1/2 - p}`` at every
-        ``p`` of the float array ``ps``, ``(T, m)`` and ``(T, n)``: ``cores``
-        of them are ``diag(lam^p) B_k diag(mu^{-p})``.  1 on the kernels, where
-        ``P`` is 0."""
-        e = ps - 0.5
+    def diagonals(self, e):
+        """The diagonals ``lam^e`` and ``mu^{-e}`` at every exponent of the
+        float or complex array ``e``, ``(T, m)`` and ``(T, n)``, from the
+        stored logs; 1 on the kernels, where ``P`` is 0.  ``e = -it`` gives the
+        node phases ``lam^{-it}`` and ``mu^{it}``, and ``e = p - 1/2`` makes
+        ``cores`` ``diag(lam^p) B_k diag(mu^{-p})``."""
         return np.exp(np.multiply.outer(e, self.log_s)), np.exp(np.multiply.outer(-e, self.log_m))
-
-    def _phases(self, ts):
-        """The node phases ``lam^{-it}`` and ``mu^{it}`` at every ``t`` of the
-        float array ``ts``, ``(T, m)`` and ``(T, n)``.  1 on the kernels, where
-        ``P`` is 0."""
-        return (np.exp(-1j * np.multiply.outer(ts, self.log_s)),
-                np.exp(1j * np.multiply.outer(ts, self.log_m)))
 
     def cores(self, c, a) -> np.ndarray:
         """``diag(c_t) P_k diag(a_t)``, ``(T, k, m, n)``, from ``(T, m)`` and ``(T, n)``
         diagonal stacks ``c`` and ``a``; ``V_sigma cores V_N^dag`` are Kraus stacks."""
         return c[:, None, :, None] * self.b * a[:, None, None, :]
 
-    def kraus_stack(self, ts, weights=None) -> np.ndarray:
+    def kraus_stack(self, ts) -> np.ndarray:
         """Kraus operators of the rotated Petz maps at every ``t`` in ``ts``.
 
         A ``(T, k, d_in, d_out)`` stack of ``sigma^{1/2 - it} K^dag
-        N(sigma)^{-1/2 + it}``, the ``cores`` of the node phases; with
-        ``weights``, node ``t``'s operators are scaled by ``sqrt(w_t)`` in place.
+        N(sigma)^{-1/2 + it}``, the ``cores`` of the node phases.
         """
-        cores = self.cores(*self._phases(np.asarray(ts, dtype=float)))
-        out = self.s_sys[1] @ cores @ self.m_sys[1].conj().T
-        if weights is not None:
-            out *= np.sqrt(weights)[:, None, None, None]
-        return out
+        cores = self.cores(*self.diagonals(-1j * np.asarray(ts, dtype=float)))
+        return self.s_sys[1] @ cores @ self.m_sys[1].conj().T
 
     def _rotate_input(self, x) -> np.ndarray:
         """``V_N^dag x V_N`` of one ``(n, n)`` input or a stack, flattened to
@@ -288,7 +278,7 @@ class _PetzFactory:
 
         One ``(n, n)`` input ``x`` gives a ``(T, m, m)`` stack, an ``(S, n, n)``
         stack gives ``(S, T, m, m)``.  With ``*`` entrywise, ``(c_t, a_t) =
-        (lam^{-it}, mu^{it})`` the node phases of ``_phases`` and ``T`` the Petz
+        (lam^{-it}, mu^{it})`` the node phases of ``diagonals`` and ``T`` the Petz
         map's ``kernel``, that is ``(c_t c_t^dag) * T((a_t a_t^dag) * V_N^dag x
         V_N)``: one product with ``T`` over every node and input.
         """
@@ -296,31 +286,27 @@ class _PetzFactory:
 
     def _recovered(self, ts, z) -> np.ndarray:
         """``recovered`` on the rotated input ``z = _rotate_input(x)``."""
-        c, a = self._phases(ts)
+        c, a = self.diagonals(-1j * np.asarray(ts, dtype=float))
         a, c = a[:, :, None] * a.conj()[:, None, :], c[:, :, None] * c.conj()[:, None, :]
         z = a.reshape(len(a), z.shape[-1]) * z[..., None, :]
         return c * (z @ self.kernel.T).reshape(z.shape[:-1] + c.shape[1:])
 
-    def universal_phases(self) -> np.ndarray:
-        """The exact universal map's phases, the ``(m m, n n)`` array
-        ``g(Delta_{ijpq} / 2)`` that multiplies the Petz map's ``kernel``.
+    @cached_property
+    def universal_kernel(self) -> np.ndarray:
+        """The exact universal map's ``(m m, n n)`` superoperator on the
+        rotated input: the Petz map's ``kernel`` times the closed-form phases
+        ``g(Delta_{ijpq} / 2)``.
 
         ``Delta_{ijpq} = log lam_i - log lam_j - log mu_p + log mu_q`` from the
         stored logs and ``g(h) = h / sinh h`` (``_g``), the Fourier transform
         of ``beta0``: ``int beta0(t) exp(-i t Delta / 2) dt`` is the rule's
-        node sum of the phases of ``_phases`` at every ``t / 2``, in closed
-        form.  Positive eigenvalues lie above the rank cutoff, so ``|Delta /
-        2| < 40`` and ``sinh`` is finite; on the kernels, where ``kernel`` is
-        0, the logs are 0.
+        node sum of the node phases at every ``t / 2``, in closed form.
+        Positive eigenvalues lie above the rank cutoff, so ``|Delta / 2| <
+        40`` and ``sinh`` is finite; on the kernels, where ``kernel`` is 0,
+        the logs are 0.
         """
         ds, dm = (np.subtract.outer(logs, logs).ravel() for logs in (self.log_s, self.log_m))
-        return _g(0.5 * np.subtract.outer(ds, dm))
-
-    @cached_property
-    def universal_kernel(self) -> np.ndarray:
-        """The exact universal map's ``(m m, n n)`` superoperator on the
-        rotated input, ``universal_phases() * kernel``."""
-        return self.universal_phases() * self.kernel
+        return _g(0.5 * np.subtract.outer(ds, dm)) * self.kernel
 
     def _universal(self, z) -> np.ndarray:
         """The exact universal map on the rotated input ``z = _rotate_input(x)``,
@@ -356,7 +342,7 @@ class _PetzFactory:
         the factor is dropped and ``C`` itself is decomposed instead, ``sqrt(c)
         u`` for its eigenpairs.  Either way eigenvalues at or below the rank
         cutoff ``m n eps c_max`` of ``C`` are dropped, so there are at most
-        ``m n`` operators, and neither ``kernel`` nor ``universal_phases`` is
+        ``m n`` operators, and neither ``kernel`` nor ``universal_kernel`` is
         formed.
         """
         m, n = len(self.sigma), len(self.n_sigma)

@@ -75,6 +75,14 @@ def _check_tolerance(tol) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
+def _integers(values, name: str) -> tuple:
+    """``values`` as a tuple of ints, refusing any value that is not an integer."""
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ValueError(f"{name} must hold integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # data processing inequality
 # ---------------------------------------------------------------------------
@@ -125,7 +133,7 @@ def dpi_remainder(
     """
     rho = _checked(rho)
     pair = _PetzFactory(_checked(sigma), channel)
-    d_in, gap, fids, universal = _dpi(rho, _psd_eigensystem(rho), pair, rule.nodes / 2.0)
+    d_in, gap, fids, universal = _dpi(rho, pair, rule.nodes / 2.0)
     lhs, rhs_mixture = float(gap), _neg2log(float(fids[-1]))
     rhs_strong = _neg2log_mean(rule.weights, fids[:-1])
     rec = pair.s_sys[1] @ universal @ dagger(pair.s_sys[1])
@@ -142,17 +150,17 @@ def dpi_remainder(
     )
 
 
-def _dpi(rho, rho_sys, pair: _PetzFactory, ts):
+def _dpi(rho, pair: _PetzFactory, ts=()):
     """The remainder kernel of the DPI family: ``(D(rho || sigma), gap, fids,
-    universal)`` for a checked state ``rho`` or an ``(S, d, d)`` stack, its
-    clamped eigensystem ``rho_sys`` and the reference pair ``pair``.
+    universal)`` for a checked state ``rho`` or an ``(S, d, d)`` stack and the
+    reference pair ``pair``.
 
     ``gap`` is ``D(rho || sigma) - D(N(rho) || N(sigma))``, ``inf`` exactly where
     ``rho`` leaves the support of ``sigma``.  ``fids`` holds, along its last
     axis, the root fidelities of ``rho`` with ``R_t(N(rho))`` at every ``t`` of
-    the node array ``ts``, which may be empty, and then with the exact
-    universal map's ``R(N(rho))``; ``universal`` is that state in the
-    eigenbasis of ``sigma``.  With no nodes, no node phase is computed.
+    the node array ``ts``, which may be empty (the default), and then with
+    the exact universal map's ``R(N(rho))``; ``universal`` is that state in
+    the eigenbasis of ``sigma``.  With no nodes, no node phase is computed.
     """
     out = pair.channel.apply(rho)
     z = pair._rotate_input(out)
@@ -162,7 +170,7 @@ def _dpi(rho, rho_sys, pair: _PetzFactory, ts):
     recs = universal[..., None, :, :]
     if len(ts):
         recs = np.concatenate([pair._recovered(ts, z), recs], axis=-3)
-    vals, vecs = rho_sys
+    vals, vecs = _psd_eigensystem(rho)
     fids = _root_fidelities((vals[..., None, :], (dagger(pair.s_sys[1]) @ vecs)[..., None, :, :]),
                             recs)
     d_in = _relative_entropy(rho, pair.s_sys, vals)
@@ -249,7 +257,7 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule | None = None)
     passing one raises a ``DeprecationWarning``.
     """
     _unread_rule(rule, "ssa_remainder")
-    da, db, dc = (int(d) for d in dims)
+    da, db, dc = _integers(dims, "dims")
     rho_abc = np.asarray(rho_abc, dtype=complex)
     rho_ab = partial_trace(rho_abc, (da, db, dc), keep=(0, 1))
     rho_bc = partial_trace(rho_abc, (da, db, dc), keep=(1, 2))
@@ -299,7 +307,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule | None = None) -> E
     passing one raises a ``DeprecationWarning``.
     """
     _unread_rule(rule, "concavity_remainder")
-    da, db = (int(d) for d in dims)
+    da, db = _integers(dims, "dims")
     weights = _check_simplex([w for w, _ in ensemble])
     states = _members([s for _, s in ensemble], (da, db))
     # the pair's eigensystems are those of the average and its B marginal
@@ -429,7 +437,7 @@ def qec_analyze(
             small = random_density(dim_code, seeds[i])
         rhos.append(isometry @ small @ dagger(isometry))
     rhos = np.reshape(rhos, (samples,) + pi.shape)
-    _, gaps, fids, _ = _dpi(rhos, _psd_eigensystem(rhos), pair, np.zeros(0))
+    _, gaps, fids, _ = _dpi(rhos, pair)
     fids = fids[:, -1]
 
     max_gap = float(np.max(gaps, initial=0.0))
@@ -587,8 +595,8 @@ def finite_set_recovery_search(
 
     # the mixture's Kraus stack: each node's operators scaled by sqrt(w)
     keep = w != 0.0
-    ops = pair.kraus_stack(t_grid[keep], w[keep]).reshape(-1, channel.dim_in, channel.dim_out)
-    mixture = pair.recovery_map("mixture", ops, nodes=t_grid, weights=w)
+    ops = pair.kraus_stack(t_grid[keep]) * np.sqrt(w[keep])[:, None, None, None]
+    mixture = pair.recovery_map("mixture", np.concatenate(ops), nodes=t_grid, weights=w)
     return SearchResult(recovery=mixture, min_slack=f_cur, weights=w, t_grid=t_grid)
 
 
@@ -629,7 +637,7 @@ def truncation_convergence(
     """
     rho = _checked(rho)
     dim = rho.shape[0]
-    ks = tuple(int(k) for k in k_list)
+    ks = _integers(k_list, "k_list")
     if not ks or any(k < 1 or k > dim for k in ks) or list(ks) != sorted(set(ks)):
         raise ValueError(f"k_list must be strictly increasing within [1, {dim}]")
     sigma = _checked(sigma)
@@ -643,7 +651,7 @@ def truncation_convergence(
         pi = cols @ dagger(cols)
         rho_k = pi @ rho @ pi
         pair = _PetzFactory(pi @ sigma @ pi, channel)
-        d_k, gap, fids, _ = _dpi(rho_k, _psd_eigensystem(rho_k), pair, np.zeros(0))
+        d_k, gap, fids, _ = _dpi(rho_k, pair)
         d_trunc.append(d_k)
         gaps.append(float(gap))
         slacks.append(_slack(float(gap), _neg2log(float(fids[-1]))))
@@ -681,7 +689,7 @@ class SweepConfig:
     include_timings: bool = False
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _integers(self.dims, "dims")
         lo, hi = self.dims
         if self.count < 0 or lo < 1 or hi < lo or (self.kind == "dpi" and self.nodes < 3):
             raise ValueError("invalid sweep configuration")

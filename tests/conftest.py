@@ -36,9 +36,11 @@ def quadrature_map(sigma, channel, rule):
 
 
 def quadrature_stack_map(sigma, channel, rule):
-    """``quadrature_map`` from the pair's one weighted Kraus stack, without a
-    map object per node; its Kraus stack is the composition's, bit for bit."""
+    """``quadrature_map`` from the pair's one Kraus stack, each node's
+    operators scaled by ``sqrt(w)``, without a map object per node; its Kraus
+    stack is the composition's, bit for bit."""
     pair = recovery._PetzFactory(_checked(sigma), channel)
     nodes = rule.nodes / 2.0
-    ops = pair.kraus_stack(nodes, rule.weights).reshape(-1, channel.dim_in, channel.dim_out)
+    ops = pair.kraus_stack(nodes) * np.sqrt(rule.weights)[:, None, None, None]
+    ops = ops.reshape(-1, channel.dim_in, channel.dim_out)
     return pair.recovery_map("mixture", ops, nodes=nodes, weights=rule.weights)

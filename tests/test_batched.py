@@ -361,9 +361,9 @@ class TestKrausStack:
                 ]
             )
             np.testing.assert_array_equal(rec.kraus, per_node)
-            # the pair's one weighted stack is the same map, bit for bit
+            # the pair's one stack, scaled by sqrt(w), is the same map, bit for bit
             pair = recovery._PetzFactory(_checked(sigma), chan)
-            stack = pair.kraus_stack(rule.nodes / 2.0, rule.weights)
+            stack = pair.kraus_stack(rule.nodes / 2.0) * np.sqrt(rule.weights)[:, None, None, None]
             np.testing.assert_array_equal(rec.kraus, stack.reshape(rec.kraus.shape))
             np.testing.assert_array_equal(rec.kraus, quadrature_stack_map(sigma, chan, rule).kraus)
 
@@ -648,12 +648,25 @@ def hermiticity_checks(monkeypatch, modules):
     return calls
 
 
-def patch_kernel(monkeypatch, form):
-    """Replace the pair's cached ``kernel`` by ``form(pair, original)``."""
-    original = recovery._PetzFactory.kernel.func
+def patch_kernel(monkeypatch, form, name="kernel"):
+    """Replace the pair's cached ``name`` (``kernel`` or ``universal_kernel``)
+    by ``form(pair, original)``."""
+    original = getattr(recovery._PetzFactory, name).func
     prop = cached_property(lambda pair: form(pair, original))
-    prop.__set_name__(recovery._PetzFactory, "kernel")
-    monkeypatch.setattr(recovery._PetzFactory, "kernel", prop)
+    prop.__set_name__(recovery._PetzFactory, name)
+    monkeypatch.setattr(recovery._PetzFactory, name, prop)
+
+
+def forming(monkeypatch, name):
+    """The pairs whose cached ``name`` is formed, in order."""
+    pairs = []
+
+    def form(pair, original):
+        pairs.append(pair)
+        return original(pair)
+
+    patch_kernel(monkeypatch, form, name)
+    return pairs
 
 
 def record_eigensystems(monkeypatch):
@@ -671,13 +684,13 @@ def record_eigensystems(monkeypatch):
 
 class TestExactUniversalMap:
     """``universal_apply`` is the exact map ``int beta0(t) R_{t/2} dt``: the
-    closed-form phases ``universal_phases`` times the pair's kernel."""
+    closed-form phases times the pair's kernel, ``universal_kernel``."""
 
     @staticmethod
     def superoperator(pair):
-        """``universal_phases * T`` as an ``(m, m, n, n)`` array."""
+        """``universal_kernel`` as an ``(m, m, n, n)`` array."""
         m, n = len(pair.sigma), len(pair.n_sigma)
-        return (pair.universal_phases() * pair.kernel).reshape(m, m, n, n)
+        return pair.universal_kernel.reshape(m, m, n, n)
 
     @pytest.mark.parametrize("case", list(exact_map_regimes()), ids=lambda c: c[0])
     def test_recovers_sigma(self, case):
@@ -773,19 +786,12 @@ class TestUniversalRecoveryMap:
             assert head["kraus"].shape == rec.kraus.shape
 
     def test_forms_no_kernel_and_no_phase(self, monkeypatch):
-        kernels = []
-
-        def form(pair, original):
-            kernels.append(pair)
-            return original(pair)
-
-        patch_kernel(monkeypatch, form)
-        nodes = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
-        powers = counting(monkeypatch, "_powers", (recovery._PetzFactory,))
-        closed = counting(monkeypatch, "universal_phases", (recovery._PetzFactory,))
+        kernels = forming(monkeypatch, "kernel")
+        closed = forming(monkeypatch, "universal_kernel")
+        diagonals = counting(monkeypatch, "diagonals", (recovery._PetzFactory,))
         _, sigma, chan = random_dpi_instance(13)
         universal_recovery(sigma, chan)
-        assert (len(kernels), len(nodes), len(powers), len(closed)) == (0, 0, 0, 0)
+        assert (len(kernels), len(diagonals), len(closed)) == (0, 0, 0)
         # a thin factor, k r < m n: the one eigh past sigma's and N(sigma)'s is
         # of the Gram matrix, k r by k r
         shapes = record_eigensystems(monkeypatch)
@@ -970,14 +976,14 @@ class TestRemainderKernel:
     def test_stack_matches_member_calls(self, case, nodes):
         _, rhos, sigma, chan = case
         pair = recovery._PetzFactory(_checked(sigma), chan)
-        ts = beta0_quadrature(nodes).nodes / 2.0 if nodes else np.zeros(0)
-        vals, vecs = _psd_eigensystem(rhos)
+        # no nodes: the default, an empty node array
+        ts = (beta0_quadrature(nodes).nodes / 2.0,) if nodes else ()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_in, gap, fids, universal = verify._dpi(rhos, (vals, vecs), pair, ts)
+            d_in, gap, fids, universal = verify._dpi(rhos, pair, *ts)
         assert fids.shape == (len(rhos), nodes + 1) and universal.shape == rhos.shape
         for i, rho in enumerate(rhos):
-            one = verify._dpi(rho, (vals[i], vecs[i]), pair, ts)
+            one = verify._dpi(rho, pair, *ts)
             assert same_bits(d_in[i], one[0]) and same_bits(gap[i], one[1])
             np.testing.assert_allclose(fids[i], one[2], rtol=0.0, atol=1e-14)
             np.testing.assert_allclose(universal[i], one[3], rtol=0.0, atol=1e-14)
@@ -1053,19 +1059,18 @@ class TestWorkPerInstance:
         assert shapes and all(len(shape) == 2 for shape in shapes)
 
     def test_qec_computes_the_phases_once(self, rng, monkeypatch):
-        nodes = counting(monkeypatch, "_phases", (recovery._PetzFactory,))
-        powers = counting(monkeypatch, "_powers", (recovery._PetzFactory,))
-        closed = counting(monkeypatch, "universal_phases", (recovery._PetzFactory,))
+        diagonals = counting(monkeypatch, "diagonals", (recovery._PetzFactory,))
+        closed = forming(monkeypatch, "universal_kernel")
         qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), 20)
         # the exact map is applied to every sample's output in one call
-        assert (len(nodes), len(powers), len(closed)) == (0, 0, 1)
+        assert (len(diagonals), len(closed)) == (0, 1)
         ssa_remainder(random_density(12, rng), (2, 3, 2))
         concavity_remainder([(0.5, random_density(6, rng)), (0.5, random_density(6, rng))],
                             (2, 3))
         joint_convexity_remainder([(w, random_density(3, rng), random_density(3, rng))
                                    for w in (0.3, 0.7)])
         # no node phases, and one closed-form phase array per reference pair
-        assert (len(nodes), len(powers), len(closed)) == (0, 0, 4)
+        assert (len(diagonals), len(closed)) == (0, 4)
 
     def test_ssa_decompositions(self, rng, monkeypatch):
         rho = random_density(12, rng)

@@ -22,6 +22,7 @@ from petzlab.channels import (
     unitary_channel,
 )
 from petzlab.linalg import dagger, partial_trace, tensor_product
+from petzlab.recovery import beta0_quadrature, convex_mixture, rotated_petz_family
 
 
 class TestChannelValidation:
@@ -81,6 +82,20 @@ class TestChannelValidation:
     def test_tp_accepts_within_atol(self, base, atol, f):
         kraus = np.sqrt(1.0 + f * atol) * self.TP_BASES[base]()
         assert Channel(kraus, atol=atol).mode == "tp"
+
+    # a NaN atol would pass 3 * id as a channel; inf would pass any TP set
+    # and refuse every TNI one
+    @pytest.mark.parametrize("atol", [np.nan, np.inf, -np.inf, -1e-10])
+    @pytest.mark.parametrize("kraus, mode", [
+        ([3.0 * np.eye(2)], "tp"), ([3.0 * np.eye(2)], "tni"),
+        ([np.eye(2)], "tp"), ([0.5 * np.eye(2)], "tni"),
+    ])
+    def test_atol_must_be_finite_and_nonnegative(self, kraus, mode, atol):
+        with pytest.raises(ValueError, match="atol must be finite and nonnegative"):
+            Channel(kraus, mode=mode, atol=atol)
+
+    def test_zero_atol_accepted(self):
+        assert Channel([np.eye(2)], atol=0.0).mode == "tp"
 
 
 class TestAssertPositive:
@@ -157,6 +172,41 @@ class TestAdjoint:
             # tr(A N(X)) = tr(N^dag(A) X) member by member
             lhs, rhs = np.trace(ys[i] @ images[i]), np.trace(out[i] @ xs[i])
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestKrausSumChunks:
+    """The Kraus sum's chunk size depends on the operator shape alone, not on
+    the input, so a stack member of a rule mixture gets its own call's bits."""
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_multi_chunk_stack_matches_each_member(self, shape, d):
+        gen = np.random.default_rng(4)
+        sigma, chan = random_density(d, gen), random_channel(d, d, 2, gen)
+        rule = beta0_quadrature(129)
+        mix = convex_mixture(rotated_petz_family(sigma, chan, rule.nodes / 2.0), rule.weights)
+        # 258 operators: one chunk of 2**14 // 16 at d = 4, two of 2**14 // 64
+        # at d = 8; a chunk size that shrank with the stack split both
+        assert len(mix.kraus) == 258
+        xs = np.array([random_density(d, gen) for _ in range(int(np.prod(shape)))])
+        xs = xs.reshape(shape + (d, d))
+        out, back = mix.apply(xs), mix.adjoint_apply(xs)
+        for i in np.ndindex(shape):
+            assert out[i].tobytes() == mix.apply(xs[i]).tobytes()
+            assert back[i].tobytes() == mix.adjoint_apply(xs[i]).tobytes()
+
+
+class TestPureState:
+    def test_normalizes(self):
+        np.testing.assert_allclose(pure_state([3.0, 4.0j]),
+                                   np.array([[9.0, -12.0j], [12.0j, 16.0]]) / 25.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vec", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0],
+                                     [1.0, complex(0.0, -np.inf)], []])
+    def test_zero_or_non_finite_refused(self, vec):
+        with pytest.raises(ValueError, match="norm must be positive and finite"):
+            pure_state(vec)
 
 
 class TestStinespring:

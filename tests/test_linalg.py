@@ -62,6 +62,18 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="residual"):
             eig_hermitian(g)
 
+    @pytest.mark.parametrize("herm_tol", [np.nan, -1e-12, -np.inf])
+    def test_nan_or_negative_tolerance_refused(self, herm_tol):
+        # a NaN tolerance would skip the check: [[1, 5], [0, 1]] is not Hermitian
+        for h in (np.array([[1.0, 5.0], [0.0, 1.0]]), np.eye(2)):
+            with pytest.raises(ValueError, match="herm_tol must be nonnegative or inf"):
+                eig_hermitian(h, herm_tol=herm_tol)
+
+    def test_infinite_tolerance_skips_the_check(self):
+        dec = eig_hermitian(np.array([[1.0, 5.0], [0.0, 1.0]]), herm_tol=np.inf)
+        np.testing.assert_allclose(dec.eigenvalues, [3.5, -1.5])
+        assert eig_hermitian(np.eye(2), herm_tol=0.0).eigenvalues.tolist() == [1.0, 1.0]
+
 
 class TestEigh:
     def test_stack_gives_each_members_bits(self, rng):

@@ -223,6 +223,13 @@ class TestSsa:
         with pytest.raises(ValueError, match="dims"):
             ssa_remainder(random_density(6, rng), (2, 2, 2))
 
+    def test_non_integer_dims_refused(self, rng):
+        # (2, 2.5, 2) was read as (2, 2, 2)
+        with pytest.raises(ValueError, match="dims must hold integers"):
+            ssa_remainder(random_density(8, rng), (2, 2.5, 2))
+        with pytest.raises(ValueError, match="dims must hold integers"):
+            concavity_remainder([(1.0, random_density(4, rng))], (2.0, 2))
+
 
 class TestConcavity:
     def test_singleton(self, rng):
@@ -455,13 +462,15 @@ class TestQec:
         calls = []
         kernel = verify._dpi
 
-        def recording(rhos, rho_sys, pair, ts):
-            calls.append((rhos, rho_sys, pair))
-            return kernel(rhos, rho_sys, pair, ts)
+        def recording(rhos, pair, ts=()):
+            calls.append((rhos, pair, ts))
+            return kernel(rhos, pair, ts)
 
         monkeypatch.setattr(verify, "_dpi", recording)
         rep = qec_analyze(pi, chan, 12, seed=seed)
-        (rhos, rho_sys, pair), = calls
+        (rhos, pair, ts), = calls
+        assert len(ts) == 0
+        rho_sys = _psd_eigensystem(rhos)
         # the samples' gaps as two stacked entropies, and their fidelities in
         # the standard basis
         outs = chan.apply(rhos)
@@ -652,7 +661,8 @@ def frozen_search(states, sigma, channel, t_grid, iterations):
             if step < 1e-4:
                 break
     keep = w != 0.0
-    kraus = pair.kraus_stack(t_grid[keep], w[keep]).reshape(-1, channel.dim_in, channel.dim_out)
+    kraus = pair.kraus_stack(t_grid[keep]) * np.sqrt(w[keep])[:, None, None, None]
+    kraus = kraus.reshape(-1, channel.dim_in, channel.dim_out)
     return w, f_cur, kraus, outcomes
 
 
@@ -811,6 +821,19 @@ class TestTruncation:
         with pytest.raises(ValueError, match="k_list"):
             truncation_convergence(rho, rho, identity_channel(3), [1, 5])
 
+    @pytest.mark.parametrize("k_list", [[1.5, 3], [1, 2.0], [np.float64(2.0)]])
+    def test_non_integer_ranks_refused(self, rng, k_list):
+        # [1.5, 3] was read as ranks (1, 3)
+        rho = random_density(3, rng)
+        with pytest.raises(ValueError, match="k_list must hold integers"):
+            truncation_convergence(rho, rho, identity_channel(3), k_list)
+
+    def test_integer_ranks_of_any_integer_type(self, rng):
+        rho = random_density(3, rng)
+        ks = (k for k in np.arange(1, 4))  # numpy integers, from a generator
+        rep = truncation_convergence(rho, rho, identity_channel(3), ks)
+        assert rep.ks == (1, 2, 3) and all(type(k) is int for k in rep.ks)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_rho_outside_sigma_support_has_no_nan(self, d):
         # both full entropies are infinite: their difference is 0, not NaN
@@ -858,6 +881,13 @@ class TestSweep:
         # the DPI kind's rhs_strong rule needs three nodes
         with pytest.raises(ValueError, match="invalid sweep configuration"):
             SweepConfig(nodes=2)
+
+    @pytest.mark.parametrize("dims", [(2.7, 3.2), (2, 3.0), (np.float64(2), 3)])
+    def test_non_integer_dims_refused(self, dims):
+        # (2.7, 3.2) was read as (2, 3)
+        with pytest.raises(ValueError, match="dims must hold integers"):
+            SweepConfig(dims=dims)
+        assert SweepConfig(dims=np.array([2, 3])).dims == (2, 3)
 
     @pytest.mark.parametrize("kind", ["ssa", "concavity", "joint-convexity"])
     def test_mixture_kinds_take_any_nodes(self, kind):
