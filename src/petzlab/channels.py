@@ -7,6 +7,9 @@ seeds so that every experiment is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .linalg import (
@@ -110,6 +113,12 @@ def random_unitary(dim: int, seed) -> np.ndarray:
 # channels
 # ---------------------------------------------------------------------------
 
+# Stack members per pass of a Kraus sum: a longer stack is applied in runs of
+# this length, so its temporaries do not grow with the stack.  A shorter one,
+# and a single input, skip the split and its reshape and concatenate.
+_RUN = 16
+
+
 def _kraus_sum(ops: np.ndarray, x, name: str) -> np.ndarray:
     """``sum_k A_k x A_k^dag`` for a ``(k, a, b)`` operator stack and an
     input ``x`` or a ``(..., b, b)`` stack of inputs; a mismatched input is
@@ -118,9 +127,15 @@ def _kraus_sum(ops: np.ndarray, x, name: str) -> np.ndarray:
     _, rows, cols = ops.shape
     if x.shape[-2:] != (cols, cols):
         raise ValueError(f"input of shape {x.shape} does not match {name} {cols}")
-    # chunks of at most 2**14 operator entries bound the temporaries of one input
-    # (a stack's grow with its length); their size does not depend on the input,
-    # so a stack member gets its own call's bits
+    lead = x.shape[:-2]
+    if math.prod(lead) > _RUN:
+        flat = x.reshape((-1, cols, cols))
+        runs = [_kraus_sum(ops, flat[start : start + _RUN], name)
+                for start in range(0, len(flat), _RUN)]
+        return np.concatenate(runs).reshape(lead + (rows, rows))
+    # chunks of at most 2**14 operator entries bound the temporaries of each
+    # input; neither their size nor the run length depends on the input, so a
+    # stack member gets its own call's bits
     size = max(1, 2**14 // (rows * cols))
     shape = (-1,) + (1,) * (x.ndim - 2) + (rows, cols)
     blocks = (ops[start : start + size].reshape(shape) for start in range(0, len(ops), size))
@@ -274,10 +289,19 @@ def bit_flip_channel(p: float) -> Channel:
     return Channel([np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * x])
 
 
+def _integers(values, name: str) -> tuple:
+    """``values`` as a tuple of ints, refusing any value that is not an integer."""
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ValueError(f"{name} must hold integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 def partial_trace_channel(dims, keep) -> Channel:
-    """Channel tracing out every tensor factor not listed in ``keep``."""
-    dims = [int(d) for d in dims]
-    keep = sorted(set(int(k) for k in keep))
+    """Channel tracing out every tensor factor not listed in ``keep``; both
+    must hold integers."""
+    dims = list(_integers(dims, "dims"))
+    keep = sorted(set(_integers(keep, "keep")))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range")
     discarded = [i for i in range(len(dims)) if i not in keep]

@@ -135,10 +135,11 @@ def _cholesky_fidelities(rho_top, root, stack):
     unless every member is certified above ``CHOLESKY_FLOOR``.
 
     Two free lower bounds on ``lambda_min(x)`` certify a member:
-    ``det x / tr(x)^(d-1)``, since ``det x <= lambda_min lambda_max^(d-1)``,
-    and ``s_min^2 / lambda_max(rho)``, since the smallest singular value of
-    ``sqrt(rho) C`` is at most ``||sqrt(rho)|| sigma_min(C)``; ``rho_top`` is
-    ``lambda_max(rho)``, one per member when ``rho`` is a stack.
+    ``s_min^2 / lambda_max(rho)``, since the smallest singular value of
+    ``sqrt(rho) C`` is at most ``||sqrt(rho)|| sigma_min(C)``, and ``det x /
+    tr(x)^(d-1)``, since ``det x <= lambda_min lambda_max^(d-1)``; the second
+    is formed only when the first leaves a member uncertified.  ``rho_top``
+    is ``lambda_max(rho)``, one per member when ``rho`` is a stack.
     """
     x = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     try:
@@ -147,13 +148,14 @@ def _cholesky_fidelities(rho_top, root, stack):
         return None
     s = np.linalg.svd(root @ chol, compute_uv=False)
     tr = np.trace(x, axis1=-2, axis2=-1).real
-    # det x / tr^d as a product of factors |C_ii|^2 / tr <= 1, which cannot overflow
-    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    by_det = np.prod(diag**2 / tr[..., None], axis=-1) > CHOLESKY_FLOOR
     # multiplied out, so a pure rho (s_min = 0) or rho = 0 divides by nothing
     by_svd = s[..., -1] ** 2 > CHOLESKY_FLOOR * tr * rho_top
-    if not np.all(by_det | by_svd):
-        return None
+    if not by_svd.all():
+        # det x / tr^d as a product of factors |C_ii|^2 / tr <= 1, which cannot overflow
+        diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+        by_det = np.prod(diag**2 / tr[..., None], axis=-1) > CHOLESKY_FLOOR
+        if not np.all(by_det | by_svd):
+            return None
     return s.sum(axis=-1)
 
 

@@ -6,8 +6,9 @@ rank cutoff: eigenvalues below ``dim * eps * lambda_max`` are treated as
 exactly zero, so negative powers and logarithms are always taken on the
 support only (pseudo-inverse convention).  This module holds the whole
 numerical policy of the package: the one eigendecomposition (``_eigh``),
-the rank cutoff (``rank_cutoff``), the PSD clamp (``_clamp_psd``), the log
-of a spectrum on its support (``_masked_log``) and the tolerances below.
+the rank cutoff (``rank_cutoff``), the PSD clamp of a spectrum at that
+cutoff (``_psd_eigensystem``), the log of a spectrum on its support
+(``_masked_log``) and the tolerances below.
 
 Subsystem ordering is big-endian throughout: in ``kron(A, B)`` the first
 factor carries the most significant index.
@@ -161,40 +162,32 @@ def eig_hermitian(h: np.ndarray, *, herm_tol: float = HERM_TOL) -> SpectralDecom
     return SpectralDecomposition(vals, vecs, rank_cutoff(vals))
 
 
-def _clamp_psd(vals: np.ndarray, cut) -> np.ndarray:
-    """Eigenvalues (last axis, in descending order; a stack allowed) with
-    those at or below the rank cutoff ``cut`` (one per row) set to 0.
-
-    Raises when an eigenvalue lies below ``-max(cutoff, 1e-12 * max|lambda|)``.
-    Negativity above that is rounding, which in a computed PSD operator such
-    as a CP-map output can exceed the cutoff; it is clamped too.  The order
-    puts each spectrum's extremes first and last.
-    """
-    cut = np.asarray(cut, dtype=float)[..., None]
-    top = np.maximum(vals[..., :1], -vals[..., -1:])
-    floor = np.maximum(cut, 1e-12 * top)
-    neg = vals < -floor
-    if np.any(neg):
-        rows = neg.reshape(-1, neg.shape[-1]).any(axis=1)
-        row = int(np.argmax(rows))
-        worst = float(vals.reshape(rows.size, -1)[row].min())
-        raise ValueError(
-            f"matrix is not positive semidefinite: eigenvalue {worst:.3e} "
-            f"below -{float(floor.reshape(-1)[row]):.3e}"
-        )
-    return np.where(vals <= cut, 0.0, vals)
-
-
 def _psd_eigensystem(h: np.ndarray, dim: int | None = None):
     """Eigenvalues (descending) and eigenvectors of a PSD matrix or a
-    ``(..., d, d)`` stack: ``_eigh``, with each spectrum clamped by the rule
-    of ``_clamp_psd`` at its ``rank_cutoff``.
+    ``(..., d, d)`` stack: ``_eigh``, with each spectrum clamped.
 
-    Checks nothing: callers pass matrices they checked or built.  ``dim`` is
-    ``rank_cutoff``'s, for matrices that stand in for larger ones.
+    Eigenvalues at or below the ``rank_cutoff`` are set to 0.  Raises when
+    one lies below ``-max(cutoff, 1e-12 * max|lambda|)``; negativity above
+    that is rounding, which in a computed PSD operator such as a CP-map
+    output can exceed the cutoff, and is clamped too.  The spectrum is
+    descending, so its first and last eigenvalues give ``max|lambda|`` and
+    the last alone decides the refusal.
+
+    Checks nothing else: callers pass matrices they checked or built.  ``dim``
+    is ``rank_cutoff``'s, for matrices that stand in for larger ones.
     """
     vals, vecs = _eigh(h)
-    return _clamp_psd(vals, rank_cutoff(vals, dim=dim)), vecs
+    top = np.maximum(vals[..., :1], -vals[..., -1:])
+    cut = (vals.shape[-1] if dim is None else dim) * _EPS * top
+    floor = np.maximum(cut, 1e-12 * top)
+    neg = vals[..., -1:] < -floor
+    if neg.any():
+        row = int(np.argmax(neg.reshape(-1)))
+        worst, bound = (float(a.reshape(-1)[row]) for a in (vals[..., -1:], floor))
+        raise ValueError(
+            f"matrix is not positive semidefinite: eigenvalue {worst:.3e} below -{bound:.3e}"
+        )
+    return np.where(vals <= cut, 0.0, vals), vecs
 
 
 def _masked_log(vals):

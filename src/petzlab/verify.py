@@ -18,6 +18,7 @@ import numpy as np
 
 from .channels import (
     Channel,
+    _integers,
     partial_trace_channel,
     random_channel,
     random_density,
@@ -73,14 +74,6 @@ def _check_tolerance(tol) -> None:
     (``slack < -nan`` is never true, so a NaN would pass every check)."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-
-
-def _integers(values, name: str) -> tuple:
-    """``values`` as a tuple of ints, refusing any value that is not an integer."""
-    values = tuple(values)
-    if not all(isinstance(v, numbers.Integral) for v in values):
-        raise ValueError(f"{name} must hold integers, got {values!r}")
-    return tuple(int(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +230,28 @@ def alpha_bound_check(
 # entropy-inequality corollaries
 # ---------------------------------------------------------------------------
 
+# Largest total dimension D whose partial-trace channel is cached: a channel
+# holds D**2 complex entries, 64 kB at D = 64, so the 32 kept shapes stay
+# under 2 MB; a larger shape is built on each call.
+_CACHED_TRACE_DIM = 64
+
+
+def _trace_channel(dims: tuple, keep: tuple) -> Channel:
+    """``partial_trace_channel`` of the integer tuples ``dims`` and ``keep``
+    for the corollaries below; up to ``_CACHED_TRACE_DIM`` it is built and
+    validated once per shape and shared, so its Kraus array is read-only."""
+    if math.prod(dims) > _CACHED_TRACE_DIM:
+        return partial_trace_channel(dims, keep)
+    return _cached_trace_channel(dims, keep)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_trace_channel(dims: tuple, keep: tuple) -> Channel:
+    channel = partial_trace_channel(dims, keep)
+    channel.kraus.flags.writeable = False
+    return channel
+
+
 @dataclass
 class SsaReport:
     cmi: float
@@ -263,7 +278,7 @@ def ssa_remainder(rho_abc: np.ndarray, dims, rule: QuadratureRule | None = None)
     rho_bc = partial_trace(rho_abc, (da, db, dc), keep=(1, 2))
     abc_sys = _psd_eigensystem(_checked(rho_abc))
     # the pair's eigensystems are those of rho_BC and rho_B = tr_C rho_BC
-    pair = _PetzFactory(rho_bc, partial_trace_channel((db, dc), keep=(0,)))
+    pair = _PetzFactory(rho_bc, _trace_channel((db, dc), (0,)))
     cmi = (_von_neumann(_psd_eigensystem(rho_ab)[0]) + _von_neumann(pair.s_sys[0])
            - _von_neumann(abc_sys[0]) - _von_neumann(pair.m_sys[0]))
 
@@ -312,7 +327,7 @@ def concavity_remainder(ensemble, dims, rule: QuadratureRule | None = None) -> E
     states = _members([s for _, s in ensemble], (da, db))
     # the pair's eigensystems are those of the average and its B marginal
     avg = np.tensordot(weights, states, axes=1)
-    pair = _PetzFactory(avg, partial_trace_channel((da, db), keep=(1,)))
+    pair = _PetzFactory(avg, _trace_channel((da, db), (1,)))
     states_sys = _psd_eigensystem(states)
     marginals = partial_trace(states, (da, db), keep=(1,))
     cond = _von_neumann(states_sys[0]) - _von_neumann(_psd_eigensystem(marginals)[0])
@@ -349,7 +364,7 @@ def joint_convexity_remainder(ensemble, rule: QuadratureRule | None = None) -> E
     sigma_xa = np.zeros((nx, dim, nx, dim), dtype=complex)
     sigma_xa[np.arange(nx), :, np.arange(nx)] = weights[:, None, None] * sigmas
     # the pair's N(sigma_XA) is the average of the sigma_x
-    trace_x = partial_trace_channel((nx, dim), keep=(1,))
+    trace_x = _trace_channel((nx, dim), (1,))
     pair = _PetzFactory(sigma_xa.reshape(nx * dim, -1), trace_x)
     rho_avg = np.tensordot(weights, rhos, axes=1)
     # as in _dpi: infinite exactly when a member of positive weight leaves its
@@ -689,6 +704,9 @@ class SweepConfig:
     include_timings: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "count", "env_max", "nodes"):
+            (value,) = _integers([getattr(self, name)], name)
+            setattr(self, name, value)
         self.dims = _integers(self.dims, "dims")
         lo, hi = self.dims
         if self.count < 0 or lo < 1 or hi < lo or (self.kind == "dpi" and self.nodes < 3):

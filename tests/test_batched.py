@@ -198,6 +198,35 @@ class TestStackedFidelity:
         np.testing.assert_array_equal(got, eigh_root_fidelities(_psd_eigensystem(rho), stack))
         assert routes == [False]
 
+    @pytest.mark.parametrize("case", ["singular-values-only", "determinant-only", "one-of-each"])
+    def test_one_bound_suffices(self, monkeypatch, case):
+        gen = np.random.default_rng(47)
+        # lambda_min / tr = 1e-3, det / tr^4 = 1e-9: a full-rank rho certifies it
+        spread = rotated_unitarily([1.0, 1e-3, 1e-3, 1e-3], gen)
+        # a pure rho has s_min = 0; this member's det / tr^4 is about 1e-3
+        level = rotated_unitarily([1.0, 0.9, 0.8, 0.7], gen)
+        full, pure = random_density(4, gen), random_density(4, gen, ensemble="rank-k", rank=1)
+        rhos, stack = {"singular-values-only": ([full], [spread]),
+                       "determinant-only": ([pure], [level]),
+                       "one-of-each": ([full, pure], [spread, level])}[case]
+        rho_sys = _psd_eigensystem(np.array(rhos))
+        stack = np.array(stack)
+        # each member is certified by exactly the bound its case names
+        x = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+        chol = np.linalg.cholesky(x)
+        root = _on_support(*rho_sys, np.sqrt)
+        s = np.linalg.svd(root @ chol, compute_uv=False)
+        tr = np.trace(x, axis1=-2, axis2=-1).real
+        by_svd = s[:, -1] ** 2 > entropy.CHOLESKY_FLOOR * tr * rho_sys[0][:, 0]
+        diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+        by_det = np.prod(diag**2 / tr[:, None], axis=-1) > entropy.CHOLESKY_FLOOR
+        assert list(by_svd) == [r is full for r in rhos]
+        assert list(by_det) == [r is pure for r in rhos]
+        routes = cholesky_routes(monkeypatch)
+        got = _root_fidelities(rho_sys, stack)
+        assert routes == [True]
+        assert got.tobytes() == s.sum(axis=-1).tobytes()
+
     def test_member_with_relative_negativity_raises(self, rng):
         rho = random_density(3, rng)
         bad = np.diag([1.0, 0.5, -1e-6]).astype(complex)
@@ -1127,6 +1156,61 @@ class TestWorkPerInstance:
         joint_convexity_remainder(ensemble)
         # the members against their sigma_x, then the averages
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("kind", ["ssa", "concavity", "joint-convexity"])
+    def test_corollaries_reuse_a_read_only_trace_channel(self, monkeypatch, kind):
+        gen = np.random.default_rng(23)
+        check = {
+            "ssa": lambda: ssa_remainder(random_density(12, gen), (2, 3, 2)),
+            "concavity": lambda: concavity_remainder(
+                [(w, random_density(6, gen)) for w in (0.4, 0.6)], (3, 2)),
+            "joint-convexity": lambda: joint_convexity_remainder(
+                [(w, random_density(3, gen), random_density(3, gen)) for w in (0.4, 0.6)]),
+        }[kind]
+        channels_used = []
+        factory = recovery._PetzFactory
+
+        def recording(sigma, channel):
+            channels_used.append(channel)
+            return factory(sigma, channel)
+
+        monkeypatch.setattr(verify, "_PetzFactory", recording)
+        check()
+        inits = []
+        init = Channel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "__init__", counting_init)
+        check()
+        # the second call of the shape builds and validates no channel
+        assert inits == []
+        first, second = channels_used
+        assert second is first
+        with pytest.raises(ValueError, match="read-only"):
+            second.kraus[0, 0, 0] = 1.0
+
+    def test_large_trace_channel_is_not_cached(self, monkeypatch):
+        # a (2, 33) trace holds 66**2 complex entries; it is built on each call
+        gen = np.random.default_rng(29)
+        ensemble = [(w, random_density(33, gen), random_density(33, gen)) for w in (0.4, 0.6)]
+        kept = verify._cached_trace_channel.cache_info().currsize
+        channels_used = []
+        factory = recovery._PetzFactory
+
+        def recording(sigma, channel):
+            channels_used.append(channel)
+            return factory(sigma, channel)
+
+        monkeypatch.setattr(verify, "_PetzFactory", recording)
+        joint_convexity_remainder(ensemble)
+        joint_convexity_remainder(ensemble)
+        first, second = channels_used
+        assert second is not first and first.kraus.shape == (2, 33, 66)
+        assert second.kraus.flags.writeable
+        assert verify._cached_trace_channel.cache_info().currsize == kept
 
     def test_partial_trace_channel_builds_no_tensor_product(self, monkeypatch):
         calls = counting(monkeypatch, "tensor_product", (linalg, channels))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from petzlab import channels
 from petzlab.channels import (
     Channel,
     assert_positive,
@@ -174,17 +177,23 @@ class TestAdjoint:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def rule_mixture(d, gen):
+    """The 258-operator rule mixture of a random ``d``-dimensional pair."""
+    sigma, chan = random_density(d, gen), random_channel(d, d, 2, gen)
+    rule = beta0_quadrature(129)
+    return convex_mixture(rotated_petz_family(sigma, chan, rule.nodes / 2.0), rule.weights)
+
+
 class TestKrausSumChunks:
-    """The Kraus sum's chunk size depends on the operator shape alone, not on
-    the input, so a stack member of a rule mixture gets its own call's bits."""
+    """The Kraus sum's chunk size depends on the operator shape alone, and
+    its run length is a constant, so a stack member of a rule mixture gets
+    its own call's bits."""
 
     @pytest.mark.parametrize("d", [4, 8])
-    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (channels._RUN + 3,), (3, 7)])
     def test_multi_chunk_stack_matches_each_member(self, shape, d):
         gen = np.random.default_rng(4)
-        sigma, chan = random_density(d, gen), random_channel(d, d, 2, gen)
-        rule = beta0_quadrature(129)
-        mix = convex_mixture(rotated_petz_family(sigma, chan, rule.nodes / 2.0), rule.weights)
+        mix = rule_mixture(d, gen)
         # 258 operators: one chunk of 2**14 // 16 at d = 4, two of 2**14 // 64
         # at d = 8; a chunk size that shrank with the stack split both
         assert len(mix.kraus) == 258
@@ -194,6 +203,26 @@ class TestKrausSumChunks:
         for i in np.ndindex(shape):
             assert out[i].tobytes() == mix.apply(xs[i]).tobytes()
             assert back[i].tobytes() == mix.adjoint_apply(xs[i]).tobytes()
+
+    def test_empty_stack(self):
+        mix = rule_mixture(4, np.random.default_rng(4))
+        for shape in [(0,), (2, 0)]:
+            assert mix.apply(np.zeros(shape + (4, 4))).shape == shape + (4, 4)
+
+    def test_long_stack_temporaries_are_bounded(self):
+        gen = np.random.default_rng(4)
+        mix = rule_mixture(4, gen)
+        xs = np.array([random_density(4, gen) for _ in range(1000)])
+        tracemalloc.start()
+        try:
+            out = mix.apply(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output is 256 kB; one pass over all 1000 members takes about
+        # 130 MB of temporaries, runs of 16 about 2.4 MB
+        assert out.shape == xs.shape
+        assert peak < 8e6
 
 
 class TestPureState:
@@ -334,6 +363,17 @@ class TestNamedChannels:
         # 65 * 64 exceeds MAX_TENSOR_DIM; raised before any allocation
         with pytest.raises(ValueError, match="exceeds the configured maximum"):
             partial_trace_channel((65, 64), keep=(0,))
+
+    @pytest.mark.parametrize("dims, keep, name", [
+        ((2, 2.5), (0,), "dims"), ((2.0, 2), (0,), "dims"), ((np.float64(2), 3), (1,), "dims"),
+        ((2, 3), (0.5,), "keep"), ((2, 3), (np.float64(1),), "keep"),
+    ])
+    def test_partial_trace_channel_non_integers_refused(self, dims, keep, name):
+        # (2, 2.5) was read as (2, 2), the partial trace over a qubit
+        with pytest.raises(ValueError, match=f"{name} must hold integers"):
+            partial_trace_channel(dims, keep)
+        integers = partial_trace_channel(np.array([2, 3]), [np.int64(1)])
+        assert integers.kraus.tobytes() == partial_trace_channel((2, 3), (1,)).kraus.tobytes()
 
     def test_partial_trace_channel_on_product(self, rng):
         a = random_density(2, rng)

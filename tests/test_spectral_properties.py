@@ -2,15 +2,18 @@
 PSD inputs whose nonzero spectrum spreads over 1e-8..1."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petzlab.entropy import _relative_entropy, _root_fidelities
 from petzlab.linalg import (
+    _eigh,
     _on_support,
     _psd_eigensystem,
     imaginary_power,
     power_on_support,
+    rank_cutoff,
     support_projector,
 )
 
@@ -116,3 +119,77 @@ def test_stacked_relative_entropy_matches_members(pair):
         assert paired[i].tobytes() == np.float64(_relative_entropy(rho, (vals[i], vecs[i]))).tobytes()
         assert against_first[i].tobytes() == np.float64(
             _relative_entropy(rho, (vals[0], vecs[0]))).tobytes()
+
+
+def reference_psd_eigensystem(h, dim=None):
+    """``_eigh``, then the clamp rule of ``rank_cutoff`` spelled out: every
+    eigenvalue at or below the cutoff set to 0, and a refusal of one below
+    ``-max(cutoff, 1e-12 max|lambda|)`` naming the first such spectrum."""
+    vals, vecs = _eigh(h)
+    cut = np.asarray(rank_cutoff(vals, dim=dim), dtype=float)[..., None]
+    floor = np.maximum(cut, 1e-12 * np.max(np.abs(vals), axis=-1, keepdims=True))
+    neg = vals < -floor
+    if np.any(neg):
+        row = int(np.argmax(neg.reshape(-1, neg.shape[-1]).any(axis=1)))
+        worst = float(vals.reshape(-1, vals.shape[-1])[row].min())
+        raise ValueError(
+            f"matrix is not positive semidefinite: eigenvalue {worst:.3e} "
+            f"below -{float(floor.reshape(-1)[row]):.3e}"
+        )
+    return np.where(vals <= cut, 0.0, vals), vecs
+
+
+@st.composite
+def clamp_member(draw, d):
+    """A ``psd`` matrix of dimension ``d``, often with one eigenvalue pushed
+    below 0: by rounding (``1e-17..1e-13`` times the largest, clamped) or
+    by ``1e-9..1e-3`` times it (refused)."""
+    h = draw(psd(dim=d))
+    kind = draw(st.sampled_from(["psd", "psd", "rounding", "negative"]))
+    if kind == "psd":
+        return h
+    scale = draw(st.floats(-17.0, -13.0) if kind == "rounding" else st.floats(-9.0, -3.0))
+    w, v = np.linalg.eigh(h)
+    w[0] = -(10.0**scale) * np.max(np.abs(w))
+    h = (v * w) @ v.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@st.composite
+def clamp_inputs(draw):
+    """One matrix, a ``(n,)`` stack or a ``(2, n)`` stack of ``clamp_member``s,
+    and a ``dim`` of ``None`` or at least the matrix size."""
+    d = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    members = [draw(clamp_member(d)) for _ in range(int(np.prod(lead)))]
+    h = np.array(members).reshape(lead + (d, d))
+    return h, draw(st.one_of(st.none(), st.integers(d, 4 * d)))
+
+
+@PROPERTY
+@given(clamp_inputs())
+def test_psd_eigensystem_is_the_clamp_rule_bit_for_bit(case):
+    h, dim = case
+    try:
+        want = reference_psd_eigensystem(h, dim)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _psd_eigensystem(h, dim)
+        assert str(got.value) == str(exc)
+        return
+    vals, vecs = _psd_eigensystem(h, dim)
+    assert vals.shape == want[0].shape and vals.tobytes() == want[0].tobytes()
+    assert vecs.shape == want[1].shape and vecs.tobytes() == want[1].tobytes()
+
+
+def test_psd_eigensystem_names_the_first_non_psd_member():
+    gen = np.random.default_rng(12)
+    u = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))[0]
+    members = [(u * lam) @ u.conj().T for lam in
+               ([1.0, 0.5, -2e-15], [1.0, 0.5, -1e-6], [1.0, 0.2, -1e-3])]
+    stack = np.array(members)
+    with pytest.raises(ValueError) as want:
+        reference_psd_eigensystem(stack)
+    with pytest.raises(ValueError, match="eigenvalue -1.000e-06 below") as got:
+        _psd_eigensystem(stack)
+    assert str(got.value) == str(want.value)

@@ -889,6 +889,16 @@ class TestSweep:
             SweepConfig(dims=dims)
         assert SweepConfig(dims=np.array([2, 3])).dims == (2, 3)
 
+    @pytest.mark.parametrize("field", ["count", "nodes", "seed", "env_max"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3), "3", None],
+                             ids=["2.5", "3.0", "float64", "str", "None"])
+    def test_non_integer_fields_refused(self, field, value):
+        # env_max=2.5 ran a sweep; the others failed later with a bare TypeError
+        with pytest.raises(ValueError, match=f"{field} must hold integers"):
+            SweepConfig(**{field: value})
+        config = SweepConfig(**{field: np.int64(3)})
+        assert type(getattr(config, field)) is int and getattr(config, field) == 3
+
     @pytest.mark.parametrize("kind", ["ssa", "concavity", "joint-convexity"])
     def test_mixture_kinds_take_any_nodes(self, kind):
         # they never read nodes; the summary still records it
