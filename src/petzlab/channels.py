@@ -8,7 +8,6 @@ seeds so that every experiment is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .linalg import (
     MAX_TENSOR_DIM,
     _checked,
     _eigh,
+    _integers,
     dagger,
     eig_hermitian,
     tensor_product,
@@ -289,14 +289,6 @@ def bit_flip_channel(p: float) -> Channel:
     return Channel([np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * x])
 
 
-def _integers(values, name: str) -> tuple:
-    """``values`` as a tuple of ints, refusing any value that is not an integer."""
-    values = tuple(values)
-    if not all(isinstance(v, numbers.Integral) for v in values):
-        raise ValueError(f"{name} must hold integers, got {values!r}")
-    return tuple(int(v) for v in values)
-
-
 def partial_trace_channel(dims, keep) -> Channel:
     """Channel tracing out every tensor factor not listed in ``keep``; both
     must hold integers."""
@@ -377,6 +369,7 @@ def truncate_project(rho: np.ndarray, k: int, reference: np.ndarray | None = Non
     """
     rho = _checked(rho)
     dim = rho.shape[0]
+    (k,) = _integers([k], "k")
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
     ref = rho if reference is None else _checked(reference)

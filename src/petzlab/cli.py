@@ -46,29 +46,20 @@ from .verify import (
     sweep,
 )
 
-# row and summary entries that hold entropies, written in ``--unit``
+# row, summary and printed entries that hold entropies: each float among them
+# is written in ``--unit``, and no other value is
 _ENTROPY_COLUMNS = {
     "lhs", "rhs", "rhs_mixture", "rhs_strong", "slack", "slack_mixture",
-    "slack_strong", "gap", "max_gap", "min_slack", "mean_slack",
+    "slack_strong", "gap", "max_gap", "min_slack", "mean_slack", "converse_bound",
 }
 
 
-def _unit_scale(unit: str) -> float:
-    return 1.0 / LN2 if unit == "bits" else 1.0
-
-
-def _convert_rows(rows, unit: str):
-    scale = _unit_scale(unit)
-    if scale == 1.0:
-        return rows
-    out = []
-    for row in rows:
-        conv = dict(row)
-        for key in row:
-            if key in _ENTROPY_COLUMNS and isinstance(row[key], float):
-                conv[key] = row[key] * scale
-        out.append(conv)
-    return out
+def _in_unit(values: dict, unit: str) -> dict:
+    """``values`` with each float entropy converted from nats to ``unit``."""
+    if unit == "nats":
+        return values
+    return {key: value * (1.0 / LN2) if key in _ENTROPY_COLUMNS and isinstance(value, float)
+            else value for key, value in values.items()}
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -86,9 +77,8 @@ def _write_report(path: str | None, rows, summary, unit: str, fmt_columns=None):
         return
     from . import __version__
 
-    rows = _convert_rows(rows, unit)
-    summary = dict(_convert_rows([summary], unit)[0])
-    summary["unit"] = unit
+    rows = [_in_unit(row, unit) for row in rows]
+    summary = {**_in_unit(summary, unit), "unit": unit}
     summary.setdefault("version", __version__)
     serialize.atomic_write_text(path, serialize.emit_table(rows, fmt_columns))
     serialize.atomic_write_text(
@@ -96,14 +86,15 @@ def _write_report(path: str | None, rows, summary, unit: str, fmt_columns=None):
     )
 
 
-def _print_values(pairs, unit: str):
-    scale = _unit_scale(unit)
-    for label, value, is_entropy in pairs:
-        shown = value * scale if (is_entropy and isinstance(value, float)) else value
-        if isinstance(shown, float):
-            print(f"{label}: {shown:.12g}" + (f" ({unit})" if is_entropy else ""))
+def _print_values(values: dict, unit: str, prefix: str = ""):
+    """One ``prefix key: value`` line per entry; floats at ``.12g``, each
+    entropy in ``unit`` and followed by it."""
+    for key, value in _in_unit(values, unit).items():
+        if isinstance(value, float):
+            tag = f" ({unit})" if key in _ENTROPY_COLUMNS else ""
+            print(f"{prefix}{key}: {value:.12g}{tag}")
         else:
-            print(f"{label}: {shown}")
+            print(f"{prefix}{key}: {value}")
 
 
 def _bundled(name: str) -> str:
@@ -152,12 +143,9 @@ def _swept(args, kind: str, **config):
 
 def _report_checks(args, labelled) -> int:
     """Print, write and judge the ``(label, row)`` pairs of a ``verify-*`` run."""
-    _print_values(
-        [(f"[{label}] {key}", value, True)
-         for label, row in labelled for key, value in row.items()
-         if key in _ENTROPY_COLUMNS],
-        args.unit,
-    )
+    for label, row in labelled:
+        _print_values({key: row[key] for key in row if key in _ENTROPY_COLUMNS}, args.unit,
+                      f"[{label}] ")
     rows = [row for _, row in labelled]
     worst = min((row["slack"] for row in rows), default=np.inf)
     _write_report(args.output, rows, {"checked": len(rows), "min_slack": worst},
@@ -167,13 +155,16 @@ def _report_checks(args, labelled) -> int:
 
 def _cmd_verify_dpi(args) -> int:
     _check_tolerance(args.tolerance)
+    files = [f"--{name}" for name in ("rho", "sigma", "channel") if getattr(args, name)]
+    if args.example and files:
+        raise ValueError(f"--example and {files[0]} cannot be given together")
     if args.example == "classical":
         name = "classical"
         rho = serialize.load_state(_bundled("classical_rho.txt"))
         sigma = serialize.load_state(_bundled("classical_sigma.txt"))
         chan = serialize.load_channel(_bundled("classical_channel.txt"))
-    elif args.rho or args.sigma or args.channel:
-        if not (args.rho and args.sigma and args.channel):
+    elif files:
+        if len(files) < 3:
             raise ValueError("--rho, --sigma and --channel must be given together")
         name = "file"
         rho, sigma = _load(serialize.load_state, args.rho), _load(serialize.load_state, args.sigma)
@@ -194,6 +185,8 @@ def _cmd_verify_dpi(args) -> int:
 
 def _cmd_verify_ssa(args) -> int:
     _check_tolerance(args.tolerance)
+    if args.state and args.ghz:
+        raise ValueError("--state and --ghz cannot be given together")
     if args.state:
         name, rho = "file", _load(serialize.load_state, args.state)
         dims = tuple(int(d) for d in args.state_dims.split(","))
@@ -226,29 +219,18 @@ def _cmd_qec(args) -> int:
         projector = cols @ cols.conj().T
         channel = random_channel(args.dim, args.dim, args.env_max, rng)
     rep = qec_analyze(projector, channel, args.samples, seed=args.seed, tol=args.tolerance)
-    _print_values(
-        [
-            ("dim_code", rep.dim_code, False),
-            ("max_gap", rep.sampled_max_gap, True),
-            ("min_fidelity", rep.min_recovered_fidelity, False),
-            ("forward_bound", rep.forward_bound, False),
-            ("converse_bound", rep.converse_bound, True),
-            ("forward_ok", rep.forward_ok, False),
-            ("converse_ok", rep.converse_ok, False),
-        ],
-        args.unit,
-    )
+    values = dict(dim_code=rep.dim_code, max_gap=rep.sampled_max_gap,
+                  min_fidelity=rep.min_recovered_fidelity, forward_bound=rep.forward_bound,
+                  converse_bound=rep.converse_bound, forward_ok=rep.forward_ok,
+                  converse_ok=rep.converse_ok)
+    _print_values(values, args.unit)
     rows = [
         {"sample": i, "gap": float(g), "fidelity": float(f)}
         for i, (g, f) in enumerate(zip(rep.gaps, rep.fidelities))
     ]
-    summary = {
-        "dim_code": rep.dim_code,
-        "max_gap": rep.sampled_max_gap,
-        "min_fidelity": rep.min_recovered_fidelity,
-        "forward_ok": rep.forward_ok,
-        "converse_ok": rep.converse_ok,
-    }
+    # the bounds are printed, not reported
+    summary = {key: value for key, value in values.items()
+               if key not in ("forward_bound", "converse_bound")}
     _write_report(args.output, rows, summary, args.unit)
     return 0 if (rep.forward_ok and rep.converse_ok) else 1
 
@@ -265,16 +247,9 @@ def _cmd_sweep(args) -> int:
         include_timings=args.timings,
     )
     result = sweep(config)
-    _print_values(
-        [
-            ("instances", len(result.rows), False),
-            ("min_slack", result.summary["min_slack"], True),
-            ("mean_slack", result.summary["mean_slack"], True),
-            ("violations", result.summary["violations"], False),
-            ("regenerated", result.summary["regenerated"], False),
-        ],
-        args.unit,
-    )
+    printed = ("min_slack", "mean_slack", "violations", "regenerated")
+    _print_values({"instances": len(result.rows),
+                   **{key: result.summary[key] for key in printed}}, args.unit)
     _write_report(args.output, result.rows, result.summary, args.unit)
     return 0 if result.ok else 1
 

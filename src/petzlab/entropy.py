@@ -14,6 +14,7 @@ from .linalg import (
     SUPPORT_TOL,
     _checked,
     _eigh,
+    _integers,
     _masked_log,
     _on_support,
     _power,
@@ -174,7 +175,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def conditional_mutual_information(rho_abc: np.ndarray, dims) -> float:
     """``I(A:C|B) = H(AB) + H(BC) - H(ABC) - H(B)`` in nats."""
-    da, db, dc = (int(d) for d in dims)
+    da, db, dc = _integers(dims, "dims")
     rho_abc = np.asarray(rho_abc, dtype=complex)
     if rho_abc.shape[0] != da * db * dc:
         raise ValueError(

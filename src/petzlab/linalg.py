@@ -17,6 +17,7 @@ factor carries the most significant index.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,16 @@ _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T
+
+
+def _integers(values, name: str) -> tuple:
+    """``values`` as a tuple of ints, refusing any value that is not an
+    integer (one that ``operator.index`` refuses, such as ``2.0``)."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} must hold integers, got {values!r}") from None
 
 
 def rank_cutoff(eigenvalues: np.ndarray, *, dim: int | None = None):
@@ -323,12 +334,12 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     D)`` stack gives the stack of its members' partial traces.
     """
     m = np.asarray(m, dtype=complex)
-    dims = [int(d) for d in dims]
+    dims = list(_integers(dims, "dims"))
     n = len(dims)
     total = int(np.prod(dims))
     if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"dims {dims} do not match matrix shape {m.shape}")
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_integers(keep, "keep")))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .channels import (
     Channel,
-    _integers,
     partial_trace_channel,
     random_channel,
     random_density,
@@ -34,7 +33,7 @@ from .entropy import (
     binary_entropy,
     fidelity,  # noqa: F401  bench/selftest.py checks that tracing restores verify.fidelity
 )
-from .linalg import _checked, _eigh, _psd_eigensystem, dagger, partial_trace
+from .linalg import _checked, _eigh, _integers, _psd_eigensystem, dagger, partial_trace
 from .recovery import (
     QuadratureRule,
     RecoveryMap,
@@ -429,6 +428,7 @@ def qec_analyze(
     each judged with the finite, nonnegative tolerance ``tol``.
     """
     _check_tolerance(tol)
+    (samples,) = _integers([samples], "samples")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     pi = _checked(projector)

@@ -456,3 +456,11 @@ class TestTruncateProject:
     def test_k_out_of_range(self, rng):
         with pytest.raises(ValueError, match="k must"):
             truncate_project(random_density(3, rng), 4)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2)])
+    def test_non_integer_k_refused(self, rng, k):
+        # a float k once reached a slice and raised a bare TypeError
+        rho = random_density(3, rng)
+        with pytest.raises(ValueError, match="k must hold integers"):
+            truncate_project(rho, k)
+        np.testing.assert_array_equal(truncate_project(rho, np.int64(2)), truncate_project(rho, 2))

@@ -8,6 +8,7 @@ import pytest
 from petzlab import cli
 from petzlab.channels import identity_channel, random_channel, random_density
 from petzlab.cli import build_parser, main
+from petzlab.entropy import LN2
 from petzlab.serialize import (
     load_state,
     parse_structured,
@@ -15,11 +16,60 @@ from petzlab.serialize import (
     save_channel,
     save_state,
 )
-from petzlab.verify import SweepConfig, ssa_remainder, sweep
+from petzlab.verify import SWEEP_KINDS, SweepConfig, ssa_remainder, sweep
 
 
 def run(args):
     return main(list(args))
+
+
+def _in_bits(values):
+    """``values`` with each float under a ``cli._ENTROPY_COLUMNS`` key times
+    ``1.0 / LN2``: the one unit rule of the command line."""
+    return {key: value * (1.0 / LN2) if key in cli._ENTROPY_COLUMNS and isinstance(value, float)
+            else value for key, value in values.items()}
+
+
+def assert_unit_rule(argv, tmp_path, capsys):
+    """Run ``argv`` in nats and in bits and check the unit rule on the two
+    runs: in bits, every ``.summary`` entropy is the nats value times ``1.0 /
+    LN2``, bit for bit, and the table and stdout show that product at
+    ``.12g``, stdout followed by ``(bits)``; every other entry, cell and line
+    is the nats one.  Returns the nats and the bits stdout lines and the bits
+    ``.summary``."""
+    capsys.readouterr()
+    runs = []
+    for unit in ("nats", "bits"):
+        path = tmp_path / f"{unit}.txt"
+        assert run(argv + ["--unit", unit, "-o", str(path)]) in (0, 1)
+        runs.append((capsys.readouterr().out.splitlines(), path.read_text().splitlines(),
+                     parse_structured((tmp_path / f"{unit}.txt.summary").read_text())))
+    (out_n, table_n, doc_n), (out_b, table_b, doc_b) = runs
+    assert repr(doc_b["rows"]) == repr([_in_bits(row) for row in doc_n["rows"]])
+    assert repr(doc_b["summary"]) == repr({**_in_bits(doc_n["summary"]), "unit": "bits"})
+
+    assert table_b[:2] == table_n[:2] and len(table_b) == len(table_n)
+    for line_n, line_b, row in zip(table_n[2:], table_b[2:], doc_b["rows"]):
+        for column, cell_n, cell_b in zip(table_b[1].split(), line_n.split(), line_b.split()):
+            entropy = column in cli._ENTROPY_COLUMNS and isinstance(row.get(column), float)
+            assert cell_b == (f"{row[column]:.12g}" if entropy else cell_n)
+
+    labels = []  # of the verify-* rows, in order
+    assert len(out_b) == len(out_n)
+    for line_n, line_b in zip(out_n, out_b):
+        if not line_n.endswith(" (nats)"):
+            assert line_b == line_n
+            continue
+        head, text = line_b.removesuffix(" (bits)").rsplit(": ", 1)
+        assert line_b.endswith(" (bits)") and line_n.startswith(head + ": ")
+        label, _, key = head.rpartition("] ")
+        assert key in cli._ENTROPY_COLUMNS
+        if label and label not in labels:
+            labels.append(label)
+        value = doc_b["rows"][len(labels) - 1][key] if label else doc_b["summary"].get(key)
+        if value is not None:
+            assert text == f"{value:.12g}"
+    return out_n, out_b, doc_b
 
 
 class TestQuadratureInfo:
@@ -62,7 +112,7 @@ class TestVerifyDpi:
         assert "0.0693365" in out or "0.069336" in out
         assert "(nats)" in out
 
-    def test_bits_conversion(self, capsys):
+    def test_bits_conversion(self, tmp_path, capsys):
         run(["verify-dpi", "--example", "classical", "--unit", "bits"])
         out = capsys.readouterr().out
         lhs_bits = float(
@@ -70,6 +120,7 @@ class TestVerifyDpi:
         )
         lhs_nats = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
         assert lhs_bits == pytest.approx(lhs_nats / math.log(2.0), abs=1e-12)
+        assert_unit_rule(["verify-dpi", "--example", "classical"], tmp_path, capsys)
 
     def test_file_inputs_and_report(self, tmp_path, capsys):
         gen = np.random.default_rng(3)
@@ -128,6 +179,15 @@ class TestVerifyDpi:
 
     def test_partial_file_args_usage_error(self, capsys):
         assert run(["verify-dpi", "--rho", "only.txt"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--rho", "--sigma", "--channel"])
+    def test_example_and_file_refused(self, flag, tmp_path, capsys):
+        # the example once ran and the file was ignored
+        save_state(str(tmp_path / "r.txt"), random_density(2, 1))
+        assert run(["verify-dpi", "--example", "classical", flag, str(tmp_path / "r.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --example and {flag} cannot be given together\n"
 
     @pytest.mark.parametrize("cut", ["--rho", "--channel"])
     def test_truncated_input_file_usage_error(self, cut, tmp_path, capsys):
@@ -249,6 +309,14 @@ class TestVerifySsa:
                        "lhs": rep.cmi, "rhs": rep.rhs, "slack": rep.slack}
         assert "[file] lhs:" in capsys.readouterr().out
 
+    def test_state_and_ghz_refused(self, tmp_path, capsys):
+        # the file once ran and --ghz was ignored
+        save_state(str(tmp_path / "abc.txt"), random_density(8, np.random.default_rng(3)))
+        assert run(["verify-ssa", "--ghz", "--state", str(tmp_path / "abc.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --state and --ghz cannot be given together\n"
+
     def test_state_dims_must_match_the_state(self, tmp_path):
         save_state(str(tmp_path / "abc.txt"), random_density(12, np.random.default_rng(3)))
         assert run(["verify-ssa", "--state", str(tmp_path / "abc.txt"),
@@ -332,6 +400,15 @@ class TestQec:
         assert bits["summary"]["max_gap"] == pytest.approx(
             nats["summary"]["max_gap"] / math.log(2), rel=1e-11
         )
+        out_n, out_b, doc = assert_unit_rule(base, tmp_path, capsys)
+        assert set(doc["summary"]) == {"dim_code", "max_gap", "min_fidelity", "forward_ok",
+                                       "converse_ok", "unit", "version"}
+        assert [ln.split(":")[0] for ln in out_b if ln.endswith(" (bits)")] == [
+            "max_gap", "converse_bound"]
+        # the printed bound, which no report holds, converts too
+        bound_n, bound_b = (float(next(ln for ln in out if ln.startswith("converse_bound: "))
+                                  .split()[1]) for out in (out_n, out_b))
+        assert bound_b == pytest.approx(bound_n / LN2, rel=1e-11)
 
     @pytest.mark.parametrize("code_dim", ["5", "0", "-1"])
     def test_code_dim_outside_dim_is_usage_error(self, code_dim, capsys):
@@ -407,6 +484,24 @@ class TestSweep:
         assert "wall_time" in out.read_text().splitlines()[1]
         run(["sweep", "--count", "2", "--nodes", "33", "-o", str(out)])
         assert "wall_time" not in out.read_text().splitlines()[1]
+
+
+class TestUnitRule:
+    @pytest.mark.parametrize("args", [
+        *(f"sweep --count 4 --seed 1 --dims 2..3 --nodes 33 --kind {kind}"
+          for kind in SWEEP_KINDS),
+        "sweep --count 0",
+        "verify-dpi --random 2 --seed 4 --nodes 33",
+        "verify-ssa --ghz",
+        "verify-ssa --random 2 --seed 2",
+        "verify-corollaries --random 2 --dims 2..3",
+    ])
+    def test_entropy_keys_follow_unit(self, args, tmp_path, capsys):
+        _, out, doc = assert_unit_rule(args.split(), tmp_path, capsys)
+        # every row entropy of a verify-* run is printed, nothing else is in bits
+        printed = [key for row in doc["rows"] for key in row if key in cli._ENTROPY_COLUMNS]
+        if args.startswith("verify-"):
+            assert sum(ln.endswith(" (bits)") for ln in out) == len(printed)
 
 
 class TestDeprecatedNodes:

@@ -182,6 +182,15 @@ class TestConditionalMutualInformation:
             rho = random_density(8, rng)
             assert conditional_mutual_information(rho, (2, 2, 2)) >= -1e-9
 
+    @pytest.mark.parametrize("dims", [(2, 2.9, 2), (2.0, 2, 2), (2, 2, np.float64(2))])
+    def test_non_integer_dims_refused(self, rng, dims):
+        # (2, 2.9, 2) was read as (2, 2, 2)
+        rho = random_density(8, rng)
+        with pytest.raises(ValueError, match="dims must hold integers"):
+            conditional_mutual_information(rho, dims)
+        assert conditional_mutual_information(rho, np.array([2, 2, 2])) == \
+            conditional_mutual_information(rho, (2, 2, 2))
+
 
 def _entropies_of(negative):
     """The entropy calls on a qubit state with eigenvalue ``negative``."""

@@ -384,6 +384,18 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="dims"):
             partial_trace(np.zeros((4, 5, 5)), (2, 3), keep=(0,))
 
+    @pytest.mark.parametrize("dims, keep, name", [
+        ((2, 2.5), (0,), "dims"), ((2.0, 2), (0,), "dims"), ((np.float64(2), 2), (1,), "dims"),
+        ((2, 2), (0.7,), "keep"), ((2, 2), (np.float64(1),), "keep"),
+    ])
+    def test_non_integers_refused(self, rng, dims, keep, name):
+        # (2, 2.5) was read as (2, 2), and keep (0.7,) as (0,)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError, match=f"{name} must hold integers"):
+            partial_trace(m, dims, keep)
+        np.testing.assert_array_equal(partial_trace(m, np.array([2, 2]), [np.int64(1)]),
+                                      partial_trace(m, (2, 2), (1,)))
+
     @pytest.mark.parametrize("keep", [(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
     def test_stack_matches_members(self, rng, keep):
         m = rng.standard_normal((2, 3, 12, 12)) + 1j * rng.standard_normal((2, 3, 12, 12))

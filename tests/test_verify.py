@@ -443,6 +443,15 @@ class TestQec:
         with pytest.raises(ValueError, match="samples"):
             qec_analyze(three_qubit_bit_flip_code(), single_bit_flip_channel(0.1), -3)
 
+    @pytest.mark.parametrize("samples", [2.5, 2.0, np.float64(2)])
+    def test_non_integer_samples_rejected(self, samples):
+        # a float count once raised a bare TypeError
+        args = three_qubit_bit_flip_code(), single_bit_flip_channel(0.1)
+        with pytest.raises(ValueError, match="samples must hold integers"):
+            qec_analyze(*args, samples)
+        counted = qec_analyze(*args, np.int64(2))
+        assert counted.gaps.tobytes() == qec_analyze(*args, 2).gaps.tobytes()
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):

@@ -2,7 +2,9 @@
 
 Each digest covers every public field of every result that the entry point
 returns on a few instances, drawn from fixed seeds with petzlab's own
-``random_*`` helpers, down to the last bit of every float.  A change meant
+``random_*`` helpers, down to the last bit of every float.  The ``cli``
+digest covers the stdout, stderr, exit status, report table and ``.summary``
+of the ``CLI_COMMANDS`` below, each run in both units.  A change meant
 to leave every result bit-identical is checked by running the script at the
 parent commit and at the change and diffing the two outputs:
 
@@ -16,10 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import numbers
+import os
 import struct
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -45,7 +52,28 @@ from petzlab import (  # noqa: E402
     three_qubit_bit_flip_code,
     universal_recovery,
 )
+from petzlab import cli  # noqa: E402
 from petzlab.serialize import dumps_recovery  # noqa: E402
+
+# the ``petzlab`` commands of the ``cli`` digest, each run with ``--unit nats``
+# and with ``--unit bits``; ``sweep --count 0`` writes no rows, and
+# ``--tolerance -1`` is refused with exit status 2
+CLI_COMMANDS = [
+    *(f"sweep --count 30 --seed 1 --kind {kind}"
+      for kind in ("dpi", "ssa", "concavity", "joint-convexity")),
+    "sweep --count 0 --seed 1",
+    "sweep --count 5 --tolerance -1",
+    "verify-dpi --example classical",
+    "verify-dpi --random 3 --seed 4",
+    "verify-ssa --ghz",
+    "verify-ssa --random 2 --seed 2",
+    "verify-corollaries --random 3 --dims 2..3",
+    "qec",
+    "qec --code random --seed 3",
+    "qec --code bitflip3 --p 0.2 --samples 50 --seed 3",
+    "qec --code random --dim 4 --code-dim 2 --env-max 2 --seed 7127",
+    "quadrature-info --nodes 9",
+]
 
 
 def _feed(h, value) -> None:
@@ -117,6 +145,27 @@ def _ensembles(gen, size, dim):
     return gen.dirichlet(np.ones(size)), [random_density(dim, gen) for _ in range(size)]
 
 
+def cli_runs():
+    """``[argv, stdout, stderr, exit status, report table, .summary]`` of each
+    ``CLI_COMMANDS`` run through ``cli.main`` in both units, the reports
+    written to a temporary directory with ``PETZLAB_OUTPUT_DIR`` unset; a
+    report that a run does not write reads ``None``."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("PETZLAB_OUTPUT_DIR", None)
+        for i, command in enumerate(CLI_COMMANDS):
+            for unit in ("nats", "bits"):
+                argv = command.split() + ["--unit", unit]
+                report = Path(tmp, f"{i}-{unit}.txt")
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    status = cli.main(argv + ["-o", str(report)])
+                files = [path.read_text() if path.exists() else None
+                         for path in (report, Path(f"{report}.summary"))]
+                out.append([argv, stdout.getvalue(), stderr.getvalue(), status, *files])
+    return out
+
+
 def entry_points():
     """``(name, callable)`` pairs; each callable returns the results to digest."""
     rule = beta0_quadrature(33)
@@ -184,6 +233,7 @@ def entry_points():
         ("universal_recovery", universal),
         ("dumps_recovery", lambda: [dumps_recovery(rec) for rec in universal()]),
         ("sweep", sweeps),
+        ("cli", cli_runs),
     ]
 
 
