@@ -15,6 +15,7 @@ from .linalg import (
     MAX_TENSOR_DIM,
     _checked,
     _eigh,
+    _factor_split,
     _integers,
     dagger,
     eig_hermitian,
@@ -291,19 +292,15 @@ def bit_flip_channel(p: float) -> Channel:
 
 def partial_trace_channel(dims, keep) -> Channel:
     """Channel tracing out every tensor factor not listed in ``keep``; both
-    must hold integers."""
-    dims = list(_integers(dims, "dims"))
-    keep = sorted(set(_integers(keep, "keep")))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range")
-    discarded = [i for i in range(len(dims)) if i not in keep]
-    total = int(np.prod(dims))
+    must hold integers, split as ``linalg._factor_split`` does."""
+    dims, keep, traced = _factor_split(dims, keep)
+    total = math.prod(dims)
     if total > MAX_TENSOR_DIM:
         raise ValueError(f"dimension {total} exceeds the configured maximum {MAX_TENSOR_DIM}")
-    # Kraus operator j: the rows of id whose discarded digits are j
-    d_disc = int(np.prod([dims[i] for i in discarded]))
+    # Kraus operator j: the rows of id whose traced digits are j
     eye = np.eye(total, dtype=complex).reshape(dims + [total])
-    return Channel(eye.transpose(discarded + keep + [len(dims)]).reshape(d_disc, -1, total))
+    return Channel(eye.transpose(traced + keep + [len(dims)])
+                   .reshape(math.prod(dims[i] for i in traced), -1, total))
 
 
 def three_qubit_bit_flip_code() -> np.ndarray:

@@ -110,11 +110,38 @@ def _load(loader, path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _flag_ints(flag: str, form: str, spec: str, parts: list) -> tuple:
+    """``parts``, the fields of ``flag``'s value ``spec``, as ints; ``spec`` is
+    refused, naming ``flag`` and ``form``, unless it has one integer field per
+    field of ``form``."""
+    try:
+        if len(parts) == len(form.replace("..", ",").split(",")):
+            return tuple(map(int, parts))
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} must have the form {form}, got {spec!r}")
+
+
 def _parse_dims(spec: str):
+    """``--dims LO..HI`` as ``(lo, hi)``; a lone ``N`` means ``N..N``."""
     lo, _, hi = spec.partition("..")
-    lo = int(lo)
-    hi = int(hi) if hi else lo
-    return lo, hi
+    return _flag_ints("--dims", "LO..HI", spec, [lo, hi or lo])
+
+
+def _or(value, default):
+    """A flag's value, or its documented ``default`` when it was not given."""
+    return default if value is None else value
+
+
+def _apart(args, firsts, seconds):
+    """Refuse ``args`` that give a flag among ``firsts`` and one among
+    ``seconds`` (attribute names; a flag is given when it holds neither
+    ``None`` nor ``False``), naming the first of each."""
+    given = [[f"--{name.replace('_', '-')}" for name in names
+              if getattr(args, name) is not None and getattr(args, name) is not False]
+             for names in (firsts, seconds)]
+    if all(given):
+        raise ValueError(f"{given[0][0]} and {given[1][0]} cannot be given together")
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +162,9 @@ def _cmd_quadrature_info(args) -> int:
 
 
 def _swept(args, kind: str, **config):
-    """``args.random`` rows of a ``kind`` sweep, each with its label."""
-    result = sweep(SweepConfig(seed=args.seed, count=args.random, tolerance=args.tolerance,
-                               kind=kind, **config))
+    """``--random`` (default 1) rows of a ``kind`` sweep, each with its label."""
+    result = sweep(SweepConfig(seed=args.seed, count=_or(args.random, 1),
+                               tolerance=args.tolerance, kind=kind, **config))
     return [(f"{kind}-{row['instance']}", row) for row in result.rows]
 
 
@@ -155,16 +182,19 @@ def _report_checks(args, labelled) -> int:
 
 def _cmd_verify_dpi(args) -> int:
     _check_tolerance(args.tolerance)
-    files = [f"--{name}" for name in ("rho", "sigma", "channel") if getattr(args, name)]
-    if args.example and files:
-        raise ValueError(f"--example and {files[0]} cannot be given together")
+    files = ["rho", "sigma", "channel"]
+    _apart(args, ["example"], files)
+    _apart(args, ["example", *files], ["random", "dims", "env_max"])
+    if args.renormalize and not args.dump_recovered:
+        raise ValueError("--renormalize needs --dump-recovered")
+    given = sum(bool(getattr(args, name)) for name in files)
     if args.example == "classical":
         name = "classical"
         rho = serialize.load_state(_bundled("classical_rho.txt"))
         sigma = serialize.load_state(_bundled("classical_sigma.txt"))
         chan = serialize.load_channel(_bundled("classical_channel.txt"))
-    elif files:
-        if len(files) < 3:
+    elif given:
+        if given < 3:
             raise ValueError("--rho, --sigma and --channel must be given together")
         name = "file"
         rho, sigma = _load(serialize.load_state, args.rho), _load(serialize.load_state, args.sigma)
@@ -172,8 +202,9 @@ def _cmd_verify_dpi(args) -> int:
     elif args.dump_recovered:
         raise ValueError("--dump-recovered needs --example or --rho/--sigma/--channel")
     else:
-        return _report_checks(args, _swept(args, "dpi", dims=_parse_dims(args.dims),
-                                           env_max=args.env_max, nodes=args.nodes))
+        dims = _parse_dims(_or(args.dims, "2..4"))
+        return _report_checks(args, _swept(args, "dpi", dims=dims, env_max=_or(args.env_max, 4),
+                                           nodes=args.nodes))
     rep = dpi_remainder(rho, sigma, chan, beta_quadrature(args.nodes))
     if args.dump_recovered:
         state = rep.recovered_state
@@ -185,11 +216,14 @@ def _cmd_verify_dpi(args) -> int:
 
 def _cmd_verify_ssa(args) -> int:
     _check_tolerance(args.tolerance)
-    if args.state and args.ghz:
-        raise ValueError("--state and --ghz cannot be given together")
+    _apart(args, ["state"], ["ghz"])
+    _apart(args, ["state", "ghz"], ["random"])
+    if args.state_dims is not None and not args.state:
+        raise ValueError("--state-dims needs --state")
     if args.state:
+        spec = _or(args.state_dims, "2,2,2")
+        dims = _flag_ints("--state-dims", "dA,dB,dC", spec, spec.split(","))
         name, rho = "file", _load(serialize.load_state, args.state)
-        dims = tuple(int(d) for d in args.state_dims.split(","))
     elif args.ghz:
         name, rho, dims = "ghz", ghz_state(3), (2, 2, 2)
     else:
@@ -292,21 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", help="channel file")
     p.add_argument("--example", choices=("classical",),
                    help="run a bundled example instance")
-    p.add_argument("--random", type=int, default=1, help="random instance count")
-    p.add_argument("--dims", default="2..4", help="dimension range LO..HI")
-    p.add_argument("--env-max", type=int, default=4)
+    p.add_argument("--random", type=int, help="random instance count (default 1)")
+    p.add_argument("--dims", help="dimension range LO..HI (default 2..4)")
+    p.add_argument("--env-max", type=int, help="largest environment (default 4)")
     p.add_argument("--dump-recovered", default=None,
                    help="write the recovered state to this file")
     p.add_argument("--renormalize", action="store_true",
-                   help="renormalize the dumped recovered state (display only)")
+                   help="renormalize the dumped recovered state (needs --dump-recovered)")
     p.set_defaults(func=_cmd_verify_dpi)
 
     p = sub.add_parser("verify-ssa", help="strong subadditivity remainder")
     _add_common(p)
     p.add_argument("--state", help="tripartite state file")
-    p.add_argument("--state-dims", default="2,2,2", help="factor dims dA,dB,dC")
+    p.add_argument("--state-dims", help="factor dims dA,dB,dC of --state (default 2,2,2)")
     p.add_argument("--ghz", action="store_true", help="use the three-qubit GHZ state")
-    p.add_argument("--random", type=int, default=1)
+    p.add_argument("--random", type=int, help="random instance count (default 1)")
     p.set_defaults(func=_cmd_verify_ssa)
 
     p = sub.add_parser("verify-corollaries",

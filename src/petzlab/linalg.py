@@ -325,6 +325,18 @@ def tensor_product(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factor_split(dims, keep):
+    """``dims`` and the sorted distinct ``keep`` as lists of ints, and the
+    traced factors (those not kept) in order.
+
+    Refuses a non-integer in either and a ``keep`` index that names no factor.
+    """
+    dims, keep = list(_integers(dims, "dims")), sorted(set(_integers(keep, "keep")))
+    if any(k < 0 or k >= len(dims) for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
+    return dims, keep, [i for i in range(len(dims)) if i not in keep]
+
+
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
@@ -332,30 +344,20 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     multiply to the dimension of ``m``; ``keep`` is an iterable of factor
     indices to retain (output keeps their original order).  A ``(..., D,
     D)`` stack gives the stack of its members' partial traces.
+
+    One transpose moves the kept factors ahead of the traced ones on both
+    sides, and one trace sums the traced block's diagonal.
     """
     m = np.asarray(m, dtype=complex)
-    dims = list(_integers(dims, "dims"))
-    n = len(dims)
-    total = int(np.prod(dims))
+    dims, keep, traced = _factor_split(dims, keep)
+    total, lead = math.prod(dims), m.shape[:-2]
     if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"dims {dims} do not match matrix shape {m.shape}")
-    keep = sorted(set(_integers(keep, "keep")))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-
-    lead = m.shape[:-2]
-    tensor = m.reshape(lead + tuple(dims + dims))
-    # Trace over discarded factors from the highest index down so that the
-    # remaining axis numbering stays valid.
-    removed = 0
-    for i in range(n - 1, -1, -1):
-        if i in keep:
-            continue
-        n_cur = n - removed
-        tensor = np.trace(tensor, axis1=len(lead) + i, axis2=len(lead) + i + n_cur)
-        removed += 1
-    d_keep = int(np.prod([dims[k] for k in keep], initial=1))
-    return tensor.reshape(lead + (d_keep, d_keep))
+    rows = [len(lead) + i for i in keep + traced]
+    tensor = m.reshape(lead + tuple(dims + dims)).transpose(
+        [*range(len(lead)), *rows, *(i + len(dims) for i in rows)])
+    sizes = tuple(math.prod(dims[i] for i in part) for part in (keep, traced))
+    return np.trace(tensor.reshape(lead + sizes * 2), axis1=-3, axis2=-1)
 
 
 __all__ = [

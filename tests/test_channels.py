@@ -100,6 +100,20 @@ class TestChannelValidation:
     def test_zero_atol_accepted(self):
         assert Channel([np.eye(2)], atol=0.0).mode == "tp"
 
+    @pytest.mark.parametrize("kraus", [[np.eye(2), np.eye(3)], np.eye(2)],
+                             ids=["ragged", "2-d array"])
+    def test_kraus_shape_refused(self, kraus):
+        with pytest.raises(ValueError, match="share one 2-d shape"):
+            Channel(kraus)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="mode must be 'tp' or 'tni', got 'cp'"):
+            Channel([np.eye(2)], mode="cp")
+
+    def test_tni_refuses_vanishing_map(self):
+        with pytest.raises(ValueError, match="vanishes"):
+            Channel([np.zeros((2, 2))], mode="tni")
+
 
 class TestAssertPositive:
     def test_accepts_psd_and_rounding_negativity(self, rng):
@@ -307,6 +321,15 @@ class TestRandomDensity:
         with pytest.raises(ValueError, match="rank"):
             random_density(2, 0, ensemble="rank-k", rank=3)
 
+    @pytest.mark.parametrize("dim, kwargs, message", [
+        (0, {}, "dimension must be >= 1"),
+        (2, {"ensemble": "rank-k"}, "needs the rank argument"),
+        (2, {"ensemble": "bures"}, "unknown ensemble 'bures'"),
+    ])
+    def test_refusals(self, dim, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            random_density(dim, 0, **kwargs)
+
 
 class TestRandomChannel:
     def test_env_one_square_is_unitary(self, rng):
@@ -375,6 +398,11 @@ class TestNamedChannels:
         integers = partial_trace_channel(np.array([2, 3]), [np.int64(1)])
         assert integers.kraus.tobytes() == partial_trace_channel((2, 3), (1,)).kraus.tobytes()
 
+    @pytest.mark.parametrize("keep", [(2,), (-1,), (0, 3)])
+    def test_partial_trace_channel_keep_out_of_range_refused(self, keep):
+        with pytest.raises(ValueError, match=r"keep indices \[.*\] out of range for 2 factors"):
+            partial_trace_channel((2, 2), keep)
+
     def test_partial_trace_channel_on_product(self, rng):
         a = random_density(2, rng)
         b = random_density(3, rng)
@@ -398,6 +426,9 @@ class TestNamedChannels:
             depolarizing_channel(2, 1.5)
         with pytest.raises(ValueError):
             bit_flip_channel(-0.1)
+        for lam in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="dephasing strength must lie in"):
+                dephasing_channel(2, lam)
 
     def test_bit_flip_code_pieces(self):
         pi = three_qubit_bit_flip_code()
@@ -422,6 +453,10 @@ class TestChoi:
             [sum(u[i, j] * chan.kraus[j] for j in range(2)) for i in range(2)]
         )
         assert choi_distance(chan, mixed) <= 1e-12
+
+    def test_different_spaces_refused(self):
+        with pytest.raises(ValueError, match="different spaces"):
+            choi_distance(identity_channel(2), random_channel(2, 3, 1, 0))
 
     def test_distinct_channels_differ(self):
         assert choi_distance(identity_channel(2), depolarizing_channel(2, 1.0)) > 0.1

@@ -189,6 +189,36 @@ class TestVerifyDpi:
         assert captured.out == ""
         assert captured.err == f"error: --example and {flag} cannot be given together\n"
 
+    @pytest.mark.parametrize("source", ["--example", "--rho"])
+    @pytest.mark.parametrize("flag, value", [("--random", "5"), ("--dims", "3..4"),
+                                             ("--env-max", "2")])
+    def test_instance_flags_with_fixed_input_refused(self, source, flag, value, tmp_path,
+                                                     capsys):
+        # the fixed instance once ran and the flag was ignored
+        state, chan = str(tmp_path / "r.txt"), str(tmp_path / "c.txt")
+        save_state(state, random_density(2, 1))
+        save_channel(chan, identity_channel(2))
+        fixed = (["--example", "classical"] if source == "--example"
+                 else ["--rho", state, "--sigma", state, "--channel", chan])
+        assert run(["verify-dpi", *fixed, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {source} and {flag} cannot be given together\n"
+
+    def test_config_value_counts_as_given(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"random": 3}))
+        assert run(["verify-dpi", "--config", str(config), "--example", "classical"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --example and --random cannot be given together\n"
+
+    def test_renormalize_needs_dump_recovered(self, capsys):
+        # --renormalize once did nothing without --dump-recovered
+        assert run(["verify-dpi", "--example", "classical", "--renormalize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --renormalize needs --dump-recovered\n"
+
     @pytest.mark.parametrize("cut", ["--rho", "--channel"])
     def test_truncated_input_file_usage_error(self, cut, tmp_path, capsys):
         files = {"--rho": tmp_path / "rho.txt", "--sigma": tmp_path / "sigma.txt",
@@ -316,6 +346,24 @@ class TestVerifySsa:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --state and --ghz cannot be given together\n"
+
+    @pytest.mark.parametrize("source", ["--ghz", "--state"])
+    def test_random_with_fixed_state_refused(self, source, tmp_path, capsys):
+        # the fixed state once ran and --random was ignored
+        save_state(str(tmp_path / "abc.txt"), random_density(8, np.random.default_rng(3)))
+        fixed = ["--ghz"] if source == "--ghz" else ["--state", str(tmp_path / "abc.txt")]
+        assert run(["verify-ssa", *fixed, "--random", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {source} and --random cannot be given together\n"
+
+    @pytest.mark.parametrize("others", [[], ["--ghz"], ["--random", "2"]])
+    def test_state_dims_needs_state(self, others, capsys):
+        # --state-dims was ignored without --state
+        assert run(["verify-ssa", "--state-dims", "2,3,2", *others]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --state-dims needs --state\n"
 
     def test_state_dims_must_match_the_state(self, tmp_path):
         save_state(str(tmp_path / "abc.txt"), random_density(12, np.random.default_rng(3)))
@@ -468,6 +516,12 @@ class TestSweep:
         config.write_text("not json at all {")
         assert run(["sweep", "--config", str(config)]) == 2
 
+    def test_config_list_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text(json.dumps([["count", 2]]))
+        assert run(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_config_boolean_key_is_a_switch(self, tmp_path, flag):
         config = tmp_path / "cfg.json"
@@ -581,21 +635,31 @@ class TestUsageErrors:
             run(["sweep", "--bogus"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            "sweep --dims 5..2 --count 2",
-            "sweep --nodes 2 --count 2",
-            "quadrature-info --nodes 2",
-            "qec --p 0.5 --samples 2",
-            "qec --samples -3",
-            "verify-dpi --dims x..3",
-        ],
-    )
+    # each with what its message names: the flag and its form for a value
+    # that does not parse
+    UNUSABLE = {
+        "sweep --dims 5..2 --count 2": "sweep configuration",
+        "sweep --nodes 2 --count 2": "sweep configuration",
+        "quadrature-info --nodes 2": "3 nodes",
+        "qec --p 0.5 --samples 2": "flip probability",
+        "qec --samples -3": "samples",
+        "verify-dpi --dims x..3": "--dims must have the form LO..HI, got 'x..3'",
+        "verify-dpi --dims 2..x": "--dims must have the form LO..HI, got '2..x'",
+        "sweep --dims 2..3..4": "--dims must have the form LO..HI, got '2..3..4'",
+        "verify-corollaries --dims two": "--dims must have the form LO..HI",
+        # checked before the state file is read
+        "verify-ssa --state absent.txt --state-dims 2,2":
+            "--state-dims must have the form dA,dB,dC, got '2,2'",
+        "verify-ssa --state absent.txt --state-dims 2,x,2":
+            "--state-dims must have the form dA,dB,dC, got '2,x,2'",
+    }
+
+    @pytest.mark.parametrize("args", list(UNUSABLE))
     def test_unusable_values_exit_2(self, args, capsys):
         assert run(args.split()) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert self.UNUSABLE[args] in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

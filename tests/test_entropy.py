@@ -191,6 +191,10 @@ class TestConditionalMutualInformation:
         assert conditional_mutual_information(rho, np.array([2, 2, 2])) == \
             conditional_mutual_information(rho, (2, 2, 2))
 
+    def test_dims_mismatch(self, rng):
+        with pytest.raises(ValueError, match="do not match state dimension 8"):
+            conditional_mutual_information(random_density(8, rng), (2, 3, 2))
+
 
 def _entropies_of(negative):
     """The entropy calls on a qubit state with eigenvalue ``negative``."""
@@ -236,6 +240,8 @@ class TestBinaryEntropyAndBounds:
             fannes_audenaert_bound(1.5, 2)
         with pytest.raises(ValueError):
             fannes_audenaert_bound(0.5, 1)
+        with pytest.raises(ValueError, match=r"needs p in \[0, 1\], got 1.5"):
+            binary_entropy(1.5)
 
     def test_unit_conversion(self):
         assert nats_to_bits(math.log(2.0)) == pytest.approx(1.0, abs=1e-12)
@@ -252,6 +258,12 @@ class TestMeasuredRelativeEntropy:
             validate_povm([np.eye(2) * 0.5], 2)
         u = random_unitary(3, rng)
         validate_povm(projective_povm(u), 3)
+
+    def test_povm_refuses_misshapen_and_negative_effects(self):
+        with pytest.raises(ValueError, match=r"effect of shape \(3, 3\) does not match dim 2"):
+            validate_povm([np.eye(3)], 2)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            validate_povm([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], 2)
 
     def test_povm_refuses_non_hermitian_effects(self):
         # the anti-Hermitian parts cancel in the sum, and each effect's
@@ -377,6 +389,13 @@ def classical_renyi_delta(p_vec, q_vec, t_matrix, alpha):
 
 
 class TestRenyiDelta:
+    @pytest.mark.parametrize("alpha, value", [(0.75, math.inf), (2.0, -math.inf)])
+    def test_zero_rho(self, alpha, value):
+        # the norm of a zero operator is 0, and its log -inf, scaled by 2a/(a-1)
+        gen = np.random.default_rng(44)
+        sigma, chan = random_density(2, gen), random_channel(2, 2, 2, gen)
+        assert renyi_delta(np.zeros((2, 2)), sigma, chan, alpha) == value
+
     def test_half_matches_petz_fidelity(self):
         gen = np.random.default_rng(41)
         for _ in range(10):

@@ -322,6 +322,10 @@ class TestTensorProduct:
         with pytest.raises(ValueError, match="maximum"):
             tensor_product(np.eye(100), np.eye(100))
 
+    def test_no_factors_refused(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            tensor_product()
+
 
 def naive_partial_trace(m, dims, keep):
     """Index-summation oracle for the partial trace."""
@@ -395,6 +399,25 @@ class TestPartialTrace:
             partial_trace(m, dims, keep)
         np.testing.assert_array_equal(partial_trace(m, np.array([2, 2]), [np.int64(1)]),
                                       partial_trace(m, (2, 2), (1,)))
+
+    @pytest.mark.parametrize("keep", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2),
+                                      (2, 0, 2)])
+    def test_three_factors_against_naive_oracle(self, rng, keep):
+        m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        got = partial_trace(m, (2, 3, 4), keep=keep)
+        assert np.abs(got - naive_partial_trace(m, (2, 3, 4), set(keep))).max() <= 1e-13
+
+    def test_factor_split(self):
+        # dims and keep as int lists, keep sorted without repeats, then the
+        # traced factors in order
+        split = linalg._factor_split(np.array([2, 3, 4, 5]), [np.int64(3), 0, 3])
+        assert split == ([2, 3, 4, 5], [0, 3], [1, 2])
+        assert all(type(i) is int for part in split for i in part)
+
+    @pytest.mark.parametrize("keep", [(2,), (-1,), (0, 3)])
+    def test_keep_out_of_range_refused(self, keep):
+        with pytest.raises(ValueError, match=r"keep indices \[.*\] out of range for 2 factors"):
+            partial_trace(np.eye(4), (2, 2), keep)
 
     @pytest.mark.parametrize("keep", [(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
     def test_stack_matches_members(self, rng, keep):

@@ -304,6 +304,17 @@ class TestAtomicWrite:
         atomic_write_text(str(path), "new")
         assert path.read_text() == "new"
 
+    def test_failed_rename_removes_temporary(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = tmp_path / "out.txt"
+        with pytest.raises(OSError) as info:
+            atomic_write_text(str(path), "text")
+        assert info.value.filename == str(path) and ".petzlab-" not in str(info.value)
+        assert os.listdir(tmp_path) == []
+
 
 class TestReports:
     def test_empty_table(self):
@@ -328,6 +339,11 @@ class TestReports:
             "summary": {"min_slack": -3.3e-17, "count": 2},
         }
         assert parse_structured(emit_structured(payload)) == payload
+
+    @pytest.mark.parametrize("text", ["", "# petzlab report v2\na\n1\n", "a b\n1 2\n"])
+    def test_bad_header_refused(self, text):
+        with pytest.raises(ValueError, match="not a petzlab report table"):
+            parse_table(text)
 
     def test_deterministic_bytes(self):
         rows = [{"b": 2.0, "a": 1.0}]

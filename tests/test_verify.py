@@ -367,6 +367,10 @@ def syndrome_decoder_for_bit_flip():
 
 
 class TestQec:
+    def test_empty_codespace_refused(self):
+        with pytest.raises(ValueError, match="codespace is empty"):
+            qec_analyze(np.zeros((3, 3)), random_channel(3, 3, 2, 5), 4)
+
     def test_one_dimensional_code(self):
         # every sample is the one code state, which the universal map
         # recovers exactly: gap 0 and fidelity 1 up to rounding
@@ -858,6 +862,12 @@ class TestTruncation:
 
 
 class TestSweep:
+    def test_redraw_limit(self, monkeypatch):
+        # no random state has condition number 1, so every draw is refused
+        monkeypatch.setattr(verify, "MAX_CONDITION", 1.0)
+        with pytest.raises(RuntimeError, match="could not draw a dim-.* state with condition"):
+            sweep(SweepConfig(seed=1, count=1, nodes=33))
+
     def test_empty_sweep(self):
         result = sweep(SweepConfig(seed=1, count=0, nodes=33))
         assert result.ok

@@ -2,7 +2,9 @@
 
 Each digest covers every public field of every result that the entry point
 returns on a few instances, drawn from fixed seeds with petzlab's own
-``random_*`` helpers, down to the last bit of every float.  The ``cli``
+``random_*`` helpers, down to the last bit of every float.  The
+``partial_trace[k]`` digest covers the splits of ``PARTIAL_TRACES`` that
+trace ``k`` factors.  The ``cli``
 digest covers the stdout, stderr, exit status, report table and ``.summary``
 of the ``CLI_COMMANDS`` below, each run in both units.  A change meant
 to leave every result bit-identical is checked by running the script at the
@@ -43,6 +45,8 @@ from petzlab import (  # noqa: E402
     dpi_remainder,
     finite_set_recovery_search,
     joint_convexity_remainder,
+    partial_trace,
+    partial_trace_channel,
     qec_analyze,
     random_channel,
     random_density,
@@ -73,6 +77,18 @@ CLI_COMMANDS = [
     "qec --code bitflip3 --p 0.2 --samples 50 --seed 3",
     "qec --code random --dim 4 --code-dim 2 --env-max 2 --seed 7127",
     "quadrature-info --nodes 9",
+]
+
+# ``(dims, keeps)`` of the ``partial_trace[k]`` digests: ``partial_trace`` of a
+# single density matrix and of a ``(3, D, D)`` stack, and the Kraus stack of
+# ``partial_trace_channel``, for each ``keep``
+PARTIAL_TRACES = [
+    ((2, 3), [(0,), (1,)]),
+    ((2, 2, 2), [(0, 1), (1, 2), (0, 2), (0,), (1,), (2,), ()]),
+    ((3, 3, 3), [(0, 1), (1, 2), (1,), ()]),
+    ((2, 3, 4), [(0, 2), (1,), (0,), ()]),
+    ((1, 2, 2), [(0, 2), (1,)]),
+    ((2, 2, 2, 2), [(0, 1, 3), (1, 2), (3,)]),
 ]
 
 
@@ -166,6 +182,26 @@ def cli_runs():
     return out
 
 
+def partial_trace_cases():
+    """``(traced, dims, keep, rho, stack)`` for every split of
+    ``PARTIAL_TRACES``: ``traced`` counts the factors it traces, and ``rho``
+    and the ``(3, D, D)`` ``stack`` are drawn for each ``dims``."""
+    gen = np.random.default_rng(12)
+    out = []
+    for dims, keeps in PARTIAL_TRACES:
+        dim = int(np.prod(dims))
+        rho, stack = random_density(dim, gen), np.stack([random_density(dim, gen) for _ in range(3)])
+        out += [(len(dims) - len(keep), dims, keep, rho, stack) for keep in keeps]
+    return out
+
+
+def _partial_traces(traced):
+    """What the ``partial_trace[traced]`` digest covers."""
+    return [[partial_trace(rho, dims, keep), partial_trace(stack, dims, keep),
+             partial_trace_channel(dims, keep).kraus]
+            for count, dims, keep, rho, stack in partial_trace_cases() if count == traced]
+
+
 def entry_points():
     """``(name, callable)`` pairs; each callable returns the results to digest."""
     rule = beta0_quadrature(33)
@@ -234,6 +270,7 @@ def entry_points():
         ("dumps_recovery", lambda: [dumps_recovery(rec) for rec in universal()]),
         ("sweep", sweeps),
         ("cli", cli_runs),
+        *((f"partial_trace[{k}]", lambda k=k: _partial_traces(k)) for k in (1, 2, 3)),
     ]
 
 
